@@ -199,13 +199,13 @@ fn main() {
             .config(cfg.clone())
             .admission(policy);
         let telemetry = if let Some(dir) = telemetry_dir() {
-            let timeline = Timeline::shared(SimSpan::from_millis(100), cfg.duration);
-            let trace = ChromeTraceWriter::shared();
-            let hub = MetricsHub::shared();
+            let timeline = Timeline::shared_sync(SimSpan::from_millis(100), cfg.duration);
+            let trace = ChromeTraceWriter::shared_sync();
+            let hub = MetricsHub::shared_sync();
             session = session
-                .observer(timeline.clone())
-                .observer(trace.clone())
-                .observer(hub.clone());
+                .sync_observer(timeline.clone())
+                .sync_observer(trace.clone())
+                .sync_observer(hub.clone());
             Some((dir, timeline, trace, hub))
         } else {
             None
@@ -214,7 +214,7 @@ fn main() {
         if let Some((dir, timeline, trace, hub)) = telemetry {
             std::fs::create_dir_all(&dir)
                 .unwrap_or_else(|e| panic!("creating {}: {e}", dir.display()));
-            let mut timeline = timeline.borrow_mut();
+            let mut timeline = timeline.lock().expect("timeline");
             let write = |file: String, text: String| {
                 let path = dir.join(file);
                 std::fs::write(&path, text)
@@ -228,9 +228,9 @@ fn main() {
             write(format!("saturation_timeline_{name}.csv"), timeline.to_csv());
             write(
                 format!("saturation_trace_{name}.json"),
-                trace.borrow().to_json(),
+                trace.lock().expect("trace").to_json(),
             );
-            let hub = hub.borrow();
+            let hub = hub.lock().expect("hub");
             eprintln!(
                 "fig_saturation: [{name}] hub saw {} events, fleet p99 {}",
                 hub.events(),

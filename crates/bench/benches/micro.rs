@@ -354,7 +354,7 @@ fn metrics_hub_overhead(sink: &mut JsonSink) {
         (0..1000).map(SimTime::from_millis).collect(),
     )
     .with_priority(Priority::BestEffort);
-    let tape = std::rc::Rc::new(std::cell::RefCell::new(EventTape::default()));
+    let tape = std::sync::Arc::new(std::sync::Mutex::new(EventTape::default()));
     Colocation::on(spec)
         .client(hp)
         .client(be)
@@ -371,11 +371,12 @@ fn metrics_hub_overhead(sink: &mut JsonSink) {
                 .window(SimSpan::from_millis(100))
                 .qps_range(2.0, 2000.0),
         ))
-        .observer(tape.clone())
+        .sync_observer(tape.clone())
         .run();
-    let tape = std::rc::Rc::try_unwrap(tape)
+    let tape = std::sync::Arc::try_unwrap(tape)
         .expect("sole owner after run")
-        .into_inner();
+        .into_inner()
+        .expect("tape");
     let events = tape.0.len() as u64;
     assert!(events > 1000, "tape too small to time ({events} events)");
     let ns_per_replay = bench(

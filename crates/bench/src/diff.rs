@@ -547,21 +547,14 @@ mod tests {
     type RowSpec<'a> = (&'a str, f64, &'a [(&'a str, &'a str)]);
 
     fn doc(rows: &[RowSpec<'_>]) -> BenchDoc {
-        // Write through the real sink and parse back, so the format stays
-        // covered end to end.
-        let path = std::env::temp_dir().join(format!(
-            "tally_diff_test_{}_{}.json",
-            std::process::id(),
-            rows.len()
-        ));
-        let mut sink = JsonSink::to_path("t", Some(path.clone()));
+        // Render through the real sink and parse back, so the format stays
+        // covered end to end. The path only enables the sink; nothing is
+        // written.
+        let mut sink = JsonSink::to_path("t", Some("unused.json".into()));
         for (m, v, tags) in rows {
             sink.record(m, *v, tags);
         }
-        sink.finish();
-        let text = std::fs::read_to_string(&path).expect("written");
-        std::fs::remove_file(&path).ok();
-        parse_document(&text).expect("parses")
+        parse_document(&sink.render()).expect("parses")
     }
 
     #[test]

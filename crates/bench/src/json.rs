@@ -96,16 +96,9 @@ impl JsonSink {
         self.rows.push(row);
     }
 
-    /// Writes the collected document, if a path was given.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the file cannot be written — a bench run asked to record
-    /// results must not lose them silently.
-    pub fn finish(self) {
-        let Some(path) = self.path else {
-            return;
-        };
+    /// The collected document as JSON text (what [`JsonSink::finish`]
+    /// writes).
+    pub fn render(&self) -> String {
         let mut doc = format!(
             "{{\n  \"bench\": {},\n  \"results\": [\n",
             quote(&self.bench)
@@ -116,7 +109,20 @@ impl JsonSink {
             doc.push_str(if i + 1 < self.rows.len() { ",\n" } else { "\n" });
         }
         doc.push_str("  ]\n}\n");
-        std::fs::write(&path, doc)
+        doc
+    }
+
+    /// Writes the collected document, if a path was given.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the file cannot be written — a bench run asked to record
+    /// results must not lose them silently.
+    pub fn finish(self) {
+        let Some(path) = &self.path else {
+            return;
+        };
+        std::fs::write(path, self.render())
             .unwrap_or_else(|e| panic!("failed to write {}: {e}", path.display()));
         eprintln!("wrote {} results to {}", self.rows.len(), path.display());
     }

@@ -40,10 +40,13 @@
 //! at a barrier in **fixed device-index order** on the driving thread
 //! (settles, migration passes, observer deliveries), and the per-barrier
 //! wall-clock measurements are kept out of the deterministic report
-//! surface (see [`HostStats`]). Reports and
-//! observer streams are therefore byte-identical for any thread count —
-//! `threads(1)` reproduces the historical single-threaded drive exactly,
-//! and `tests/parallel_determinism.rs` asserts it.
+//! surface (see [`HostStats`]). With one worker each session delivers its
+//! observations at the end of every settle, which is already device order;
+//! with more, sessions hold them until the barrier and the driving thread
+//! delivers them in device order. Reports and observer streams are therefore
+//! byte-identical for any thread count — `threads(1)` reproduces the
+//! historical single-threaded drive exactly, and
+//! `tests/parallel_determinism.rs` asserts it.
 //!
 //! Four placement policies ship:
 //!
@@ -54,7 +57,7 @@
 //!   the devices with the fewest high-priority tenants;
 //! * [`LoadAware`] — place and migrate by the *runtime* [`DeviceLoad`]
 //!   signals (queue depth, recent occupancy, high-priority pressure) that
-//!   the cluster's built-in [`LoadMonitor`] distills from the live event
+//!   each device's built-in [`LoadMonitor`] distills from the live event
 //!   stream, reacting to phase changes static demand estimates cannot see.
 //!
 //! ```
@@ -84,12 +87,12 @@
 //! ```
 
 use std::fmt;
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 
 use tally_gpu::{GpuSpec, SimSpan, SimTime};
 
 use crate::admission::AdmissionPolicy;
-use crate::events::{LoadMonitor, Observation, SharedObserver, SharedSyncObserver, TraceError};
+use crate::events::{LoadMonitor, Observation, SessionObserver, SharedSyncObserver, TraceError};
 use crate::harness::{
     compile_trace, Colocation, HarnessConfig, InterceptMode, JobKind, JobSpec, Session,
     SessionEvent,
@@ -453,7 +456,7 @@ impl PlacementPolicy for BestEffortPacking {
 ///   device (on by default);
 /// * [`Cluster::rebalance_every`] — additionally run the migration pass on
 ///   a fixed period;
-/// * [`Cluster::observer`] — tap the fleet-wide typed event stream
+/// * [`Cluster::sync_observer`] — tap the fleet-wide typed event stream
 ///   (lifecycle edges, kernels, requests, migrations, rebalances);
 /// * [`Cluster::monitor_window`] — the averaging window of the built-in
 ///   [`LoadMonitor`] behind the runtime [`DeviceLoad`] signals.
@@ -470,7 +473,6 @@ pub struct Cluster {
     intercept: InterceptMode,
     migrate_on_detach: bool,
     rebalance_every: Option<SimSpan>,
-    observers: Vec<SharedObserver>,
     sync_observers: Vec<SharedSyncObserver>,
     admission_factory: Option<AdmissionFactory>,
     monitor_window: SimSpan,
@@ -516,7 +518,6 @@ impl Cluster {
             intercept: InterceptMode::Native,
             migrate_on_detach: true,
             rebalance_every: None,
-            observers: Vec::new(),
             sync_observers: Vec::new(),
             admission_factory: None,
             monitor_window: SimSpan::from_millis(100),
@@ -575,21 +576,10 @@ impl Cluster {
     /// Registers an observer for the fleet-wide typed event stream: every
     /// per-device observation (stamped with its device index) plus the
     /// cluster-level [`Observation::ClientMigrated`] and
-    /// [`Observation::Rebalance`] markers. The handle is shared — keep a
-    /// clone to read the observer's state back after [`Cluster::run`].
-    pub fn observer(mut self, observer: SharedObserver) -> Self {
-        self.observers.push(observer);
-        self
-    }
-
-    /// Registers a thread-safe observer for the fleet-wide event stream
-    /// (see [`SharedSyncObserver`]). Unlike [`Cluster::observer`], sync
-    /// observers are delivered to *directly from the worker threads* as
-    /// sessions settle — no per-barrier ordered flush on the driving
-    /// thread. Per-device event order is still exact; the interleaving
-    /// *across* devices follows worker execution order, so only
-    /// per-device (or commutative) state is deterministic. Registering
-    /// any `Rc` observer switches everyone back to the ordered flush.
+    /// [`Observation::Rebalance`] markers. The handle is shared (see
+    /// [`SharedSyncObserver`]) — keep a clone to read the observer's state
+    /// back after [`Cluster::run`]. The stream is identical for every
+    /// worker-thread count (see the [module docs](self)).
     pub fn sync_observer(mut self, observer: SharedSyncObserver) -> Self {
         self.sync_observers.push(observer);
         self
@@ -608,8 +598,9 @@ impl Cluster {
         self
     }
 
-    /// Sets the averaging window of the built-in [`LoadMonitor`] that
-    /// feeds the runtime [`DeviceLoad`] signals (default: 100 ms). Shorter
+    /// Sets the averaging window of the built-in per-device
+    /// [`LoadMonitor`]s that feed the runtime [`DeviceLoad`] signals
+    /// (default: 100 ms). Shorter
     /// windows react faster to phase changes; longer windows smooth over
     /// request-level noise.
     ///
@@ -728,7 +719,6 @@ impl Cluster {
             intercept,
             migrate_on_detach,
             rebalance_every,
-            observers,
             sync_observers,
             admission_factory,
             monitor_window,
@@ -747,16 +737,6 @@ impl Cluster {
         let threads = threads.unwrap_or_else(|| {
             std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
         });
-
-        // The built-in load monitor feeds the runtime DeviceLoad signals.
-        // It is a *sync* observer: its state is partitioned per device, so
-        // worker threads can feed it directly as they settle — the ordered
-        // per-barrier flush only switches on when an `Rc` observer needs
-        // it. User observers of either kind ride the same streams.
-        let monitor = LoadMonitor::shared_sync(monitor_window);
-        let all_observers: Vec<SharedObserver> = observers;
-        let mut all_sync: Vec<SharedSyncObserver> = vec![monitor.clone()];
-        all_sync.extend(sync_observers);
 
         // Give every explicitly added client a stable key (jobs may repeat
         // a name); trace clients carry their event key.
@@ -803,7 +783,9 @@ impl Cluster {
         let mut pending: std::collections::VecDeque<usize> = (upfront..jobs.len()).collect();
 
         // One session per device, seeds staggered by device index, every
-        // observer attached to every session under its device index.
+        // observer attached to every session under its device index. Each
+        // session also owns the load monitor behind its device's runtime
+        // DeviceLoad signals, read on this thread at barriers.
         let mut sessions: Vec<Session<'static>> = placed_jobs
             .into_iter()
             .enumerate()
@@ -817,10 +799,8 @@ impl Cluster {
                     .intercept(intercept)
                     .into_session();
                 session.set_device_index(d);
-                for obs in &all_observers {
-                    session.add_observer(obs.clone());
-                }
-                for obs in &all_sync {
+                session.set_monitor(LoadMonitor::new(monitor_window));
+                for obs in &sync_observers {
                     session.add_sync_observer(obs.clone());
                 }
                 if let Some(factory) = &admission_factory {
@@ -875,7 +855,6 @@ impl Cluster {
                     &jobs,
                     k,
                     now,
-                    &monitor,
                     &mut placements,
                     &mut locations,
                 );
@@ -911,9 +890,7 @@ impl Cluster {
                     &mut locations,
                     &jobs,
                     now,
-                    &monitor,
-                    &all_observers,
-                    &all_sync,
+                    &sync_observers,
                     &mut MigrationTallies {
                         per_client_migrations: &mut per_client_migrations,
                         per_client_stall: &mut per_client_stall,
@@ -925,8 +902,7 @@ impl Cluster {
                     },
                 );
                 fleet_emit(
-                    &all_observers,
-                    &all_sync,
+                    &sync_observers,
                     now,
                     crate::events::FLEET_DEVICE,
                     &Observation::Rebalance { moved },
@@ -999,17 +975,13 @@ impl Cluster {
                 "barrier must make progress: {barrier:?} at {now:?}"
             );
 
-            // Advance all sessions to the barrier on the worker pool,
-            // then deliver the observations they buffered in device order.
+            // Advance all sessions to the barrier on the worker pool.
             let start = host_now();
             advance_fleet(&mut sessions, barrier, threads);
             let spent = start.elapsed().as_nanos() as u64;
             host.barriers += 1;
             host.advance_ns += spent;
             host.max_barrier_ns = host.max_barrier_ns.max(spent);
-            for s in sessions.iter_mut() {
-                s.flush_events();
-            }
         }
 
         // Trace clients whose first arrival fell at/after the end of the
@@ -1024,7 +996,6 @@ impl Cluster {
                 &jobs,
                 k,
                 final_now,
-                &monitor,
                 &mut placements,
                 &mut locations,
             );
@@ -1091,7 +1062,6 @@ impl Cluster {
     }
 }
 
-/// Advances every session to `barrier` on up to `threads` scoped worker
 /// Host wall-clock sample for [`HostStats`] bookkeeping. The `host_`
 /// prefix is the determinism contract's marker for machine-dependent
 /// instrumentation (ARCHITECTURE rule D3): wall time read here feeds only
@@ -1101,31 +1071,36 @@ fn host_now() -> std::time::Instant {
     std::time::Instant::now()
 }
 
-/// threads. Workers pull [`SessionCore`](crate::harness)s off a shared
-/// queue — sessions are independent between barriers, so assignment order
-/// cannot influence results, and `threads == 1` short-circuits to a plain
-/// in-order loop (bit-for-bit the historical single-threaded drive).
+/// Advances every session to `barrier` on up to `threads` scoped worker
+/// threads. Workers pull sessions off a shared queue — sessions are
+/// independent between barriers, so assignment order cannot influence
+/// results — and hold their observations until every worker is done,
+/// when they are delivered in device order. `threads == 1` short-circuits
+/// to a plain in-order loop that delivers at the end of every settle
+/// (bit-for-bit the historical single-threaded drive, in the same order).
 fn advance_fleet(sessions: &mut [Session<'static>], barrier: SimTime, threads: usize) {
     let workers = threads.min(sessions.len());
     if workers <= 1 {
         for s in sessions.iter_mut() {
-            s.core_mut().run_until(barrier);
+            s.run_until(barrier, false);
         }
         return;
     }
-    let cores: Vec<_> = sessions.iter_mut().map(|s| s.core_mut()).collect();
-    let queue = std::sync::Mutex::new(cores.into_iter());
+    let queue = Mutex::new(sessions.iter_mut());
     std::thread::scope(|scope| {
         for _ in 0..workers {
             scope.spawn(|| loop {
-                let core = queue.lock().expect("queue lock").next();
-                match core {
-                    Some(core) => core.run_until(barrier),
+                let session = queue.lock().expect("queue lock").next();
+                match session {
+                    Some(session) => session.run_until(barrier, true),
                     None => break,
                 }
             });
         }
     });
+    for s in sessions.iter_mut() {
+        s.deliver_events();
+    }
 }
 
 /// Payload of a fleet-level wake timer: which registration slot the
@@ -1140,20 +1115,11 @@ enum FleetWake {
     Inject,
 }
 
-/// Delivers a fleet-level observation (stamped `device`) to both observer
-/// kinds — these are produced on the driving thread between barriers, so
-/// sync observers see them in the same deterministic order `Rc` ones do.
-fn fleet_emit(
-    observers: &[SharedObserver],
-    sync: &[SharedSyncObserver],
-    at: SimTime,
-    device: usize,
-    ev: &Observation,
-) {
+/// Delivers a fleet-level observation (stamped `device`) to the user
+/// observers. These are produced on the driving thread between barriers,
+/// after every session delivered its own, so the order is deterministic.
+fn fleet_emit(observers: &[SharedSyncObserver], at: SimTime, device: usize, ev: &Observation) {
     for obs in observers {
-        obs.borrow_mut().on_event(at, device, ev);
-    }
-    for obs in sync {
         obs.lock()
             .expect("sync observer poisoned")
             .on_event(at, device, ev);
@@ -1162,7 +1128,7 @@ fn fleet_emit(
 
 /// Load snapshot of a device from an iterator of resident jobs. Runtime
 /// signals start at zero; [`fill_runtime_signals`] copies them in from the
-/// cluster's monitor.
+/// device's monitor.
 fn load_of<'j>(
     device: usize,
     spec: &GpuSpec,
@@ -1192,9 +1158,10 @@ fn load_of<'j>(
     load
 }
 
-/// Copies the monitor's live signals into a [`DeviceLoad`] snapshot.
-fn fill_runtime_signals(load: &mut DeviceLoad, monitor: &Arc<Mutex<LoadMonitor>>, now: SimTime) {
-    let m = monitor.lock().expect("load monitor poisoned");
+/// Copies the live signals of `session`'s monitor into its device's
+/// [`DeviceLoad`] snapshot.
+fn fill_runtime_signals(load: &mut DeviceLoad, session: &Session<'_>, now: SimTime) {
+    let m = session.monitor().expect("cluster sessions carry a monitor");
     load.queue_depth = m.queue_depth(load.device);
     load.recent_occupancy = m.recent_occupancy(load.device, now);
     load.hp_pressure = m.hp_pressure(load.device, now);
@@ -1212,7 +1179,6 @@ fn place_pending(
     jobs: &[JobSpec],
     k: usize,
     now: SimTime,
-    monitor: &Arc<Mutex<LoadMonitor>>,
     placements: &mut [Option<usize>],
     locations: &mut [Option<(usize, usize)>],
 ) {
@@ -1221,7 +1187,7 @@ fn place_pending(
         .enumerate()
         .map(|(dev, spec)| {
             let mut load = load_of(dev, spec, loadable_specs(&sessions[dev], now));
-            fill_runtime_signals(&mut load, monitor, now);
+            fill_runtime_signals(&mut load, &sessions[dev], now);
             load
         })
         .collect();
@@ -1256,8 +1222,9 @@ struct MigrationTallies<'a> {
 /// off. Each candidate's loads carry the projected state-transfer stall
 /// to every device ([`DeviceLoad::transfer`]); a chosen move is charged
 /// that stall on the destination, and moves to topologically unreachable
-/// devices are refused. Every move is announced to the observers as
-/// [`Observation::ClientMigrated`]. Returns how many clients moved.
+/// devices are refused. Every move is announced to the source device's
+/// monitor and to the observers as [`Observation::ClientMigrated`].
+/// Returns how many clients moved.
 #[allow(clippy::too_many_arguments)]
 fn rebalance_pass(
     policy: &mut dyn PlacementPolicy,
@@ -1267,9 +1234,7 @@ fn rebalance_pass(
     locations: &mut [Option<(usize, usize)>],
     jobs: &[JobSpec],
     now: SimTime,
-    monitor: &Arc<Mutex<LoadMonitor>>,
-    observers: &[SharedObserver],
-    sync: &[SharedSyncObserver],
+    observers: &[SharedSyncObserver],
     tallies: &mut MigrationTallies<'_>,
 ) -> u64 {
     let mut moved = 0;
@@ -1286,7 +1251,7 @@ fn rebalance_pass(
             .enumerate()
             .map(|(dev, spec)| {
                 let mut load = load_of(dev, spec, active_specs(&sessions[dev]));
-                fill_runtime_signals(&mut load, monitor, now);
+                fill_runtime_signals(&mut load, &sessions[dev], now);
                 load.transfer = topology.transfer_time(job.state_bytes, d, dev);
                 load
             })
@@ -1326,7 +1291,10 @@ fn rebalance_pass(
             bytes: job.state_bytes,
             stall,
         };
-        fleet_emit(observers, sync, now, d, &ev);
+        if let Some(m) = sessions[d].monitor_mut() {
+            m.on_event(now, d, &ev);
+        }
+        fleet_emit(observers, now, d, &ev);
     }
     moved
 }

@@ -22,7 +22,7 @@
 //!   [`Colocation`](crate::harness::Colocation),
 //!   [`Session`](crate::harness::Session), or
 //!   [`Cluster`](crate::cluster::Cluster) to receive it. Observers are
-//!   shared handles ([`SharedObserver`]) so the caller keeps access to
+//!   shared handles ([`SharedSyncObserver`]) so the caller keeps access to
 //!   whatever the observer accumulated after the run finishes.
 //!
 //! Two built-in observers ship: [`LoadMonitor`] (below) turns the stream
@@ -30,10 +30,8 @@
 //! `tally_workloads::trace::TraceRecorder` captures a replayable
 //! `ArrivalTrace` from a live run.
 
-use std::cell::RefCell;
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
-use std::rc::Rc;
 use std::sync::{Arc, Mutex};
 
 use tally_gpu::{ClientId, KernelDesc, Priority, SimSpan, SimTime};
@@ -251,16 +249,16 @@ pub enum Observation {
 
 /// A sink for the typed, timestamped event stream of a live run.
 ///
-/// Register with [`Colocation::observer`](crate::harness::Colocation::observer),
-/// [`Session::add_observer`](crate::harness::Session::add_observer), or
-/// [`Cluster::observer`](crate::cluster::Cluster::observer). Events are
-/// delivered in timestamp order per device; within one instant they follow
-/// the session's settling order (completions, lifecycle edges, dispatches).
+/// Register a [`SharedSyncObserver`] handle with
+/// [`Colocation::sync_observer`](crate::harness::Colocation::sync_observer),
+/// [`Session::add_sync_observer`](crate::harness::Session::add_sync_observer),
+/// or [`Cluster::sync_observer`](crate::cluster::Cluster::sync_observer).
+/// Events are delivered in timestamp order per device; within one instant
+/// they follow the session's settling order (completions, lifecycle edges,
+/// dispatches).
 ///
 /// ```
-/// use std::cell::RefCell;
-/// use std::rc::Rc;
-/// use std::sync::Arc;
+/// use std::sync::{Arc, Mutex};
 /// use tally_core::events::{Observation, SessionObserver};
 /// use tally_core::harness::{Colocation, HarnessConfig, JobSpec, WorkloadOp};
 /// use tally_gpu::{GpuSpec, KernelDesc, SimSpan, SimTime};
@@ -276,21 +274,21 @@ pub enum Observation {
 ///     }
 /// }
 ///
-/// let counter = Rc::new(RefCell::new(KernelCounter::default()));
+/// let counter = Arc::new(Mutex::new(KernelCounter::default()));
 /// let k = KernelDesc::builder("step")
 ///     .grid(16).block(128)
 ///     .block_cost(SimSpan::from_micros(500))
 ///     .build_arc();
 /// let report = Colocation::on(GpuSpec::tiny())
 ///     .client(JobSpec::training("t", vec![WorkloadOp::Kernel(k)]))
-///     .observer(counter.clone())
+///     .sync_observer(counter.clone())
 ///     .config(HarnessConfig {
 ///         duration: SimSpan::from_millis(100),
 ///         warmup: SimSpan::ZERO,
 ///         ..Default::default()
 ///     })
 ///     .run();
-/// assert_eq!(counter.borrow().0, report.clients[0].kernels);
+/// assert_eq!(counter.lock().unwrap().0, report.clients[0].kernels);
 /// ```
 pub trait SessionObserver {
     /// Receives one observation. `at` is the simulated instant; `device`
@@ -302,28 +300,22 @@ pub trait SessionObserver {
 
 /// A shared observer handle: the session holds one clone, the caller keeps
 /// another to read the observer's state back after the run.
-pub type SharedObserver = Rc<RefCell<dyn SessionObserver>>;
-
-/// A thread-safe shared observer handle.
 ///
-/// Sync observers receive each device's observations in per-device
-/// order, but when a [`Cluster`](crate::cluster::Cluster) advances with
-/// multiple worker threads and *only* sync observers are registered,
-/// events are delivered directly from the workers — so the interleaving
-/// *across* devices is not deterministic. Observers whose state is
-/// partitioned per device (like [`LoadMonitor`]) see identical
-/// query-time state either way; order-sensitive observers should use the
-/// `Rc`-based [`SharedObserver`] path, which keeps the ordered
-/// device-index flush.
+/// Every observer sees one deterministic stream. A session delivers what
+/// it observed at the end of each settle. A
+/// [`Cluster`](crate::cluster::Cluster) advancing on more than one worker
+/// thread instead buffers each device's observations and delivers them at
+/// every barrier in device-index order, so the interleaving across devices
+/// is identical for every thread count.
 pub type SharedSyncObserver = Arc<Mutex<dyn SessionObserver + Send>>;
 
 /// Per-device live load signals derived from the observation stream — the
 /// runtime half of [`DeviceLoad`](crate::cluster::DeviceLoad).
 ///
-/// A [`Cluster`](crate::cluster::Cluster) always runs one internally and
-/// copies its signals into every `DeviceLoad` snapshot handed to a
-/// [`PlacementPolicy`](crate::cluster::PlacementPolicy), so policies like
-/// [`LoadAware`](crate::cluster::LoadAware) can react to phase changes
+/// A [`Cluster`](crate::cluster::Cluster) runs one inside every device's
+/// session and copies its signals into every `DeviceLoad` snapshot handed
+/// to a [`PlacementPolicy`](crate::cluster::PlacementPolicy), so policies
+/// like [`LoadAware`](crate::cluster::LoadAware) can react to phase changes
 /// instead of static demand estimates. It can also be attached by hand to
 /// a single-GPU session:
 ///
@@ -332,21 +324,21 @@ pub type SharedSyncObserver = Arc<Mutex<dyn SessionObserver + Send>>;
 /// use tally_core::harness::{Colocation, HarnessConfig, JobSpec, WorkloadOp};
 /// use tally_gpu::{GpuSpec, KernelDesc, SimSpan, SimTime};
 ///
-/// let monitor = LoadMonitor::shared(SimSpan::from_millis(50));
+/// let monitor = LoadMonitor::shared_sync(SimSpan::from_millis(50));
 /// let k = KernelDesc::builder("step")
 ///     .grid(64).block(512)
 ///     .block_cost(SimSpan::from_millis(1))
 ///     .build_arc();
 /// Colocation::on(GpuSpec::tiny())
 ///     .client(JobSpec::training("t", vec![WorkloadOp::Kernel(k)]))
-///     .observer(monitor.clone())
+///     .sync_observer(monitor.clone())
 ///     .config(HarnessConfig {
 ///         duration: SimSpan::from_millis(200),
 ///         warmup: SimSpan::ZERO,
 ///         ..Default::default()
 ///     })
 ///     .run();
-/// let m = monitor.borrow();
+/// let m = monitor.lock().unwrap();
 /// // A solo trainer saturates the device: occupancy near 1, nothing
 /// // outstanding once the run has drained.
 /// assert!(m.recent_occupancy(0, SimTime::from_millis(200)) > 0.5);
@@ -449,16 +441,7 @@ impl LoadMonitor {
         }
     }
 
-    /// A shared handle to a fresh monitor (see [`SharedObserver`]).
-    pub fn shared(window: SimSpan) -> Rc<RefCell<LoadMonitor>> {
-        Rc::new(RefCell::new(LoadMonitor::new(window)))
-    }
-
-    /// A thread-safe shared handle to a fresh monitor (see
-    /// [`SharedSyncObserver`]). The monitor's state is partitioned per
-    /// device and each device's events arrive in per-device order, so
-    /// direct worker-thread delivery yields the same query-time signals
-    /// as the ordered flush.
+    /// A shared handle to a fresh monitor (see [`SharedSyncObserver`]).
     pub fn shared_sync(window: SimSpan) -> Arc<Mutex<LoadMonitor>> {
         Arc::new(Mutex::new(LoadMonitor::new(window)))
     }

@@ -48,7 +48,9 @@ use tally_gpu::{ClientId, Engine, GpuSpec, KernelDesc, Priority, SimSpan, SimTim
 
 use crate::admission::{AdmissionPolicy, AdmissionVerdict};
 use crate::api::{ClientStub, Transport};
-use crate::events::{ClientEvent, Observation, SharedObserver, SharedSyncObserver, TraceError};
+use crate::events::{
+    ClientEvent, LoadMonitor, Observation, SessionObserver, SharedSyncObserver, TraceError,
+};
 use crate::metrics::{ClientReport, LatencyRecorder, RunReport};
 use crate::system::{ClientMeta, Ctx, Passthrough, SharingSystem};
 use crate::timewheel::{TimerId, TimerWheel};
@@ -720,6 +722,22 @@ enum SystemSlot<'s> {
     Owned(Box<dyn SharingSystem>),
 }
 
+impl SystemSlot<'_> {
+    fn get(&self) -> &dyn SharingSystem {
+        match self {
+            SystemSlot::Borrowed(s) => &**s,
+            SystemSlot::Owned(b) => b.as_ref(),
+        }
+    }
+
+    fn get_mut(&mut self) -> &mut dyn SharingSystem {
+        match self {
+            SystemSlot::Borrowed(s) => &mut **s,
+            SystemSlot::Owned(b) => b.as_mut(),
+        }
+    }
+}
+
 /// A co-location session: the GPU, a sharing system, and a set of clients
 /// that attach and detach over the run.
 ///
@@ -759,7 +777,6 @@ pub struct Colocation<'s> {
     system: Option<SystemSlot<'s>>,
     cfg: HarnessConfig,
     intercept: InterceptMode,
-    observers: Vec<SharedObserver>,
     sync_observers: Vec<SharedSyncObserver>,
     admission: Option<Box<dyn AdmissionPolicy>>,
 }
@@ -784,7 +801,6 @@ impl<'s> Colocation<'s> {
             system: None,
             cfg: HarnessConfig::default(),
             intercept: InterceptMode::Native,
-            observers: Vec::new(),
             sync_observers: Vec::new(),
             admission: None,
         }
@@ -823,22 +839,12 @@ impl<'s> Colocation<'s> {
     }
 
     /// Registers an observer for the session's typed event stream (see
-    /// [`SessionObserver`](crate::events::SessionObserver)): lifecycle
-    /// edges, request completions, kernel dispatch/finish, and engine
-    /// counter samples. The handle is shared — keep a clone to read the
+    /// [`SessionObserver`]): lifecycle edges, request completions, kernel
+    /// dispatch/finish, and engine counter samples, delivered at the end
+    /// of every settle. The handle
+    /// is shared ([`SharedSyncObserver`]) — keep a clone to read the
     /// observer's state back after [`Colocation::run`]. May be called
     /// several times; observers are notified in registration order.
-    pub fn observer(mut self, observer: SharedObserver) -> Self {
-        self.observers.push(observer);
-        self
-    }
-
-    /// Registers a thread-safe observer (see
-    /// [`SharedSyncObserver`]). For a
-    /// single-GPU session this behaves exactly like
-    /// [`Colocation::observer`]; under a multi-threaded
-    /// [`Cluster`](crate::cluster::Cluster) sync observers can be fed
-    /// directly from worker threads.
     pub fn sync_observer(mut self, observer: SharedSyncObserver) -> Self {
         self.sync_observers.push(observer);
         self
@@ -918,15 +924,11 @@ impl<'s> Colocation<'s> {
             system,
             cfg,
             intercept,
-            observers,
             sync_observers,
             admission,
         } = self;
         let system = system.unwrap_or_else(|| SystemSlot::Owned(Box::new(Passthrough::new())));
         let mut session = Session::new(&spec, jobs, system, &cfg, intercept);
-        for obs in observers {
-            session.add_observer(obs);
-        }
         for obs in sync_observers {
             session.add_sync_observer(obs);
         }
@@ -953,30 +955,11 @@ impl<'s> Colocation<'s> {
 /// Keeping several sessions in lockstep means settling all of them,
 /// advancing every engine to the *minimum* of their wake instants, and
 /// repeating. The multi-GPU [`Cluster`](crate::cluster::Cluster) goes one
-/// step further: between its barriers it advances each session's
-/// `SessionCore` on a worker thread and delivers the buffered
-/// observations afterwards in device order.
+/// step further: between its barriers it advances sessions on worker
+/// threads (a session is `Send`, checked at compile time below), and with
+/// more than one worker it holds each session's observations until the
+/// barrier and delivers them in device order.
 pub struct Session<'s> {
-    core: SessionCore<'s>,
-    // The observer sinks live outside the core: they are `Rc`-shared (not
-    // `Send`), so the core can cross threads while delivery stays on the
-    // driving thread.
-    observers: Vec<SharedObserver>,
-    // Observations delivered to observers so far (a deterministic count).
-    events_delivered: u64,
-}
-
-/// Everything a session needs to *advance* — the engine, clients, sharing
-/// system, and timer bookkeeping — but none of the observer machinery.
-///
-/// The split is what makes barrier-parallel cluster advancement possible:
-/// `SessionCore` is `Send` (checked at compile time below), so a
-/// [`Cluster`](crate::cluster::Cluster) can farm cores out to a scoped
-/// thread pool between barriers, while [`SharedObserver`]s — which are
-/// deliberately `Rc`-shared single-threaded sinks — only ever run on the
-/// driving thread, fed from each core's buffered events in fixed device
-/// order.
-pub(crate) struct SessionCore<'s> {
     engine: Engine,
     metas: Vec<ClientMeta>,
     clients: Vec<Client>,
@@ -993,25 +976,10 @@ pub(crate) struct SessionCore<'s> {
     // Window-close detaches seen so far (migrations excluded) — lets an
     // external driver notice departures and react (e.g. rebalance).
     departures: u64,
-    // Observation plumbing: whether any `Rc` observer is registered on
-    // the owning `Session` (clients buffer extra detail only when true),
-    // the device index stamped on every delivery, the buffered
-    // observations themselves, and the instant of the last engine
-    // counter sample.
-    observing: bool,
-    device: usize,
-    events_buf: Vec<(SimTime, Observation)>,
+    // Observation plumbing: the consumers of the event stream, and the
+    // instant of the last engine counter sample.
+    sinks: Sinks,
     last_sample: Option<SimTime>,
-    // Thread-safe observers, delivered to directly from `settle` (i.e.
-    // from whichever worker thread advances this core) when no `Rc`
-    // observer needs the ordered flush.
-    sync_observers: Vec<SharedSyncObserver>,
-    // Observations delivered directly to sync observers (the counterpart
-    // of `Session::events_delivered`).
-    events_direct: u64,
-    // The admission policy gating best-effort request intake, fed the
-    // observation stream as it is produced.
-    admission: Option<Box<dyn AdmissionPolicy>>,
     // Wake-up bookkeeping: every client window edge / arrival / gap and
     // every in-transit launch registers a timer here, so `next_wake` is a
     // `peek` instead of a linear scan. `dirty` lists clients whose timers
@@ -1029,6 +997,73 @@ pub(crate) struct SessionCore<'s> {
     wake_queries: Cell<u64>,
 }
 
+/// Where a session's observations go. The admission policy and the
+/// cluster's load monitor consume each one as it is emitted; observers
+/// receive them in order from `buf` when the session delivers.
+#[derive(Default)]
+struct Sinks {
+    // The device index stamped on every observation.
+    device: usize,
+    // The admission policy gating best-effort request intake.
+    admission: Option<Box<dyn AdmissionPolicy>>,
+    // The cluster's per-device load monitor, read on the driving thread
+    // at barriers.
+    monitor: Option<LoadMonitor>,
+    observers: Vec<SharedSyncObserver>,
+    // Observations awaiting delivery to `observers`.
+    buf: Vec<(SimTime, Observation)>,
+    // Observations handed to the monitor or the observers (a
+    // deterministic count).
+    delivered: u64,
+}
+
+impl Sinks {
+    /// Whether anyone consumes observations: a session with no consumer
+    /// never constructs one.
+    fn active(&self) -> bool {
+        self.admission.is_some() || self.monitor.is_some() || !self.observers.is_empty()
+    }
+
+    /// Constructs one observation (only when someone listens), feeds it to
+    /// the admission policy and the monitor, and queues it for the
+    /// observers.
+    fn emit(&mut self, at: SimTime, event: impl FnOnce() -> Observation) {
+        if !self.active() {
+            return;
+        }
+        let ev = event();
+        if let Some(p) = self.admission.as_deref_mut() {
+            p.on_event(at, self.device, &ev);
+        }
+        if self.monitor.is_some() || !self.observers.is_empty() {
+            self.delivered += 1;
+        }
+        if let Some(m) = self.monitor.as_mut() {
+            m.on_event(at, self.device, &ev);
+        }
+        if !self.observers.is_empty() {
+            self.buf.push((at, ev));
+        }
+    }
+
+    /// Delivers the queued observations to every observer, in order.
+    fn deliver(&mut self) {
+        if self.buf.is_empty() {
+            return;
+        }
+        let mut sinks: Vec<_> = self
+            .observers
+            .iter()
+            .map(|o| o.lock().expect("sync observer poisoned"))
+            .collect();
+        for (at, ev) in self.buf.drain(..) {
+            for sink in &mut sinks {
+                sink.on_event(at, self.device, &ev);
+            }
+        }
+    }
+}
+
 /// What a wheel timer wakes the session for.
 #[derive(Copy, Clone, Debug)]
 enum Wake {
@@ -1040,25 +1075,25 @@ enum Wake {
     Launch,
 }
 
-// The whole point of the core/observer split: cores must be free to cross
-// thread boundaries. (`fn` taking it by value proves `Send` structurally;
-// a non-`Send` field would fail to compile here.)
+// Sessions must be free to cross thread boundaries: the cluster advances
+// them on worker threads. (`fn` taking it by value proves `Send`
+// structurally; a non-`Send` field would fail to compile here.)
 #[allow(dead_code)]
-fn _session_core_is_send(core: SessionCore<'static>) -> impl Send {
-    core
+fn _session_is_send(session: Session<'static>) -> impl Send {
+    session
 }
 
 impl fmt::Debug for Session<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Session")
-            .field("now", &self.core.engine.now())
-            .field("end", &self.core.end)
-            .field("clients", &self.core.clients.len())
+            .field("now", &self.engine.now())
+            .field("end", &self.end)
+            .field("clients", &self.clients.len())
             .finish_non_exhaustive()
     }
 }
 
-impl<'s> SessionCore<'s> {
+impl<'s> Session<'s> {
     fn new(
         spec: &GpuSpec,
         jobs: Vec<JobSpec>,
@@ -1082,7 +1117,7 @@ impl<'s> SessionCore<'s> {
                 c.stub = Some(ClientStub::new(transport));
             }
         }
-        let mut core = SessionCore {
+        let mut session = Session {
             engine,
             metas,
             clients,
@@ -1095,13 +1130,8 @@ impl<'s> SessionCore<'s> {
             pending_completions: Vec::new(),
             in_transit: Vec::new(),
             departures: 0,
-            observing: false,
-            device: 0,
-            events_buf: Vec::new(),
+            sinks: Sinks::default(),
             last_sample: None,
-            sync_observers: Vec::new(),
-            events_direct: 0,
-            admission: None,
             wheel: TimerWheel::new(),
             dirty: Vec::new(),
             lifecycle_epoch: 0,
@@ -1110,41 +1140,91 @@ impl<'s> SessionCore<'s> {
             #[cfg(debug_assertions)]
             wake_queries: Cell::new(0),
         };
-        for i in 0..core.clients.len() {
-            core.sync_client_timers(i);
+        for i in 0..session.clients.len() {
+            session.sync_client_timers(i);
         }
-        core
+        session
     }
 
-    fn system_name(&self) -> &str {
-        match &self.system {
-            SystemSlot::Borrowed(s) => s.name(),
-            SystemSlot::Owned(b) => b.name(),
+    /// Registers a thread-safe observer (see [`SharedSyncObserver`] and
+    /// [`Colocation::sync_observer`]). External drivers that build
+    /// sessions via [`Colocation::into_session`] can attach observers
+    /// afterwards — the multi-GPU [`Cluster`](crate::cluster::Cluster)
+    /// does exactly this.
+    pub fn add_sync_observer(&mut self, observer: SharedSyncObserver) {
+        self.sinks.observers.push(observer);
+        self.observe_clients();
+    }
+
+    /// Installs the admission policy gating best-effort request intake
+    /// (see [`Colocation::admission`]).
+    pub fn set_admission(&mut self, policy: Box<dyn AdmissionPolicy>) {
+        self.sinks.admission = Some(policy);
+        self.observe_clients();
+    }
+
+    /// Installs the load monitor a cluster reads this device's runtime
+    /// signals from.
+    pub(crate) fn set_monitor(&mut self, monitor: LoadMonitor) {
+        self.sinks.monitor = Some(monitor);
+        self.observe_clients();
+    }
+
+    /// The installed load monitor, if any.
+    pub(crate) fn monitor(&self) -> Option<&LoadMonitor> {
+        self.sinks.monitor.as_ref()
+    }
+
+    /// Mutable access to the installed load monitor, for the observations
+    /// a cluster produces itself (migrations).
+    pub(crate) fn monitor_mut(&mut self) -> Option<&mut LoadMonitor> {
+        self.sinks.monitor.as_mut()
+    }
+
+    // Clients buffer the request-level detail observations need once
+    // anyone consumes the stream.
+    fn observe_clients(&mut self) {
+        for c in &mut self.clients {
+            c.observe = true;
         }
     }
 
-    // Whether this core constructs observations at all: an admission
-    // policy consumes the stream inline even with no observer registered.
-    fn emitting(&self) -> bool {
-        self.observing || !self.sync_observers.is_empty() || self.admission.is_some()
+    /// Sets the device index stamped on every observation this session
+    /// delivers (0 by default; a cluster assigns its per-GPU indices).
+    pub fn set_device_index(&mut self, device: usize) {
+        self.sinks.device = device;
+    }
+
+    /// Current simulated time of this session's engine.
+    pub fn now(&self) -> SimTime {
+        self.engine.now()
+    }
+
+    /// Whether simulated time has reached the configured duration.
+    pub fn is_done(&self) -> bool {
+        self.engine.now() >= self.end
+    }
+
+    /// Name of the sharing system driving this session.
+    pub fn system_name(&self) -> &str {
+        self.system.get().name()
     }
 
     /// Settles the current instant to a fixed point (see the module docs
     /// for the settling discipline). Observations produced while settling
-    /// are *buffered* in `events_buf`; [`Session::settle`] (or the cluster
-    /// barrier loop) delivers them on the driving thread.
-    pub(crate) fn settle(&mut self) {
-        // `buffering`: events go to `events_buf` for observer delivery.
-        // `emitting`: events are constructed at all — an admission policy
-        // consumes the stream inline even with no observer registered.
-        let buffering = self.observing || !self.sync_observers.is_empty();
-        let mut admission = self.admission.take();
-        let emitting = buffering || admission.is_some();
-        let device = self.device;
-        let system: &mut dyn SharingSystem = match &mut self.system {
-            SystemSlot::Borrowed(s) => &mut **s,
-            SystemSlot::Owned(b) => b.as_mut(),
-        };
+    /// (lifecycle edges, kernel dispatch/finish, request completions, an
+    /// engine counter sample when time advanced) are delivered to the
+    /// registered observers before this returns.
+    pub fn settle(&mut self) {
+        self.settle_buffered();
+        self.sinks.deliver();
+    }
+
+    /// [`Session::settle`] without the observer delivery: the
+    /// observations stay queued until [`Session::deliver_events`].
+    fn settle_buffered(&mut self) {
+        let sinks = &mut self.sinks;
+        let system = self.system.get_mut();
         loop {
             let now = self.engine.now();
             let mut progressed = false;
@@ -1156,15 +1236,7 @@ impl<'s> SessionCore<'s> {
                 client.waiting_kernel = false;
                 client.kernels += 1;
                 client.finish_op(now, self.warmup);
-                if emitting {
-                    let ev = Observation::KernelFinished { client: c };
-                    if let Some(p) = admission.as_deref_mut() {
-                        p.on_event(now, device, &ev);
-                    }
-                    if buffering {
-                        self.events_buf.push((now, ev));
-                    }
-                }
+                sinks.emit(now, || Observation::KernelFinished { client: c });
                 progressed = true;
             }
             let mut ctx = Ctx::new(&mut self.engine, &self.metas);
@@ -1182,21 +1254,13 @@ impl<'s> SessionCore<'s> {
                     client.attached = true;
                     client.attachments += 1;
                     system.on_client_attach(&mut ctx, ClientId(i as u32));
-                    if emitting {
-                        let ev = Observation::ClientAttached {
-                            client: ClientId(i as u32),
-                            key: client.spec.key().to_string(),
-                            priority: client.spec.priority,
-                            descriptor: client.spec.descriptor.clone(),
-                            reattach: client.attachments > 1,
-                        };
-                        if let Some(p) = admission.as_deref_mut() {
-                            p.on_event(now, device, &ev);
-                        }
-                        if buffering {
-                            self.events_buf.push((now, ev));
-                        }
-                    }
+                    sinks.emit(now, || Observation::ClientAttached {
+                        client: ClientId(i as u32),
+                        key: client.spec.key().to_string(),
+                        priority: client.spec.priority,
+                        descriptor: client.spec.descriptor.clone(),
+                        reattach: client.attachments > 1,
+                    });
                     if let Some(stub) = client.stub.as_mut() {
                         // The API startup burst (fatbin registration,
                         // device discovery) delays the first launch —
@@ -1224,18 +1288,10 @@ impl<'s> SessionCore<'s> {
                     client.waiting_kernel = false;
                     client.gap_until = None;
                     system.on_client_detach(&mut ctx, ClientId(i as u32));
-                    if emitting {
-                        let ev = Observation::ClientDetached {
-                            client: ClientId(i as u32),
-                            key: client.spec.key().to_string(),
-                        };
-                        if let Some(p) = admission.as_deref_mut() {
-                            p.on_event(now, device, &ev);
-                        }
-                        if buffering {
-                            self.events_buf.push((now, ev));
-                        }
-                    }
+                    sinks.emit(now, || Observation::ClientDetached {
+                        client: ClientId(i as u32),
+                        key: client.spec.key().to_string(),
+                    });
                     self.departures += 1;
                     if !client.timer_dirty {
                         client.timer_dirty = true;
@@ -1268,18 +1324,10 @@ impl<'s> SessionCore<'s> {
                 }
             });
             for (c, k) in due {
-                if emitting {
-                    let ev = Observation::KernelDispatched {
-                        client: c,
-                        kernel: Arc::clone(&k),
-                    };
-                    if let Some(p) = admission.as_deref_mut() {
-                        p.on_event(now, device, &ev);
-                    }
-                    if buffering {
-                        self.events_buf.push((now, ev));
-                    }
-                }
+                sinks.emit(now, || Observation::KernelDispatched {
+                    client: c,
+                    kernel: Arc::clone(&k),
+                });
                 system.on_kernel_ready(&mut ctx, c, k);
                 progressed = true;
             }
@@ -1288,8 +1336,9 @@ impl<'s> SessionCore<'s> {
                 if !client.attached {
                     continue;
                 }
+                let id = ClientId(i as u32);
                 let wake_inputs = (client.next_arrival, client.gap_until, client.intake_hold);
-                client.tick(now, admission.as_deref_mut(), ClientId(i as u32));
+                client.tick(now, sinks.admission.as_deref_mut(), id);
                 let kernel = client.advance(now, self.warmup);
                 if wake_inputs != (client.next_arrival, client.gap_until, client.intake_hold)
                     && !client.timer_dirty
@@ -1297,45 +1346,25 @@ impl<'s> SessionCore<'s> {
                     client.timer_dirty = true;
                     self.dirty.push(i);
                 }
-                if emitting {
-                    for (arrival, latency) in client.fresh_requests.drain(..) {
-                        let ev = Observation::RequestCompleted {
-                            client: ClientId(i as u32),
-                            arrival,
-                            latency,
-                        };
-                        if let Some(p) = admission.as_deref_mut() {
-                            p.on_event(now, device, &ev);
-                        }
-                        if buffering {
-                            self.events_buf.push((now, ev));
-                        }
-                    }
-                    for arrival in client.fresh_sheds.drain(..) {
-                        let ev = Observation::RequestShed {
-                            client: ClientId(i as u32),
-                            arrival,
-                        };
-                        if let Some(p) = admission.as_deref_mut() {
-                            p.on_event(now, device, &ev);
-                        }
-                        if buffering {
-                            self.events_buf.push((now, ev));
-                        }
-                    }
-                    for (arrival, pause) in client.fresh_deferrals.drain(..) {
-                        let ev = Observation::RequestDeferred {
-                            client: ClientId(i as u32),
-                            arrival,
-                            pause,
-                        };
-                        if let Some(p) = admission.as_deref_mut() {
-                            p.on_event(now, device, &ev);
-                        }
-                        if buffering {
-                            self.events_buf.push((now, ev));
-                        }
-                    }
+                for (arrival, latency) in client.fresh_requests.drain(..) {
+                    sinks.emit(now, || Observation::RequestCompleted {
+                        client: id,
+                        arrival,
+                        latency,
+                    });
+                }
+                for arrival in client.fresh_sheds.drain(..) {
+                    sinks.emit(now, || Observation::RequestShed {
+                        client: id,
+                        arrival,
+                    });
+                }
+                for (arrival, pause) in client.fresh_deferrals.drain(..) {
+                    sinks.emit(now, || Observation::RequestDeferred {
+                        client: id,
+                        arrival,
+                        pause,
+                    });
                 }
                 if let Some(kernel) = kernel {
                     progressed = true;
@@ -1343,23 +1372,14 @@ impl<'s> SessionCore<'s> {
                         Some(stub) => {
                             let cost = stub.launch_burst();
                             let tid = self.wheel.insert(now + cost, Wake::Launch);
-                            self.in_transit
-                                .push((now + cost, ClientId(i as u32), kernel, tid));
+                            self.in_transit.push((now + cost, id, kernel, tid));
                         }
                         None => {
-                            if emitting {
-                                let ev = Observation::KernelDispatched {
-                                    client: ClientId(i as u32),
-                                    kernel: Arc::clone(&kernel),
-                                };
-                                if let Some(p) = admission.as_deref_mut() {
-                                    p.on_event(now, device, &ev);
-                                }
-                                if buffering {
-                                    self.events_buf.push((now, ev));
-                                }
-                            }
-                            system.on_kernel_ready(&mut ctx, ClientId(i as u32), kernel)
+                            sinks.emit(now, || Observation::KernelDispatched {
+                                client: id,
+                                kernel: Arc::clone(&kernel),
+                            });
+                            system.on_kernel_ready(&mut ctx, id, kernel)
                         }
                     }
                 }
@@ -1370,50 +1390,32 @@ impl<'s> SessionCore<'s> {
                 break;
             }
         }
-        if emitting {
-            let now = self.engine.now();
-            if self.last_sample != Some(now) {
-                self.last_sample = Some(now);
-                let stats = self.engine.stats();
-                let ev = Observation::EngineSample {
-                    busy_thread_ns: self.engine.busy_thread_ns(),
-                    total_thread_slots: self.engine.spec().total_thread_slots(),
+        let now = self.engine.now();
+        if sinks.active() && self.last_sample != Some(now) {
+            self.last_sample = Some(now);
+            let engine = &self.engine;
+            sinks.emit(now, || {
+                let stats = engine.stats();
+                Observation::EngineSample {
+                    busy_thread_ns: engine.busy_thread_ns(),
+                    total_thread_slots: engine.spec().total_thread_slots(),
                     events_processed: stats.submitted
                         + stats.completed
                         + stats.preempted
                         + stats.groups,
-                };
-                if let Some(p) = admission.as_deref_mut() {
-                    p.on_event(now, device, &ev);
                 }
-                if buffering {
-                    self.events_buf.push((now, ev));
-                }
-            }
-        }
-        self.admission = admission;
-        // With only sync observers registered, deliver right here — on
-        // whichever worker thread is advancing this core — instead of
-        // waiting for the driving thread's ordered flush.
-        if !self.observing && !self.events_buf.is_empty() {
-            let buf = std::mem::take(&mut self.events_buf);
-            self.events_direct += buf.len() as u64;
-            let mut sinks: Vec<_> = self
-                .sync_observers
-                .iter()
-                .map(|o| o.lock().expect("sync observer poisoned"))
-                .collect();
-            for (at, ev) in &buf {
-                for sink in &mut sinks {
-                    sink.on_event(*at, device, ev);
-                }
-            }
-            drop(sinks);
-            let mut buf = buf;
-            buf.clear();
-            self.events_buf = buf;
+            });
         }
         self.sync_timers();
+    }
+
+    /// Delivers the queued observations to the observers, in order. A
+    /// cluster advancing on several worker threads calls this after every
+    /// barrier, in device-index order, so observer streams are identical
+    /// no matter how many threads advanced the sessions. (Otherwise every
+    /// settle delivers and this is a no-op.)
+    pub(crate) fn deliver_events(&mut self) {
+        self.sinks.deliver();
     }
 
     /// Re-registers the wheel timers of every client whose wake-relevant
@@ -1474,11 +1476,13 @@ impl<'s> SessionCore<'s> {
         };
     }
 
-    /// The next wake-up instant, answered by the timer wheel: the earliest
-    /// of the engine's next event, the wheel's next timer, a system timer,
-    /// and the end of the run. In debug builds the answer is cross-checked
-    /// against [`Self::next_wake_scan`].
-    pub(crate) fn next_wake(&self) -> SimTime {
+    /// The next instant anything interesting happens: an engine event, a
+    /// client lifecycle edge, a request arrival, a CPU gap or interception
+    /// cost expiring, or a system timer — capped at the end of the run.
+    ///
+    /// Answered in O(wheel levels) by the session's [`TimerWheel`]; debug
+    /// builds cross-check against [`Session::next_wake_scan`].
+    pub fn next_wake(&self) -> SimTime {
         let mut wake = self.end;
         if let Some(t) = self.engine.next_event_time() {
             wake = wake.min(t);
@@ -1486,11 +1490,7 @@ impl<'s> SessionCore<'s> {
         if let Some(t) = self.wheel.peek() {
             wake = wake.min(t);
         }
-        let timer = match &self.system {
-            SystemSlot::Borrowed(s) => s.next_timer(),
-            SystemSlot::Owned(b) => b.next_timer(),
-        };
-        if let Some(t) = timer {
+        if let Some(t) = self.system.get().next_timer() {
             wake = wake.min(t.max(self.engine.now()));
         }
         // Cross-check the wheel against the linear scan — every query at
@@ -1511,11 +1511,11 @@ impl<'s> SessionCore<'s> {
         wake
     }
 
-    /// The next wake-up instant, rediscovered by a linear scan over every
-    /// client and in-transit launch — the pre-wheel implementation, kept
-    /// as the reference the wheel is cross-checked against (and as the
-    /// baseline the `micro` bench compares the wheel to).
-    pub(crate) fn next_wake_scan(&self) -> SimTime {
+    /// The linear-scan reference implementation of [`Session::next_wake`]:
+    /// O(clients) per call, kept as the debug-assert cross-check for the
+    /// timer wheel (and as the baseline the `micro` bench measures the
+    /// wheel against).
+    pub fn next_wake_scan(&self) -> SimTime {
         let mut wake = self.end;
         if let Some(t) = self.engine.next_event_time() {
             wake = wake.min(t);
@@ -1543,26 +1543,20 @@ impl<'s> SessionCore<'s> {
         for &(t, _, _, _) in &self.in_transit {
             wake = wake.min(t);
         }
-        let timer = match &self.system {
-            SystemSlot::Borrowed(s) => s.next_timer(),
-            SystemSlot::Owned(b) => b.next_timer(),
-        };
-        if let Some(t) = timer {
+        if let Some(t) = self.system.get().next_timer() {
             wake = wake.min(t.max(self.engine.now()));
         }
         wake
     }
 
     /// Advances simulated time to at most `limit`, delivering any engine
-    /// notifications that fire to the system. Follow with a settle.
-    pub(crate) fn advance_to(&mut self, limit: SimTime) {
+    /// notifications that fire to the system. Follow with
+    /// [`Session::settle`].
+    pub fn advance_to(&mut self, limit: SimTime) {
         match self.engine.advance(limit) {
             Step::Notified(notes) => {
                 self.notifications += notes.len() as u64;
-                let system: &mut dyn SharingSystem = match &mut self.system {
-                    SystemSlot::Borrowed(s) => &mut **s,
-                    SystemSlot::Owned(b) => b.as_mut(),
-                };
+                let system = self.system.get_mut();
                 let mut ctx = Ctx::new(&mut self.engine, &self.metas);
                 for n in &notes {
                     system.on_notification(&mut ctx, n);
@@ -1573,14 +1567,30 @@ impl<'s> SessionCore<'s> {
         }
     }
 
-    /// Advances the session to exactly `barrier` (settle → wake → advance,
-    /// repeated), buffering observations along the way. This is the
-    /// per-worker step of the cluster's barrier loop: sessions are
-    /// independent between barriers, so any number of cores can run this
-    /// concurrently.
-    pub(crate) fn run_until(&mut self, barrier: SimTime) {
+    /// Drives the session to the end of its configured duration.
+    pub fn run_to_end(&mut self) {
         loop {
             self.settle();
+            if self.is_done() {
+                break;
+            }
+            let wake = self.next_wake();
+            self.advance_to(wake);
+        }
+    }
+
+    /// Advances the session to exactly `barrier` (settle → wake → advance,
+    /// repeated). This is the per-worker step of the cluster's barrier
+    /// loop: sessions are independent between barriers, so any number of
+    /// them can run this concurrently. With `ordered`, observations stay
+    /// queued for [`Session::deliver_events`] instead of being delivered
+    /// at the end of every settle.
+    pub(crate) fn run_until(&mut self, barrier: SimTime, ordered: bool) {
+        loop {
+            self.settle_buffered();
+            if !ordered {
+                self.sinks.deliver();
+            }
             if self.engine.now() >= barrier {
                 break;
             }
@@ -1588,6 +1598,29 @@ impl<'s> SessionCore<'s> {
             self.advance_to(wake);
         }
     }
+
+    /// Consumes the session and produces the run report. Slots vacated by
+    /// cross-device migration are omitted (the client reports from the
+    /// session it migrated to).
+    pub fn into_report(self) -> RunReport {
+        RunReport {
+            system: self.system_name().to_string(),
+            duration: self.duration,
+            clients: self
+                .clients
+                .iter()
+                .filter(|c| !c.migrated_away)
+                .map(|c| c.report(self.warmup, self.end))
+                .collect(),
+        }
+    }
+
+    /// Window-close detaches seen so far (migrations excluded).
+    pub fn departures(&self) -> u64 {
+        self.departures
+    }
+
+    // ---- cluster-internal surface (crate-private) --------------------
 
     /// When the next client departs (its open — or next-to-open — window
     /// closes), or `SimTime::MAX` if none ever will. A linear scan; the
@@ -1611,7 +1644,7 @@ impl<'s> SessionCore<'s> {
         self.lifecycle_epoch
     }
 
-    fn client_len(&self) -> usize {
+    pub(crate) fn client_len(&self) -> usize {
         self.clients.len()
     }
 
@@ -1649,13 +1682,9 @@ impl<'s> SessionCore<'s> {
     /// state carries all accumulated metrics.
     pub(crate) fn extract_client(&mut self, i: usize) -> (ClientMeta, Client) {
         let id = ClientId(i as u32);
-        let system: &mut dyn SharingSystem = match &mut self.system {
-            SystemSlot::Borrowed(s) => &mut **s,
-            SystemSlot::Owned(b) => b.as_mut(),
-        };
         if self.clients[i].attached {
             let mut ctx = Ctx::new(&mut self.engine, &self.metas);
-            system.on_client_detach(&mut ctx, id);
+            self.system.get_mut().on_client_detach(&mut ctx, id);
             self.pending_completions.extend(ctx.take_completions());
         }
         self.pending_completions.retain(|&c| c != id);
@@ -1709,12 +1738,8 @@ impl<'s> SessionCore<'s> {
         self.metas.push(meta);
         let now = self.engine.now();
         if client.attached {
-            let system: &mut dyn SharingSystem = match &mut self.system {
-                SystemSlot::Borrowed(s) => &mut **s,
-                SystemSlot::Owned(b) => b.as_mut(),
-            };
             let mut ctx = Ctx::new(&mut self.engine, &self.metas);
-            system.on_client_attach(&mut ctx, id);
+            self.system.get_mut().on_client_attach(&mut ctx, id);
             client.attachments += 1;
             self.pending_completions.extend(ctx.take_completions());
             if let Some(stub) = client.stub.as_mut() {
@@ -1741,7 +1766,7 @@ impl<'s> SessionCore<'s> {
             );
         }
         client.record_timelines = self.record_timelines;
-        client.observe = self.emitting();
+        client.observe = self.sinks.active();
         self.clients.push(client);
         self.lifecycle_epoch += 1;
         self.sync_client_timers(id.0 as usize);
@@ -1757,7 +1782,7 @@ impl<'s> SessionCore<'s> {
         self.metas.push(meta_of(&job));
         let mut client = Client::new(job);
         client.record_timelines = self.record_timelines;
-        client.observe = self.emitting();
+        client.observe = self.sinks.active();
         if let InterceptMode::Virtualized(transport) = self.intercept {
             client.stub = Some(ClientStub::new(transport));
         }
@@ -1766,236 +1791,14 @@ impl<'s> SessionCore<'s> {
         self.sync_client_timers(id.0 as usize);
         id
     }
-}
-
-impl<'s> Session<'s> {
-    fn new(
-        spec: &GpuSpec,
-        jobs: Vec<JobSpec>,
-        system: SystemSlot<'s>,
-        cfg: &HarnessConfig,
-        intercept: InterceptMode,
-    ) -> Self {
-        Session {
-            core: SessionCore::new(spec, jobs, system, cfg, intercept),
-            observers: Vec::new(),
-            events_delivered: 0,
-        }
-    }
-
-    /// Registers an observer for this session's typed event stream (see
-    /// [`Colocation::observer`]). External drivers that build sessions via
-    /// [`Colocation::into_session`] can attach observers afterwards — the
-    /// multi-GPU [`Cluster`](crate::cluster::Cluster) does exactly this.
-    pub fn add_observer(&mut self, observer: SharedObserver) {
-        self.observers.push(observer);
-        self.core.observing = true;
-        for c in &mut self.core.clients {
-            c.observe = true;
-        }
-    }
-
-    /// Registers a thread-safe observer (see
-    /// [`SharedSyncObserver`]). When
-    /// *only* sync observers are registered, the core delivers to them
-    /// directly as it settles — from whichever worker thread is
-    /// advancing it under a multi-threaded cluster; once any `Rc`
-    /// observer is present, sync observers are fed from the ordered
-    /// driving-thread flush instead.
-    pub fn add_sync_observer(&mut self, observer: SharedSyncObserver) {
-        self.core.sync_observers.push(observer);
-        for c in &mut self.core.clients {
-            c.observe = true;
-        }
-    }
-
-    /// Installs the admission policy gating best-effort request intake
-    /// (see [`Colocation::admission`]).
-    pub fn set_admission(&mut self, policy: Box<dyn AdmissionPolicy>) {
-        self.core.admission = Some(policy);
-        for c in &mut self.core.clients {
-            c.observe = true;
-        }
-    }
-
-    /// Sets the device index stamped on every observation this session
-    /// delivers (0 by default; a cluster assigns its per-GPU indices).
-    pub fn set_device_index(&mut self, device: usize) {
-        self.core.device = device;
-    }
-
-    /// Delivers the observations the core buffered, in order. The cluster
-    /// calls this after every barrier, in device-index order, so observer
-    /// streams are identical no matter how many threads advanced the
-    /// cores. (When only sync observers are registered the core delivers
-    /// directly from `settle` and this is a no-op.)
-    pub(crate) fn flush_events(&mut self) {
-        if self.core.events_buf.is_empty() {
-            return;
-        }
-        let mut buf = std::mem::take(&mut self.core.events_buf);
-        self.events_delivered += buf.len() as u64;
-        for (at, ev) in buf.drain(..) {
-            for obs in &self.observers {
-                obs.borrow_mut().on_event(at, self.core.device, &ev);
-            }
-            for obs in &self.core.sync_observers {
-                obs.lock()
-                    .expect("sync observer poisoned")
-                    .on_event(at, self.core.device, &ev);
-            }
-        }
-        self.core.events_buf = buf;
-    }
-
-    /// Mutable access to the advanceable ([`Send`]) part of the session —
-    /// what the cluster hands to its worker threads between barriers.
-    pub(crate) fn core_mut(&mut self) -> &mut SessionCore<'s> {
-        &mut self.core
-    }
-
-    /// Current simulated time of this session's engine.
-    pub fn now(&self) -> SimTime {
-        self.core.engine.now()
-    }
-
-    /// Whether simulated time has reached the configured duration.
-    pub fn is_done(&self) -> bool {
-        self.core.engine.now() >= self.core.end
-    }
-
-    /// Name of the sharing system driving this session.
-    pub fn system_name(&self) -> &str {
-        self.core.system_name()
-    }
-
-    /// Settles the current instant to a fixed point (see the module docs
-    /// for the settling discipline). Observations produced while settling
-    /// (lifecycle edges, kernel dispatch/finish, request completions, an
-    /// engine counter sample when time advanced) are delivered to the
-    /// registered observers before this returns.
-    pub fn settle(&mut self) {
-        self.core.settle();
-        self.flush_events();
-    }
-
-    /// The next instant anything interesting happens: an engine event, a
-    /// client lifecycle edge, a request arrival, a CPU gap or interception
-    /// cost expiring, or a system timer — capped at the end of the run.
-    ///
-    /// Answered in O(wheel levels) by the session's [`TimerWheel`]; debug
-    /// builds cross-check against [`Session::next_wake_scan`].
-    pub fn next_wake(&self) -> SimTime {
-        self.core.next_wake()
-    }
-
-    /// The linear-scan reference implementation of [`Session::next_wake`]:
-    /// O(clients) per call, kept as the debug-assert cross-check for the
-    /// timer wheel (and as the baseline the `micro` bench measures the
-    /// wheel against).
-    pub fn next_wake_scan(&self) -> SimTime {
-        self.core.next_wake_scan()
-    }
-
-    /// Advances simulated time to at most `limit`, delivering any engine
-    /// notifications that fire to the system. Follow with
-    /// [`Session::settle`].
-    pub fn advance_to(&mut self, limit: SimTime) {
-        self.core.advance_to(limit);
-    }
-
-    /// Drives the session to the end of its configured duration.
-    pub fn run_to_end(&mut self) {
-        loop {
-            self.settle();
-            if self.is_done() {
-                break;
-            }
-            let wake = self.next_wake();
-            self.advance_to(wake);
-        }
-    }
-
-    /// Consumes the session and produces the run report. Slots vacated by
-    /// cross-device migration are omitted (the client reports from the
-    /// session it migrated to).
-    pub fn into_report(self) -> RunReport {
-        let core = self.core;
-        RunReport {
-            system: core.system_name().to_string(),
-            duration: core.duration,
-            clients: core
-                .clients
-                .iter()
-                .filter(|c| !c.migrated_away)
-                .map(|c| c.report(core.warmup, core.end))
-                .collect(),
-        }
-    }
-
-    /// Window-close detaches seen so far (migrations excluded).
-    pub fn departures(&self) -> u64 {
-        self.core.departures
-    }
-
-    // ---- cluster-internal surface (crate-private) --------------------
-
-    pub(crate) fn client_len(&self) -> usize {
-        self.core.client_len()
-    }
-
-    pub(crate) fn client_active(&self, i: usize) -> bool {
-        self.core.client_active(i)
-    }
-
-    pub(crate) fn client_loadable(&self, i: usize, now: SimTime) -> bool {
-        self.core.client_loadable(i, now)
-    }
-
-    pub(crate) fn client_spec(&self, i: usize) -> &JobSpec {
-        self.core.client_spec(i)
-    }
-
-    pub(crate) fn client_is_tombstone(&self, i: usize) -> bool {
-        self.core.client_is_tombstone(i)
-    }
-
-    pub(crate) fn client_report_at(&self, i: usize) -> ClientReport {
-        self.core.client_report_at(i)
-    }
-
-    pub(crate) fn extract_client(&mut self, i: usize) -> (ClientMeta, Client) {
-        self.core.extract_client(i)
-    }
-
-    pub(crate) fn inject_client(
-        &mut self,
-        meta: ClientMeta,
-        client: Client,
-        stall: SimSpan,
-    ) -> ClientId {
-        self.core.inject_client(meta, client, stall)
-    }
-
-    pub(crate) fn admit_job(&mut self, job: JobSpec) -> ClientId {
-        self.core.admit_job(job)
-    }
-
-    pub(crate) fn lifecycle_epoch(&self) -> u64 {
-        self.core.lifecycle_epoch()
-    }
-
-    pub(crate) fn next_departure(&self) -> SimTime {
-        self.core.next_departure()
-    }
 
     /// This session's contribution to the fleet's host counters:
     /// `(events delivered, notifications, departure scans)`.
     pub(crate) fn host_counters(&self) -> (u64, u64, u64) {
         (
-            self.events_delivered + self.core.events_direct,
-            self.core.notifications,
-            self.core.departure_scans.get(),
+            self.sinks.delivered,
+            self.notifications,
+            self.departure_scans.get(),
         )
     }
 }
@@ -2462,9 +2265,8 @@ mod tests {
 
     #[test]
     fn observer_sees_lifecycle_kernels_and_requests() {
-        use std::cell::RefCell;
-        use std::rc::Rc;
-        let collector = Rc::new(RefCell::new(Collector::default()));
+        use std::sync::Mutex;
+        let collector = Arc::new(Mutex::new(Collector::default()));
         let arrivals: Vec<SimTime> = (0..20).map(|i| SimTime::from_millis(10 * i)).collect();
         let svc = JobSpec::inference("svc", vec![WorkloadOp::Kernel(kernel(1000))], arrivals)
             .active_window(SimTime::ZERO, SimTime::from_millis(300))
@@ -2472,10 +2274,10 @@ mod tests {
             .with_descriptor("infer test-model load=0.5 seed=1");
         let report = Colocation::on(GpuSpec::tiny())
             .client(svc)
-            .observer(collector.clone())
+            .sync_observer(collector.clone())
             .config(cfg(1))
             .run();
-        let events = &collector.borrow().0;
+        let events = &collector.lock().unwrap().0;
         let c = &report.clients[0];
 
         // Timestamps are non-decreasing and stamped with device 0.
@@ -2540,8 +2342,7 @@ mod tests {
 
     #[test]
     fn observers_do_not_perturb_the_run() {
-        use std::cell::RefCell;
-        use std::rc::Rc;
+        use std::sync::Mutex;
         let mk = |observe: bool| {
             let hp = JobSpec::inference(
                 "hp",
@@ -2554,7 +2355,7 @@ mod tests {
                 .client(be)
                 .config(cfg(1));
             if observe {
-                session = session.observer(Rc::new(RefCell::new(Collector::default())));
+                session = session.sync_observer(Arc::new(Mutex::new(Collector::default())));
             }
             session.run()
         };

@@ -12,7 +12,7 @@
 //! | paper component | module |
 //! |---|---|
 //! | non-intrusive virtualization layer (§4.3) | [`api`] |
-//! | kernel transformer (§4.1; device-code passes in [`tally_ptx::passes`]) | [`transform`] |
+//! | kernel transformer (§4.1; device-code passes in `tally_ptx::passes`) | [`transform`] |
 //! | transparent profiler + turnaround estimation (§4.2, Eq. 1) | [`profiler`] |
 //! | priority-aware scheduler (Figure 4) | [`scheduler`] |
 //! | co-location experiment harness + metrics (§5.1) | [`harness`], [`metrics`] |
@@ -90,8 +90,8 @@ pub use cluster::{
     LeastLoaded, LoadAware, PlacementPolicy, RoundRobin,
 };
 pub use events::{
-    ClientEvent, LoadMonitor, Observation, SessionObserver, SharedObserver, SharedSyncObserver,
-    TraceError, FLEET_DEVICE,
+    ClientEvent, LoadMonitor, Observation, SessionObserver, SharedSyncObserver, TraceError,
+    FLEET_DEVICE,
 };
 pub use harness::{
     run_solo, Colocation, HarnessConfig, InterceptMode, JobKind, JobSpec, Session, SessionEvent,

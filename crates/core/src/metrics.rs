@@ -345,7 +345,8 @@ pub struct HostStats {
     pub advance_ns: u64,
     /// Longest single advancement phase, wall-clock nanoseconds.
     pub max_barrier_ns: u64,
-    /// Observations delivered to observers, fleet-wide (deterministic).
+    /// Observations delivered to the per-device load monitors and the
+    /// observers, fleet-wide (deterministic).
     pub events: u64,
     /// Engine→system notifications delivered, fleet-wide (deterministic).
     pub notifications: u64,

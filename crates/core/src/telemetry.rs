@@ -10,10 +10,10 @@
 //! changes **no** simulation output (`tests/telemetry.rs` holds a
 //! reports-unperturbed test to that contract).
 //!
-//! Their state is partitioned per device, so under the direct
-//! worker-thread delivery path ([`SharedSyncObserver`](crate::events::SharedSyncObserver)) every query-time
-//! result and every export is byte-identical for any cluster thread
-//! count, exactly like [`LoadMonitor`](crate::events::LoadMonitor).
+//! They register through [`SharedSyncObserver`](crate::events::SharedSyncObserver)
+//! handles, and sessions deliver in device order at every cluster thread
+//! count, so every query-time result and every export is byte-identical
+//! for any number of worker threads.
 //!
 //! A deliberate design note on sampling: [`Timeline`] does **not**
 //! schedule wake-ups on the cluster's fleet timer wheel. An extra barrier
@@ -26,10 +26,8 @@
 //! events stream past its boundary; the resulting series is a pure
 //! function of the (deterministic) per-device event stream.
 
-use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Write as _;
-use std::rc::Rc;
 use std::sync::{Arc, Mutex};
 
 use tally_gpu::{SimSpan, SimTime};
@@ -309,18 +307,16 @@ pub struct MetricSample {
 /// key — requests, sheds, deferrals, kernel dispatches, occupancy
 /// integrals, queue depth.
 ///
-/// Register via [`MetricsHub::shared`] (ordered `Rc` flush) or
-/// [`MetricsHub::shared_sync`] (direct worker-thread delivery on a
-/// multi-threaded [`Cluster`](crate::cluster::Cluster)); state is
-/// partitioned per device, so both paths yield identical query-time
-/// results for every thread count.
+/// Register via [`MetricsHub::shared_sync`]; state is partitioned per
+/// device, so query-time results are identical for every
+/// [`Cluster`](crate::cluster::Cluster) thread count.
 ///
 /// ```
 /// use tally_core::harness::{Colocation, HarnessConfig, JobSpec, WorkloadOp};
 /// use tally_core::telemetry::MetricsHub;
 /// use tally_gpu::{GpuSpec, KernelDesc, SimSpan, SimTime};
 ///
-/// let hub = MetricsHub::shared();
+/// let hub = MetricsHub::shared_sync();
 /// let k = KernelDesc::builder("req")
 ///     .grid(64).block(128)
 ///     .block_cost(SimSpan::from_micros(100))
@@ -328,14 +324,14 @@ pub struct MetricSample {
 /// let arrivals = (0..50).map(|i| SimTime::from_millis(10 * i)).collect();
 /// let report = Colocation::on(GpuSpec::a100())
 ///     .client(JobSpec::inference("svc", vec![WorkloadOp::Kernel(k)], arrivals))
-///     .observer(hub.clone())
+///     .sync_observer(hub.clone())
 ///     .config(HarnessConfig {
 ///         duration: SimSpan::from_secs(1),
 ///         warmup: SimSpan::ZERO,
 ///         ..Default::default()
 ///     })
 ///     .run();
-/// let hub = hub.borrow();
+/// let hub = hub.lock().unwrap();
 /// assert_eq!(hub.device(0).unwrap().requests, report.clients[0].requests);
 /// assert_eq!(hub.client("svc").unwrap().requests, report.clients[0].requests);
 /// assert!(hub.fleet_latency().p99().is_some());
@@ -359,15 +355,9 @@ impl MetricsHub {
         Self::default()
     }
 
-    /// A shared handle (see
-    /// [`SharedObserver`](crate::events::SharedObserver)).
-    pub fn shared() -> Rc<RefCell<MetricsHub>> {
-        Rc::new(RefCell::new(MetricsHub::new()))
-    }
-
-    /// A thread-safe shared handle (see [`SharedSyncObserver`](crate::events::SharedSyncObserver)): state is
-    /// partitioned per device, so direct worker-thread delivery yields
-    /// the same registry as the ordered flush.
+    /// A shared handle (see [`SharedSyncObserver`](crate::events::SharedSyncObserver))
+    /// to register with a session or cluster; keep a clone to read the
+    /// registry back after the run.
     pub fn shared_sync() -> Arc<Mutex<MetricsHub>> {
         Arc::new(Mutex::new(MetricsHub::new()))
     }
@@ -716,7 +706,7 @@ impl DeviceSeries {
 /// use tally_gpu::{GpuSpec, KernelDesc, SimSpan, SimTime};
 ///
 /// let duration = SimSpan::from_secs(1);
-/// let timeline = Timeline::shared(SimSpan::from_millis(100), duration);
+/// let timeline = Timeline::shared_sync(SimSpan::from_millis(100), duration);
 /// let k = KernelDesc::builder("req")
 ///     .grid(64).block(128)
 ///     .block_cost(SimSpan::from_micros(100))
@@ -724,14 +714,14 @@ impl DeviceSeries {
 /// let arrivals = (0..50).map(|i| SimTime::from_millis(10 * i)).collect();
 /// Colocation::on(GpuSpec::a100())
 ///     .client(JobSpec::inference("svc", vec![WorkloadOp::Kernel(k)], arrivals))
-///     .observer(timeline.clone())
+///     .sync_observer(timeline.clone())
 ///     .config(HarnessConfig {
 ///         duration,
 ///         warmup: SimSpan::ZERO,
 ///         ..Default::default()
 ///     })
 ///     .run();
-/// let mut timeline = timeline.borrow_mut();
+/// let mut timeline = timeline.lock().unwrap();
 /// let json = timeline.to_json();
 /// assert!(json.starts_with("{\"version\": 2"));
 /// // 10 windows of 100ms, ~5 completions each.
@@ -761,15 +751,9 @@ impl Timeline {
         }
     }
 
-    /// A shared handle (see
-    /// [`SharedObserver`](crate::events::SharedObserver)).
-    pub fn shared(cadence: SimSpan, duration: SimSpan) -> Rc<RefCell<Timeline>> {
-        Rc::new(RefCell::new(Timeline::new(cadence, duration)))
-    }
-
-    /// A thread-safe shared handle (see [`SharedSyncObserver`](crate::events::SharedSyncObserver)): the
-    /// series are partitioned per device, so direct worker-thread
-    /// delivery exports byte-identically to the ordered flush.
+    /// A shared handle (see [`SharedSyncObserver`](crate::events::SharedSyncObserver))
+    /// to register with a session or cluster; keep a clone to export the
+    /// series after the run.
     pub fn shared_sync(cadence: SimSpan, duration: SimSpan) -> Arc<Mutex<Timeline>> {
         Arc::new(Mutex::new(Timeline::new(cadence, duration)))
     }
@@ -1044,7 +1028,7 @@ impl DeviceTrack {
 /// use tally_core::telemetry::ChromeTraceWriter;
 /// use tally_gpu::{GpuSpec, KernelDesc, SimSpan, SimTime};
 ///
-/// let trace = ChromeTraceWriter::shared();
+/// let trace = ChromeTraceWriter::shared_sync();
 /// let k = KernelDesc::builder("req")
 ///     .grid(64).block(128)
 ///     .block_cost(SimSpan::from_micros(100))
@@ -1052,14 +1036,14 @@ impl DeviceTrack {
 /// let arrivals = (0..10).map(|i| SimTime::from_millis(10 * i)).collect();
 /// Colocation::on(GpuSpec::a100())
 ///     .client(JobSpec::inference("svc", vec![WorkloadOp::Kernel(k)], arrivals))
-///     .observer(trace.clone())
+///     .sync_observer(trace.clone())
 ///     .config(HarnessConfig {
 ///         duration: SimSpan::from_millis(200),
 ///         warmup: SimSpan::ZERO,
 ///         ..Default::default()
 ///     })
 ///     .run();
-/// let json = trace.borrow().to_json();
+/// let json = trace.lock().unwrap().to_json();
 /// assert!(json.contains("\"traceEvents\""));
 /// assert!(json.contains("\"ph\": \"B\"") && json.contains("\"ph\": \"E\""));
 /// ```
@@ -1076,15 +1060,9 @@ impl ChromeTraceWriter {
         Self::default()
     }
 
-    /// A shared handle (see
-    /// [`SharedObserver`](crate::events::SharedObserver)).
-    pub fn shared() -> Rc<RefCell<ChromeTraceWriter>> {
-        Rc::new(RefCell::new(ChromeTraceWriter::new()))
-    }
-
-    /// A thread-safe shared handle (see [`SharedSyncObserver`](crate::events::SharedSyncObserver)): events
-    /// are buffered per device, so the export is byte-identical under
-    /// direct worker-thread delivery.
+    /// A shared handle (see [`SharedSyncObserver`](crate::events::SharedSyncObserver))
+    /// to register with a session or cluster; keep a clone to export the
+    /// trace after the run.
     pub fn shared_sync() -> Arc<Mutex<ChromeTraceWriter>> {
         Arc::new(Mutex::new(ChromeTraceWriter::new()))
     }

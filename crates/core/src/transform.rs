@@ -11,7 +11,7 @@
 //!
 //! The geometric cost model here is what the scheduler consumes; the
 //! *actual* device-code rewriting this models is implemented and verified
-//! in [`tally_ptx::passes`].
+//! in `tally_ptx::passes`.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;

@@ -104,7 +104,7 @@ impl Unit {
     pub fn allowed_deps(self) -> &'static [&'static str] {
         match self {
             Unit::Gpu | Unit::Ptx => &[],
-            Unit::Core => &["tally_gpu", "tally_ptx"],
+            Unit::Core => &["tally_gpu"],
             Unit::Workloads | Unit::Baselines => &["tally_gpu", "tally_core"],
             Unit::Bench => &[
                 "tally_gpu",

@@ -1,9 +1,7 @@
-// Fixture: edges the DAG allows for tally_core — down into the device
-// model and the kernel IR, never sideways or up.
+// Fixture: the edge the DAG allows for tally_core — down into the device
+// model, never sideways or up.
 use tally_gpu::GpuSpec;
-use tally_ptx::Module;
 
-pub fn lower(spec: &GpuSpec, module: &Module) -> usize {
-    let _ = spec;
-    module.kernels.len()
+pub fn slots(spec: &GpuSpec) -> u64 {
+    spec.total_thread_slots()
 }

@@ -107,8 +107,9 @@ fn d6_fires_on_derived_debug_over_interior_mutability() {
 fn l1_fires_on_dag_inversions_and_not_on_legal_edges() {
     let bad = lint(SIM_PATH, include_str!("fixtures/l1_bad.rs"));
     assert_eq!(rules_hit(&bad), ["L1-layering"]);
-    // use tally_bench, use tally_workloads, and the inline path root.
-    assert!(bad.findings.len() >= 3, "{:?}", bad.findings);
+    // use tally_bench, use tally_ptx, use tally_workloads, and the
+    // inline path root.
+    assert!(bad.findings.len() >= 4, "{:?}", bad.findings);
 
     let good = lint(SIM_PATH, include_str!("fixtures/l1_good.rs"));
     assert!(good.findings.is_empty(), "{:?}", good.findings);

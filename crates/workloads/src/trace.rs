@@ -52,8 +52,7 @@
 //! assert_eq!(report.clients.len(), trace.keys().count());
 //! ```
 
-use std::cell::RefCell;
-use std::rc::Rc;
+use std::sync::{Arc, Mutex};
 
 use tally_core::events::{Observation, SessionObserver};
 use tally_core::harness::{ActivityWindow, JobSpec, SessionEvent};
@@ -768,15 +767,15 @@ impl TraceGen {
 /// original.depart(SimTime::from_millis(700), "gpt2");
 ///
 /// // Record a live run…
-/// let recorder = TraceRecorder::shared();
+/// let recorder = TraceRecorder::shared_sync();
 /// let live = Colocation::on(spec.clone())
 ///     .trace(original.session_events(&spec, duration))
 ///     .unwrap()
-///     .observer(recorder.clone())
+///     .sync_observer(recorder.clone())
 ///     .config(cfg.clone())
 ///     .run();
 /// // …and the captured trace replays to the identical report.
-/// let captured = recorder.borrow().trace().unwrap();
+/// let captured = recorder.lock().unwrap().trace().unwrap();
 /// assert_eq!(captured, original);
 /// let replay = Colocation::on(spec.clone())
 ///     .trace(captured.session_events(&spec, duration))
@@ -798,10 +797,10 @@ impl TraceRecorder {
     }
 
     /// A shared handle to a fresh recorder, ready to pass to
-    /// `Colocation::observer` / `Cluster::observer` (keep a clone to read
-    /// the trace back after the run).
-    pub fn shared() -> Rc<RefCell<TraceRecorder>> {
-        Rc::new(RefCell::new(TraceRecorder::new()))
+    /// `Colocation::sync_observer` / `Cluster::sync_observer` (keep a clone
+    /// to read the trace back after the run).
+    pub fn shared_sync() -> Arc<Mutex<TraceRecorder>> {
+        Arc::new(Mutex::new(TraceRecorder::new()))
     }
 
     /// Lifecycle events captured so far.

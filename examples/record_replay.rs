@@ -14,8 +14,7 @@
 //!
 //! Run with: `cargo run --release --example record_replay`
 
-use std::cell::RefCell;
-use std::rc::Rc;
+use std::sync::{Arc, Mutex};
 
 use tally::prelude::*;
 use tally_workloads::trace::TraceRecorder;
@@ -64,8 +63,8 @@ fn main() {
     );
 
     let run = |trace: &ArrivalTrace,
-               recorder: Option<Rc<RefCell<TraceRecorder>>>,
-               tally: Option<Rc<RefCell<EventTally>>>| {
+               recorder: Option<Arc<Mutex<TraceRecorder>>>,
+               tally: Option<Arc<Mutex<EventTally>>>| {
         let mut cluster = Cluster::new()
             .devices(2, spec.clone())
             .policy(LoadAware::default())
@@ -74,20 +73,20 @@ fn main() {
             .expect("valid trace")
             .config(cfg.clone());
         if let Some(rec) = recorder {
-            cluster = cluster.observer(rec);
+            cluster = cluster.sync_observer(rec);
         }
         if let Some(t) = tally {
-            cluster = cluster.observer(t);
+            cluster = cluster.sync_observer(t);
         }
         cluster.run()
     };
 
     // 1. The live run, observed.
-    let recorder = TraceRecorder::shared();
-    let tally = Rc::new(RefCell::new(EventTally::default()));
+    let recorder = TraceRecorder::shared_sync();
+    let tally = Arc::new(Mutex::new(EventTally::default()));
     let live = run(&source, Some(recorder.clone()), Some(tally.clone()));
     {
-        let t = tally.borrow();
+        let t = tally.lock().expect("tally");
         println!("\n=== live run ({} policy) ===", live.policy);
         println!(
             "observed: {} attaches, {} detaches, {} kernels, {} requests, {} migrations",
@@ -102,7 +101,11 @@ fn main() {
     }
 
     // 2. The capture, serialized exactly as you would check it in.
-    let captured = recorder.borrow().trace().expect("recordable run");
+    let captured = recorder
+        .lock()
+        .expect("recorder")
+        .trace()
+        .expect("recordable run");
     let text = captured.to_text();
     println!("\n=== captured trace ({} events) ===", captured.len());
     for line in text.lines().take(8) {

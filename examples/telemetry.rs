@@ -4,11 +4,10 @@
 //!
 //! Two BERT services run near capacity across a two-GPU fleet while two
 //! best-effort services take a 5x flash crowd under [`SloGuard`]
-//! admission. Three telemetry observers ride the event stream as *sync*
-//! observers — exercising the direct worker-thread delivery path — and
-//! because all their state is partitioned per device, every export is
-//! byte-identical for every worker-thread count (asserted below for
-//! threads 1, 2, and 4).
+//! admission. Three telemetry observers ride the event stream, and
+//! because the fleet delivers it in device order at every thread count,
+//! every export is byte-identical for every worker-thread count
+//! (asserted below for threads 1, 2, and 4).
 //!
 //! The exports land in `target/telemetry/`:
 //!
@@ -35,8 +34,7 @@ struct Exports {
     shed: u64,
 }
 
-/// One fleet run with all three telemetry observers attached as sync
-/// observers (the thread-parallel delivery path).
+/// One fleet run with all three telemetry observers attached.
 fn run(threads: usize) -> Exports {
     let spec = GpuSpec::a100();
     let cfg = HarnessConfig {

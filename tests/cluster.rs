@@ -405,7 +405,7 @@ type Migration = (String, usize, usize, u64, SimSpan);
 
 /// Typed collector for migration events.
 #[derive(Default)]
-struct MigrationLog(std::cell::RefCell<Vec<Migration>>);
+struct MigrationLog(Vec<Migration>);
 
 impl SessionObserver for MigrationLog {
     fn on_event(&mut self, _at: SimTime, _device: usize, event: &Observation) {
@@ -418,9 +418,7 @@ impl SessionObserver for MigrationLog {
             ..
         } = event
         {
-            self.0
-                .borrow_mut()
-                .push((key.clone(), *from, *to, *bytes, *stall));
+            self.0.push((key.clone(), *from, *to, *bytes, *stall));
         }
     }
 }
@@ -446,20 +444,20 @@ fn churny_with_state(
     for job in &mut jobs {
         job.state_bytes = state_bytes;
     }
-    let log = std::rc::Rc::new(std::cell::RefCell::new(MigrationLog::default()));
+    let log = std::sync::Arc::new(std::sync::Mutex::new(MigrationLog::default()));
     let mut cluster = Cluster::new()
         .devices(n, spec)
         .clients(jobs)
         .policy(BestEffortPacking)
         .migrate_on_detach(true)
         .rebalance_every(SimSpan::from_secs(2))
-        .observer(log.clone())
+        .sync_observer(log.clone())
         .config(c);
     if let Some(t) = topology {
         cluster = cluster.topology(t);
     }
     let report = cluster.run();
-    let events = log.borrow().0.borrow().clone();
+    let events = log.lock().expect("migration log").0.clone();
     (report, events)
 }
 
@@ -528,7 +526,7 @@ fn migration_stall_is_charged_per_path_and_sums_into_reports() {
         jobs.push(trainer);
     }
     jobs[0].state_bytes = STATE;
-    let log = std::rc::Rc::new(std::cell::RefCell::new(MigrationLog::default()));
+    let log = std::sync::Arc::new(std::sync::Mutex::new(MigrationLog::default()));
     let report = Cluster::new()
         .device(spec.clone())
         .device(spec)
@@ -538,10 +536,10 @@ fn migration_stall_is_charged_per_path_and_sums_into_reports() {
         .policy(BestEffortPacking)
         .migrate_on_detach(true)
         .rebalance_every(SimSpan::from_secs(2))
-        .observer(log.clone())
+        .sync_observer(log.clone())
         .config(c)
         .run();
-    let events = log.borrow().0.borrow().clone();
+    let events = log.lock().expect("migration log").0.clone();
     assert!(report.migrations > 0, "scenario must migrate");
     assert_eq!(events.len() as u64, report.migrations);
     // Every observed stall is exactly bytes over the widest-path

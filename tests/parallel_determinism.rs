@@ -8,8 +8,7 @@
 //! advancement, and every cross-device effect is applied in device-index
 //! order on the driving thread. These tests are the contract's teeth.
 
-use std::cell::RefCell;
-use std::rc::Rc;
+use std::sync::{Arc, Mutex};
 
 use tally::prelude::*;
 use tally::workloads::mixes;
@@ -69,20 +68,20 @@ fn with_policy(cluster: Cluster, policy: &str) -> Cluster {
 fn run_phase_shifted(policy: &str, threads: usize) -> (String, Vec<String>) {
     let spec = GpuSpec::a100();
     let c = cfg(4);
-    let events = Rc::new(RefCell::new(Collector::default()));
+    let events = Arc::new(Mutex::new(Collector::default()));
     let jobs = mixes::phase_shifted(&spec, SimSpan::from_millis(500), c.duration, 0.5);
     let report = with_policy(
         Cluster::new()
             .devices(2, spec)
             .clients(jobs)
             .rebalance_every(SimSpan::from_millis(250))
-            .observer(events.clone())
+            .sync_observer(events.clone())
             .threads(threads)
             .config(c),
         policy,
     )
     .run();
-    let stream = events.borrow().0.clone();
+    let stream = events.lock().expect("collector").0.clone();
     (format!("{report:?}"), stream)
 }
 
@@ -126,19 +125,19 @@ fn run_churn_trace(policy: &str, threads: usize) -> (String, Vec<String>) {
         "scenario needs a 200-client trace, got {}",
         trace.keys().count()
     );
-    let events = Rc::new(RefCell::new(Collector::default()));
+    let events = Arc::new(Mutex::new(Collector::default()));
     let report = with_policy(
         Cluster::new()
             .devices(4, spec.clone())
             .trace(trace.session_events(&spec, c.duration))
             .expect("valid trace")
-            .observer(events.clone())
+            .sync_observer(events.clone())
             .threads(threads)
             .config(c),
         policy,
     )
     .run();
-    let stream = events.borrow().0.clone();
+    let stream = events.lock().expect("collector").0.clone();
     (format!("{report:?}"), stream)
 }
 
@@ -184,7 +183,7 @@ fn run_flash_crowd(threads: usize) -> (String, Vec<String>, u64) {
             .with_client_key(format!("be-{i}")),
         );
     }
-    let events = Rc::new(RefCell::new(Collector::default()));
+    let events = Arc::new(Mutex::new(Collector::default()));
     let report = Cluster::new()
         .devices(2, spec)
         .clients(jobs)
@@ -197,11 +196,11 @@ fn run_flash_crowd(threads: usize) -> (String, Vec<String>, u64) {
                     .qps_range(2.0, 2000.0),
             )
         })
-        .observer(events.clone())
+        .sync_observer(events.clone())
         .threads(threads)
         .config(c)
         .run();
-    let stream = events.borrow().0.clone();
+    let stream = events.lock().expect("collector").0.clone();
     let shed = report.shed();
     (format!("{report:?}"), stream, shed)
 }
@@ -231,37 +230,6 @@ fn flash_crowd_admission_is_identical_for_any_thread_count() {
 }
 
 #[test]
-fn direct_sync_delivery_keeps_reports_identical_for_any_thread_count() {
-    // With no `Rc` observer registered, worker threads deliver events to
-    // the shared `LoadMonitor` directly instead of through the ordered
-    // driving-thread flush. The load-aware policy then *reads* that
-    // monitor for placement and rebalancing, so any thread-dependence in
-    // the direct path would show up as diverging reports here.
-    let run = |threads: usize| -> String {
-        let spec = GpuSpec::a100();
-        let c = cfg(4);
-        let jobs = mixes::phase_shifted(&spec, SimSpan::from_millis(500), c.duration, 0.5);
-        let report = Cluster::new()
-            .devices(2, spec)
-            .clients(jobs)
-            .rebalance_every(SimSpan::from_millis(250))
-            .policy(LoadAware::default())
-            .threads(threads)
-            .config(c)
-            .run();
-        format!("{report:?}")
-    };
-    let baseline = run(1);
-    for threads in [2usize, 4] {
-        assert_eq!(
-            baseline,
-            run(threads),
-            "direct-delivery report diverged between threads=1 and threads={threads}"
-        );
-    }
-}
-
-#[test]
 fn phase_shifted_reports_are_identical_for_any_thread_count() {
     for policy in POLICIES {
         let (baseline, baseline_events) = run_phase_shifted(policy, 1);
@@ -280,8 +248,7 @@ fn phase_shifted_reports_are_identical_for_any_thread_count() {
 }
 
 /// Telemetry exports for the phase-shifted mix, with the telemetry
-/// observers as the *only* observers — so delivery takes the direct
-/// worker-thread path, the hardest case for byte-stable exports.
+/// observers as the only observers.
 fn run_phase_shifted_telemetry(threads: usize) -> (String, String) {
     let spec = GpuSpec::a100();
     let c = cfg(4);
@@ -404,7 +371,7 @@ fn chrome_trace_export_is_byte_identical_and_well_formed() {
 fn run_stalled_migration(threads: usize) -> (String, Vec<String>, String, SimSpan) {
     let spec = GpuSpec::a100();
     let c = cfg(4);
-    let events = Rc::new(RefCell::new(Collector::default()));
+    let events = Arc::new(Mutex::new(Collector::default()));
     let trace = ChromeTraceWriter::shared_sync();
     let jobs = mixes::phase_shifted(&spec, SimSpan::from_millis(500), c.duration, 0.5);
     let report = Cluster::new()
@@ -413,12 +380,12 @@ fn run_stalled_migration(threads: usize) -> (String, Vec<String>, String, SimSpa
         .clients(jobs)
         .rebalance_every(SimSpan::from_millis(250))
         .policy(LoadAware::default())
-        .observer(events.clone())
+        .sync_observer(events.clone())
         .sync_observer(trace.clone())
         .threads(threads)
         .config(c)
         .run();
-    let stream = events.borrow().0.clone();
+    let stream = events.lock().expect("collector").0.clone();
     let trace_json = trace.lock().expect("trace").to_json();
     let stall = report.migration_stall;
     (format!("{report:?}"), stream, trace_json, stall)

@@ -4,8 +4,7 @@
 //! system, and across a whole fleet through the full serialize → parse →
 //! replay cycle (the ISSUE's acceptance path).
 
-use std::cell::RefCell;
-use std::rc::Rc;
+use std::sync::{Arc, Mutex};
 
 use tally::prelude::*;
 use tally_bench::{is_tally_variant, make_system, FIG5_SYSTEMS};
@@ -33,7 +32,7 @@ fn run_session(
     spec: &GpuSpec,
     trace: &ArrivalTrace,
     system: &str,
-    recorder: Option<Rc<RefCell<TraceRecorder>>>,
+    recorder: Option<Arc<Mutex<TraceRecorder>>>,
 ) -> RunReport {
     let mut session = Colocation::on(spec.clone())
         .trace(trace.session_events(spec, DURATION))
@@ -44,7 +43,7 @@ fn run_session(
         session = session.transport(Transport::SharedMemory);
     }
     if let Some(rec) = recorder {
-        session = session.observer(rec);
+        session = session.sync_observer(rec);
     }
     session.run()
 }
@@ -54,9 +53,13 @@ fn recorded_session_replays_byte_identically_under_all_five_systems() {
     let spec = GpuSpec::a100();
     let source = churn_trace();
     for name in FIG5_SYSTEMS {
-        let recorder = TraceRecorder::shared();
+        let recorder = TraceRecorder::shared_sync();
         let live = run_session(&spec, &source, name, Some(recorder.clone()));
-        let captured = recorder.borrow().trace().expect("recordable run");
+        let captured = recorder
+            .lock()
+            .expect("recorder")
+            .trace()
+            .expect("recordable run");
         let replay = run_session(&spec, &captured, name, None);
         assert_eq!(
             format!("{live:?}"),
@@ -71,7 +74,7 @@ fn recording_does_not_perturb_the_run() {
     let spec = GpuSpec::a100();
     let source = churn_trace();
     let silent = run_session(&spec, &source, "tally", None);
-    let observed = run_session(&spec, &source, "tally", Some(TraceRecorder::shared()));
+    let observed = run_session(&spec, &source, "tally", Some(TraceRecorder::shared_sync()));
     assert_eq!(format!("{silent:?}"), format!("{observed:?}"));
 }
 
@@ -82,7 +85,7 @@ fn recording_does_not_perturb_the_run() {
 fn recorded_cluster_run_round_trips_through_text_byte_identically() {
     let spec = GpuSpec::a100();
     let source = churn_trace();
-    let run = |trace: &ArrivalTrace, recorder: Option<Rc<RefCell<TraceRecorder>>>| {
+    let run = |trace: &ArrivalTrace, recorder: Option<Arc<Mutex<TraceRecorder>>>| {
         let mut cluster = Cluster::new()
             .devices(2, spec.clone())
             .policy(LeastLoaded)
@@ -91,13 +94,17 @@ fn recorded_cluster_run_round_trips_through_text_byte_identically() {
             .expect("valid trace")
             .config(cfg());
         if let Some(rec) = recorder {
-            cluster = cluster.observer(rec);
+            cluster = cluster.sync_observer(rec);
         }
         cluster.run()
     };
-    let recorder = TraceRecorder::shared();
+    let recorder = TraceRecorder::shared_sync();
     let live = run(&source, Some(recorder.clone()));
-    let captured = recorder.borrow().trace().expect("recordable run");
+    let captured = recorder
+        .lock()
+        .expect("recorder")
+        .trace()
+        .expect("recordable run");
 
     // The capture survives the plain-text format byte-identically…
     let text = captured.to_text();
@@ -118,7 +125,7 @@ fn recorded_cluster_run_round_trips_through_text_byte_identically() {
 
 #[test]
 fn recorder_reports_hand_built_jobs_as_a_typed_error() {
-    let recorder = TraceRecorder::shared();
+    let recorder = TraceRecorder::shared_sync();
     let k = KernelDesc::builder("step")
         .grid(64)
         .block(128)
@@ -126,7 +133,7 @@ fn recorder_reports_hand_built_jobs_as_a_typed_error() {
         .build_arc();
     Colocation::on(GpuSpec::tiny())
         .client(JobSpec::training("hand-built", vec![WorkloadOp::Kernel(k)]))
-        .observer(recorder.clone())
+        .sync_observer(recorder.clone())
         .config(HarnessConfig {
             duration: SimSpan::from_millis(50),
             warmup: SimSpan::ZERO,
@@ -134,7 +141,8 @@ fn recorder_reports_hand_built_jobs_as_a_typed_error() {
         })
         .run();
     let err = recorder
-        .borrow()
+        .lock()
+        .expect("recorder")
         .trace()
         .expect_err("hand-built jobs carry no descriptor");
     assert!(err.message.contains("hand-built"), "{err}");
@@ -159,10 +167,14 @@ fn recorded_trace_preserves_reattach_windows() {
         TraceJob::Train(TrainModel::Gpt2Large),
     );
     source.depart(SimTime::from_millis(3100), "gpt2");
-    let recorder = TraceRecorder::shared();
+    let recorder = TraceRecorder::shared_sync();
     let live = run_session(&spec, &source, "mps", Some(recorder.clone()));
     assert_eq!(live.clients[0].attachments, 2);
-    let captured = recorder.borrow().trace().expect("recordable run");
+    let captured = recorder
+        .lock()
+        .expect("recorder")
+        .trace()
+        .expect("recordable run");
     assert_eq!(
         captured, source,
         "capture reproduces the source trace exactly"

@@ -66,9 +66,9 @@ fn guard() -> Box<dyn AdmissionPolicy> {
 /// One single-device flash-crowd run; when `telemetry` is set, all three
 /// observers ride along and are returned for inspection.
 type Attached = (
-    std::rc::Rc<std::cell::RefCell<Timeline>>,
-    std::rc::Rc<std::cell::RefCell<ChromeTraceWriter>>,
-    std::rc::Rc<std::cell::RefCell<MetricsHub>>,
+    TimelineSync,
+    std::sync::Arc<std::sync::Mutex<ChromeTraceWriter>>,
+    HubSync,
 );
 
 fn run_colocation(record_timelines: bool, telemetry: bool) -> (RunReport, Option<Attached>) {
@@ -79,13 +79,13 @@ fn run_colocation(record_timelines: bool, telemetry: bool) -> (RunReport, Option
         .admission(guard())
         .config(c.clone());
     let attached = if telemetry {
-        let timeline = Timeline::shared(SimSpan::from_millis(250), c.duration);
-        let trace = ChromeTraceWriter::shared();
-        let hub = MetricsHub::shared();
+        let timeline = Timeline::shared_sync(SimSpan::from_millis(250), c.duration);
+        let trace = ChromeTraceWriter::shared_sync();
+        let hub = MetricsHub::shared_sync();
         session = session
-            .observer(timeline.clone())
-            .observer(trace.clone())
-            .observer(hub.clone());
+            .sync_observer(timeline.clone())
+            .sync_observer(trace.clone())
+            .sync_observer(hub.clone());
         Some((timeline, trace, hub))
     } else {
         None
@@ -97,7 +97,7 @@ fn run_colocation(record_timelines: bool, telemetry: bool) -> (RunReport, Option
 }
 
 /// Same contract on the fleet path: phase-shifted mix, 2 devices,
-/// load-aware placement, telemetry attached as *sync* observers.
+/// load-aware placement, two worker threads.
 fn run_cluster(telemetry: bool) -> (ClusterReport, Option<(TimelineSync, HubSync)>) {
     let spec = GpuSpec::a100();
     let c = cfg(false);
@@ -139,14 +139,17 @@ fn observers_leave_reports_unperturbed() {
     );
     // Sanity: the observers actually saw the run.
     let (_, _, hub) = attached.expect("telemetry attached");
-    assert!(hub.borrow().events() > 0, "hub must have observed events");
+    assert!(
+        hub.lock().expect("hub").events() > 0,
+        "hub must have observed events"
+    );
 
     let (bare, _) = run_cluster(false);
     let (observed, attached) = run_cluster(true);
     assert_eq!(
         format!("{bare:?}"),
         format!("{observed:?}"),
-        "attaching sync telemetry observers perturbed a Cluster report"
+        "attaching telemetry observers perturbed a Cluster report"
     );
     let (_, hub) = attached.expect("telemetry attached");
     assert!(hub.lock().expect("hub").events() > 0);
@@ -158,7 +161,7 @@ fn observers_leave_reports_unperturbed() {
 fn hub_totals_match_report_counters() {
     let (report, attached) = run_colocation(false, true);
     let (_, _, hub) = attached.expect("telemetry attached");
-    let hub = hub.borrow();
+    let hub = hub.lock().expect("hub");
 
     let total = |f: fn(&ClientReport) -> u64| -> u64 { report.clients.iter().map(f).sum() };
     let dev = hub.device(0).expect("device 0 metrics");
@@ -197,7 +200,7 @@ fn hub_totals_match_report_counters() {
 fn timeline_window_totals_match_report() {
     let (report, attached) = run_colocation(false, true);
     let (timeline, _, _) = attached.expect("telemetry attached");
-    let mut timeline = timeline.borrow_mut();
+    let mut timeline = timeline.lock().expect("timeline");
     timeline.finish();
 
     let windows = timeline.windows(0);
