@@ -6,10 +6,10 @@
 //! arrival queue — and p99 sojourn — grows without bound. An
 //! [`AdmissionPolicy`] is the control loop that closes the gap: it
 //! watches the same live [`Observation`] stream every
-//! [`SessionObserver`] sees (p99 of
-//! high-priority completions, queue depth via the embedded
-//! [`LoadMonitor`] machinery) and decides, per arriving *best-effort*
-//! request, whether to admit it, shed it, or defer the client's intake.
+//! [`SessionObserver`](crate::events::SessionObserver) sees (p99 of
+//! high-priority completions, kernels in flight on the device) and
+//! decides, per arriving *best-effort* request, whether to admit it,
+//! shed it, or defer the client's intake.
 //! High-priority requests are never gated — the whole point is to
 //! sacrifice best-effort load to protect the latency-critical tenant.
 //!
@@ -63,12 +63,11 @@
 //! assert!(c.requests + c.shed <= 500);
 //! ```
 
-use std::collections::BTreeMap;
 use std::collections::VecDeque;
 
 use tally_gpu::{ClientId, SimSpan, SimTime};
 
-use crate::events::{LoadMonitor, Observation, SessionObserver};
+use crate::events::{DeviceState, Observation};
 
 /// What to do with one arriving best-effort request.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -133,7 +132,7 @@ pub trait AdmissionPolicy: Send {
     fn name(&self) -> &str;
 
     /// Receives the session's observation stream, exactly as a
-    /// [`SessionObserver`] would. The
+    /// [`SessionObserver`](crate::events::SessionObserver) would. The
     /// default does nothing; closed-loop policies ignore the stream.
     fn on_event(&mut self, at: SimTime, device: usize, event: &Observation) {
         let _ = (at, device, event);
@@ -218,17 +217,17 @@ impl AdmissionPolicy for QueueCap {
 /// AIMD admission on best-effort QPS, driven by the live high-priority
 /// p99 from the observation stream.
 ///
-/// The guard keeps a trailing window of high-priority request sojourns
-/// (learning each client's scheduling class from its attach event, the
-/// same way [`LoadMonitor`] does) and once per control window compares
-/// the windowed p99 against the SLO: breach → multiplicative decrease of
-/// the admitted best-effort rate, healthy → additive increase. The rate
-/// is enforced by a token bucket refilled from *simulated* time, so the
-/// controller is deterministic for any thread count. An embedded
-/// [`LoadMonitor`] tracks instantaneous dispatch queue depth; while the
-/// device is drained (no outstanding kernels) a breach verdict is
-/// ignored, so a stale p99 sample can't keep the rate pinned down after
-/// the crowd has passed.
+/// The guard keeps its own trailing window of high-priority request
+/// sojourns and once per control window compares the windowed p99
+/// against the SLO: breach → multiplicative decrease of the admitted
+/// best-effort rate, healthy → additive increase. The rate is enforced
+/// by a token bucket refilled from *simulated* time, so the controller
+/// is deterministic for any thread count. It also folds its device's
+/// stream (each client's scheduling class from its attach event, the
+/// kernels in flight). That fold only gates breaches: while the device
+/// is drained (no outstanding kernels) a breach verdict is ignored, so a
+/// stale p99 sample can't keep the rate pinned down after the crowd has
+/// passed.
 #[derive(Debug)]
 pub struct SloGuard {
     slo: SimSpan,
@@ -237,14 +236,10 @@ pub struct SloGuard {
     max_qps: f64,
     increase: f64,
     decrease: f64,
-    /// Live signals, reusing the standard monitor machinery.
-    monitor: LoadMonitor,
-    /// Scheduling class per client id, learned from attach events.
-    hp: BTreeMap<u32, bool>,
+    /// The device's client classes and kernels in flight.
+    state: DeviceState,
     /// Trailing-window high-priority sojourns.
     latencies: VecDeque<(SimTime, SimSpan)>,
-    /// Device this guard's session runs on (from the event stream).
-    device: usize,
     admitted_qps: f64,
     tokens: f64,
     last_refill: SimTime,
@@ -269,10 +264,8 @@ impl SloGuard {
             max_qps: 100_000.0,
             increase: 25.0,
             decrease: 0.5,
-            monitor: LoadMonitor::new(window),
-            hp: BTreeMap::new(),
+            state: DeviceState::default(),
             latencies: VecDeque::new(),
-            device: 0,
             admitted_qps: 100_000.0,
             tokens: 1.0,
             last_refill: SimTime::ZERO,
@@ -284,7 +277,6 @@ impl SloGuard {
     pub fn window(mut self, window: SimSpan) -> Self {
         assert!(!window.is_zero(), "control window must be positive");
         self.window = window;
-        self.monitor = LoadMonitor::new(window);
         self.next_control = SimTime::ZERO + window;
         self
     }
@@ -336,8 +328,8 @@ impl SloGuard {
 
     fn control_step(&mut self, now: SimTime) {
         while now >= self.next_control {
-            let breach = self.hp_p99().is_some_and(|p99| p99 > self.slo)
-                && self.monitor.queue_depth(self.device) > 0;
+            let breach =
+                self.hp_p99().is_some_and(|p99| p99 > self.slo) && self.state.queue_depth() > 0;
             if breach {
                 self.admitted_qps = (self.admitted_qps * self.decrease).max(self.min_qps);
             } else {
@@ -354,24 +346,22 @@ impl AdmissionPolicy for SloGuard {
     }
 
     fn on_event(&mut self, at: SimTime, device: usize, event: &Observation) {
-        self.device = device;
-        self.monitor.on_event(at, device, event);
-        match event {
-            Observation::ClientAttached {
-                client, priority, ..
-            } => {
-                self.hp.insert(client.0, priority.is_high());
-            }
-            Observation::RequestCompleted {
-                client, latency, ..
-            } if self.hp.get(&client.0).copied().unwrap_or(false) => {
+        self.state.apply(device, event);
+        if let Observation::RequestCompleted {
+            client, latency, ..
+        } = event
+        {
+            if self
+                .state
+                .client(*client)
+                .is_some_and(|c| c.priority.is_high())
+            {
                 self.latencies.push_back((at, *latency));
                 let boundary = at - self.window;
                 while self.latencies.front().is_some_and(|&(t, _)| t < boundary) {
                     self.latencies.pop_front();
                 }
             }
-            _ => {}
         }
         self.control_step(at);
     }

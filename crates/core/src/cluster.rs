@@ -57,8 +57,8 @@
 //!   the devices with the fewest high-priority tenants;
 //! * [`LoadAware`] — place and migrate by the *runtime* [`DeviceLoad`]
 //!   signals (queue depth, recent occupancy, high-priority pressure) that
-//!   each device's built-in [`LoadMonitor`] distills from the live event
-//!   stream, reacting to phase changes static demand estimates cannot see.
+//!   each device's session distills from its live event stream, reacting
+//!   to phase changes static demand estimates cannot see.
 //!
 //! ```
 //! use tally_core::cluster::{Cluster, LeastLoaded};
@@ -92,7 +92,7 @@ use std::sync::Mutex;
 use tally_gpu::{GpuSpec, SimSpan, SimTime};
 
 use crate::admission::AdmissionPolicy;
-use crate::events::{LoadMonitor, Observation, SessionObserver, SharedSyncObserver, TraceError};
+use crate::events::{LoadMonitor, Observation, SharedSyncObserver, TraceError};
 use crate::harness::{
     compile_trace, Colocation, HarnessConfig, InterceptMode, JobKind, JobSpec, Session,
     SessionEvent,
@@ -106,11 +106,13 @@ use crate::topology::Topology;
 ///
 /// The static half (`clients` / `high_priority` / `best_effort` /
 /// `demand`) is computed from the resident jobs' specs; the runtime half
-/// (`queue_depth` / `recent_occupancy` / `hp_pressure`) comes from the
-/// cluster's built-in [`LoadMonitor`] listening to the live event stream,
-/// so policies can react to what the devices are *actually doing* — phase
-/// changes, bursts, idle gaps — instead of static estimates. Runtime
-/// signals are all zero for the up-front placements at `t = 0`.
+/// (`queue_depth` / `recent_occupancy` / `hp_pressure`) comes from a load
+/// monitor inside each device's session that folds the session's live
+/// event stream as it is emitted, so policies can react to what the
+/// devices are *actually doing* — phase changes, bursts, idle gaps —
+/// instead of static estimates. The cluster reads it at barriers and
+/// rebalance ticks. Runtime signals are all zero for the up-front
+/// placements at `t = 0`.
 #[derive(Clone, Debug)]
 pub struct DeviceLoad {
     /// Device index within the cluster.
@@ -128,16 +130,18 @@ pub struct DeviceLoad {
     /// GPU-busy seconds per wall second, so `1.0` saturates the device.
     pub demand: f64,
     /// Kernels dispatched to the device's sharing system and not yet
-    /// finished, right now ([`LoadMonitor::queue_depth`]). Every attached
-    /// client contributes at most one logical kernel, so this counts the
-    /// clients with work in flight.
+    /// finished, right now: dispatches minus finishes, with a detach or a
+    /// migration off the device dropping the client's kernel. Every
+    /// attached client contributes at most one logical kernel, so this
+    /// counts the clients with work in flight.
     pub queue_depth: usize,
-    /// Mean busy-thread occupancy over the cluster's trailing monitor
-    /// window, from engine counters ([`LoadMonitor::recent_occupancy`]):
-    /// `1.0` means every resident-thread slot was busy the whole window.
+    /// Mean busy-thread occupancy over the trailing
+    /// [`Cluster::monitor_window`], from the engine's busy-integral
+    /// samples: `1.0` means every resident-thread slot was busy the whole
+    /// window.
     pub recent_occupancy: f64,
     /// Time-weighted mean number of outstanding *high-priority* kernels
-    /// over the monitor window ([`LoadMonitor::hp_pressure`]): `~1.0`
+    /// over the [`Cluster::monitor_window`]: `~1.0`
     /// while a latency-critical service keeps a request in flight, `~0.0`
     /// while it sits quiet — the signal that separates a bursting device
     /// from one whose tenants merely look heavy on paper.
@@ -271,8 +275,8 @@ impl PlacementPolicy for LeastLoaded {
 }
 
 /// Place and migrate by what the devices are *actually doing*: the
-/// runtime [`DeviceLoad`] signals maintained by the cluster's built-in
-/// [`LoadMonitor`], with the static demand estimate only as a tie-break.
+/// runtime [`DeviceLoad`] signals each device's session distills from its
+/// event stream, with the static demand estimate only as a tie-break.
 ///
 /// * **Placement** picks the device with the lowest live load
 ///   (`hp_pressure + recent_occupancy`, then static demand, then index).
@@ -458,8 +462,8 @@ impl PlacementPolicy for BestEffortPacking {
 ///   a fixed period;
 /// * [`Cluster::sync_observer`] — tap the fleet-wide typed event stream
 ///   (lifecycle edges, kernels, requests, migrations, rebalances);
-/// * [`Cluster::monitor_window`] — the averaging window of the built-in
-///   [`LoadMonitor`] behind the runtime [`DeviceLoad`] signals.
+/// * [`Cluster::monitor_window`] — the averaging window of the per-device
+///   load monitors behind the runtime [`DeviceLoad`] signals.
 pub struct Cluster {
     devices: Vec<GpuSpec>,
     jobs: Vec<JobSpec>,
@@ -598,8 +602,8 @@ impl Cluster {
         self
     }
 
-    /// Sets the averaging window of the built-in per-device
-    /// [`LoadMonitor`]s that feed the runtime [`DeviceLoad`] signals
+    /// Sets the averaging window of the built-in per-device load
+    /// monitors that feed the runtime [`DeviceLoad`] signals
     /// (default: 100 ms). Shorter
     /// windows react faster to phase changes; longer windows smooth over
     /// request-level noise.
@@ -1162,9 +1166,9 @@ fn load_of<'j>(
 /// [`DeviceLoad`] snapshot.
 fn fill_runtime_signals(load: &mut DeviceLoad, session: &Session<'_>, now: SimTime) {
     let m = session.monitor().expect("cluster sessions carry a monitor");
-    load.queue_depth = m.queue_depth(load.device);
-    load.recent_occupancy = m.recent_occupancy(load.device, now);
-    load.hp_pressure = m.hp_pressure(load.device, now);
+    load.queue_depth = m.queue_depth();
+    load.recent_occupancy = m.recent_occupancy(now);
+    load.hp_pressure = m.hp_pressure(now);
 }
 
 /// Places a trace client at its injection instant: snapshots the loads of

@@ -25,12 +25,16 @@
 //!   shared handles ([`SharedSyncObserver`]) so the caller keeps access to
 //!   whatever the observer accumulated after the run finishes.
 //!
-//! Two built-in observers ship: [`LoadMonitor`] (below) turns the stream
-//! into live per-device load signals for placement policies, and
-//! `tally_workloads::trace::TraceRecorder` captures a replayable
-//! `ArrivalTrace` from a live run.
+//! `tally_workloads::trace::TraceRecorder` is the built-in observer that
+//! captures a replayable `ArrivalTrace` from a live run. Inside the crate
+//! one per-device fold of the stream (which clients are attached, their
+//! scheduling class, which kernels are in flight) backs every consumer
+//! that needs it: the cluster's load signals, the
+//! [`SloGuard`](crate::admission::SloGuard) drain gate, and the
+//! [`MetricsHub`](crate::telemetry::MetricsHub) /
+//! [`Timeline`](crate::telemetry::Timeline) gauges.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 use std::fmt;
 use std::sync::{Arc, Mutex};
 
@@ -309,97 +313,226 @@ pub trait SessionObserver {
 /// is identical for every thread count.
 pub type SharedSyncObserver = Arc<Mutex<dyn SessionObserver + Send>>;
 
-/// Per-device live load signals derived from the observation stream — the
-/// runtime half of [`DeviceLoad`](crate::cluster::DeviceLoad).
-///
-/// A [`Cluster`](crate::cluster::Cluster) runs one inside every device's
-/// session and copies its signals into every `DeviceLoad` snapshot handed
-/// to a [`PlacementPolicy`](crate::cluster::PlacementPolicy), so policies
-/// like [`LoadAware`](crate::cluster::LoadAware) can react to phase changes
-/// instead of static demand estimates. It can also be attached by hand to
-/// a single-GPU session:
-///
-/// ```
-/// use tally_core::events::LoadMonitor;
-/// use tally_core::harness::{Colocation, HarnessConfig, JobSpec, WorkloadOp};
-/// use tally_gpu::{GpuSpec, KernelDesc, SimSpan, SimTime};
-///
-/// let monitor = LoadMonitor::shared_sync(SimSpan::from_millis(50));
-/// let k = KernelDesc::builder("step")
-///     .grid(64).block(512)
-///     .block_cost(SimSpan::from_millis(1))
-///     .build_arc();
-/// Colocation::on(GpuSpec::tiny())
-///     .client(JobSpec::training("t", vec![WorkloadOp::Kernel(k)]))
-///     .sync_observer(monitor.clone())
-///     .config(HarnessConfig {
-///         duration: SimSpan::from_millis(200),
-///         warmup: SimSpan::ZERO,
-///         ..Default::default()
-///     })
-///     .run();
-/// let m = monitor.lock().unwrap();
-/// // A solo trainer saturates the device: occupancy near 1, nothing
-/// // outstanding once the run has drained.
-/// assert!(m.recent_occupancy(0, SimTime::from_millis(200)) > 0.5);
-/// ```
-#[derive(Debug, Default)]
-pub struct LoadMonitor {
-    window: SimSpan,
-    devices: BTreeMap<usize, DeviceSignals>,
+/// One client's record in a [`DeviceState`].
+#[derive(Clone, Debug)]
+pub(crate) struct ClientRecord {
+    /// Stable client key, once an attach or a migrate-in named it.
+    pub(crate) key: Option<String>,
+    /// Scheduling class; best-effort until an attach says otherwise.
+    pub(crate) priority: Priority,
+    /// Whether an activity window is open on this device.
+    pub(crate) attached: bool,
+    /// Whether a dispatched logical kernel has not finished yet.
+    pub(crate) outstanding: bool,
 }
 
-#[derive(Debug, Default)]
-struct DeviceSignals {
-    /// Clients with a dispatched-but-unfinished logical kernel, and
-    /// whether each is high-priority.
-    outstanding: BTreeMap<u32, bool>,
-    /// Scheduling class per attached client (from lifecycle events).
-    priority: BTreeMap<u32, bool>,
+/// One device's fold of the observation stream: a record per
+/// session-local client id plus the last engine sample. Its
+/// [`apply`](DeviceState::apply) is the only code that interprets attach,
+/// detach, dispatch, finish, migrate-out and migrate-in.
+#[derive(Clone, Debug, Default)]
+pub(crate) struct DeviceState {
+    /// Indexed by the dense session-local client id.
+    clients: Vec<ClientRecord>,
+    outstanding: usize,
+    hp_outstanding: usize,
+    busy_thread_ns: u128,
+    thread_slots: u64,
+}
+
+impl DeviceState {
+    /// Folds one observation of device `device`, the device this state
+    /// describes (a migration names it as source or destination).
+    pub(crate) fn apply(&mut self, device: usize, event: &Observation) {
+        match event {
+            Observation::ClientAttached {
+                client,
+                key,
+                priority,
+                ..
+            } => {
+                let c = self.record(*client);
+                c.key = Some(key.clone());
+                c.priority = *priority;
+                c.attached = true;
+            }
+            Observation::ClientDetached { client, .. } => {
+                // Detach preempts and forgets the client's in-flight work.
+                self.record(*client).attached = false;
+                self.set_outstanding(*client, false);
+            }
+            Observation::KernelDispatched { client, .. } => self.set_outstanding(*client, true),
+            Observation::KernelFinished { client } => self.set_outstanding(*client, false),
+            Observation::EngineSample {
+                busy_thread_ns,
+                total_thread_slots,
+                ..
+            } => {
+                self.busy_thread_ns = *busy_thread_ns;
+                self.thread_slots = *total_thread_slots;
+            }
+            Observation::ClientMigrated {
+                key,
+                from,
+                to,
+                from_client,
+                to_client,
+                ..
+            } => {
+                if *from == device {
+                    // The source slot is a tombstone now; its in-flight
+                    // kernel was preempted and re-issues on the destination.
+                    self.record(*from_client).attached = false;
+                    self.set_outstanding(*from_client, false);
+                }
+                if *to == device {
+                    // Only best-effort clients migrate.
+                    let c = self.record(*to_client);
+                    c.key = Some(key.clone());
+                    c.priority = Priority::BestEffort;
+                    c.attached = true;
+                }
+            }
+            Observation::RequestCompleted { .. }
+            | Observation::RequestShed { .. }
+            | Observation::RequestDeferred { .. }
+            | Observation::Rebalance { .. } => {}
+        }
+    }
+
+    fn record(&mut self, client: ClientId) -> &mut ClientRecord {
+        let i = client.0 as usize;
+        if i >= self.clients.len() {
+            self.clients.resize_with(i + 1, || ClientRecord {
+                key: None,
+                priority: Priority::BestEffort,
+                attached: false,
+                outstanding: false,
+            });
+        }
+        &mut self.clients[i]
+    }
+
+    fn set_outstanding(&mut self, client: ClientId, outstanding: bool) {
+        let c = self.record(client);
+        if c.outstanding != outstanding {
+            c.outstanding = outstanding;
+            let hp = usize::from(c.priority.is_high());
+            if outstanding {
+                self.outstanding += 1;
+                self.hp_outstanding += hp;
+            } else {
+                self.outstanding -= 1;
+                self.hp_outstanding -= hp;
+            }
+        }
+    }
+
+    /// Every client record, in id order.
+    pub(crate) fn clients(&self) -> impl Iterator<Item = (ClientId, &ClientRecord)> {
+        (0u32..).map(ClientId).zip(&self.clients)
+    }
+
+    /// The record of `client`, if the stream ever named it.
+    pub(crate) fn client(&self, client: ClientId) -> Option<&ClientRecord> {
+        self.clients.get(client.0 as usize)
+    }
+
+    /// Kernels dispatched and not yet finished, right now.
+    pub(crate) fn queue_depth(&self) -> usize {
+        self.outstanding
+    }
+
+    /// Outstanding kernels of high-priority clients.
+    pub(crate) fn hp_outstanding(&self) -> usize {
+        self.hp_outstanding
+    }
+
+    /// Clients currently attached.
+    pub(crate) fn clients_attached(&self) -> usize {
+        self.clients.iter().filter(|c| c.attached).count()
+    }
+
+    /// The engine's cumulative busy-thread integral at the last sample.
+    pub(crate) fn busy_thread_ns(&self) -> u128 {
+        self.busy_thread_ns
+    }
+
+    /// The device's resident-thread capacity (0 until the first sample).
+    pub(crate) fn thread_slots(&self) -> u64 {
+        self.thread_slots
+    }
+}
+
+/// One device's live load signals — the runtime half of
+/// [`DeviceLoad`](crate::cluster::DeviceLoad).
+///
+/// A [`Cluster`](crate::cluster::Cluster) installs one in every device's
+/// session, which feeds it each observation as it is emitted (and each
+/// migration off the device), and copies its signals into every
+/// `DeviceLoad` snapshot handed to a
+/// [`PlacementPolicy`](crate::cluster::PlacementPolicy).
+#[derive(Debug)]
+pub(crate) struct LoadMonitor {
+    window: SimSpan,
+    state: DeviceState,
     /// Running integral of outstanding high-priority kernels over time,
     /// in kernel-seconds, with checkpoints at every change.
     hp_integral: f64,
-    hp_outstanding: usize,
     last_update: SimTime,
     /// `(instant, integral)` checkpoints; piecewise linear between them.
     hp_points: VecDeque<(SimTime, f64)>,
     /// `(instant, busy_thread_ns)` engine samples; a step function.
     occ_samples: VecDeque<(SimTime, u128)>,
-    thread_slots: u64,
 }
 
-impl DeviceSignals {
+impl LoadMonitor {
+    /// A monitor whose recent-window signals average over `window`.
+    pub(crate) fn new(window: SimSpan) -> Self {
+        assert!(!window.is_zero(), "monitor window must be positive");
+        LoadMonitor {
+            window,
+            state: DeviceState::default(),
+            hp_integral: 0.0,
+            last_update: SimTime::ZERO,
+            hp_points: VecDeque::new(),
+            occ_samples: VecDeque::new(),
+        }
+    }
+
+    /// Folds one observation of device `device`.
+    pub(crate) fn on_event(&mut self, at: SimTime, device: usize, event: &Observation) {
+        match event {
+            // The four edges that can change the outstanding set.
+            Observation::ClientDetached { .. }
+            | Observation::KernelDispatched { .. }
+            | Observation::KernelFinished { .. }
+            | Observation::ClientMigrated { .. } => self.advance(at),
+            Observation::EngineSample { busy_thread_ns, .. } => {
+                self.occ_samples.push_back((at, *busy_thread_ns));
+                let boundary = at - self.window;
+                while self.occ_samples.len() > 1 && self.occ_samples[1].0 <= boundary {
+                    self.occ_samples.pop_front();
+                }
+            }
+            _ => {}
+        }
+        let hp_before = self.state.hp_outstanding();
+        self.state.apply(device, event);
+        if self.state.hp_outstanding() != hp_before {
+            self.hp_points.push_back((at, self.hp_integral));
+            let boundary = at - self.window;
+            while self.hp_points.len() > 1 && self.hp_points[1].0 <= boundary {
+                self.hp_points.pop_front();
+            }
+        }
+    }
+
     fn advance(&mut self, at: SimTime) {
         if at > self.last_update {
-            self.hp_integral +=
-                self.hp_outstanding as f64 * at.saturating_since(self.last_update).as_secs_f64();
+            self.hp_integral += self.state.hp_outstanding() as f64
+                * at.saturating_since(self.last_update).as_secs_f64();
             self.last_update = at;
-        }
-    }
-
-    fn checkpoint(&mut self, at: SimTime, window: SimSpan) {
-        self.hp_points.push_back((at, self.hp_integral));
-        let boundary = at - window;
-        while self.hp_points.len() > 1 && self.hp_points[1].0 <= boundary {
-            self.hp_points.pop_front();
-        }
-    }
-
-    fn set_outstanding(&mut self, at: SimTime, window: SimSpan, client: u32, present: bool) {
-        self.advance(at);
-        let hp = self.priority.get(&client).copied().unwrap_or(false);
-        let changed = if present {
-            self.outstanding.insert(client, hp).is_none()
-        } else {
-            self.outstanding.remove(&client).is_some()
-        };
-        if changed && hp {
-            if present {
-                self.hp_outstanding += 1;
-            } else {
-                self.hp_outstanding -= 1;
-            }
-            self.checkpoint(at, window);
         }
     }
 
@@ -424,55 +557,32 @@ impl DeviceSignals {
         match prev {
             // After the last checkpoint the slope is the current count.
             Some((t0, i0)) => {
-                i0 + self.hp_outstanding as f64 * t.saturating_since(t0).as_secs_f64()
+                i0 + self.state.hp_outstanding() as f64 * t.saturating_since(t0).as_secs_f64()
             }
             None => 0.0,
         }
     }
-}
 
-impl LoadMonitor {
-    /// A monitor whose recent-window signals average over `window`.
-    pub fn new(window: SimSpan) -> Self {
-        assert!(!window.is_zero(), "monitor window must be positive");
-        LoadMonitor {
-            window,
-            devices: BTreeMap::new(),
-        }
-    }
-
-    /// A shared handle to a fresh monitor (see [`SharedSyncObserver`]).
-    pub fn shared_sync(window: SimSpan) -> Arc<Mutex<LoadMonitor>> {
-        Arc::new(Mutex::new(LoadMonitor::new(window)))
-    }
-
-    /// The averaging window.
-    pub fn window(&self) -> SimSpan {
-        self.window
-    }
-
-    /// Kernels dispatched to `device`'s sharing system and not yet
+    /// Kernels dispatched to the device's sharing system and not yet
     /// finished, right now. Instantaneous queue pressure: every attached
     /// client contributes at most one logical kernel.
-    pub fn queue_depth(&self, device: usize) -> usize {
-        self.devices.get(&device).map_or(0, |d| d.outstanding.len())
+    pub(crate) fn queue_depth(&self) -> usize {
+        self.state.queue_depth()
     }
 
-    /// Mean busy-thread occupancy of `device` over the trailing window
-    /// ending at `now`, from the engine's busy-integral counter: `1.0`
-    /// means every resident-thread slot was busy the whole window.
-    pub fn recent_occupancy(&self, device: usize, now: SimTime) -> f64 {
-        let Some(d) = self.devices.get(&device) else {
-            return 0.0;
-        };
-        if d.thread_slots == 0 || d.occ_samples.is_empty() {
+    /// Mean busy-thread occupancy over the trailing window ending at
+    /// `now`, from the engine's busy-integral counter: `1.0` means every
+    /// resident-thread slot was busy the whole window.
+    pub(crate) fn recent_occupancy(&self, now: SimTime) -> f64 {
+        let slots = self.state.thread_slots();
+        if slots == 0 || self.occ_samples.is_empty() {
             return 0.0;
         }
         let boundary = now - self.window;
         // Step function: busy at an instant is the last sample at/before it.
         let busy_at = |t: SimTime| -> u128 {
             let mut v = 0;
-            for &(st, sb) in &d.occ_samples {
+            for &(st, sb) in &self.occ_samples {
                 if st > t {
                     break;
                 }
@@ -485,73 +595,21 @@ impl LoadMonitor {
             return 0.0;
         }
         let busy = busy_at(now).saturating_sub(busy_at(boundary)) as f64;
-        busy / (span * 1e9 * d.thread_slots as f64)
+        busy / (span * 1e9 * slots as f64)
     }
 
-    /// Time-weighted mean number of outstanding *high-priority* kernels on
-    /// `device` over the trailing window ending at `now` — live pressure
-    /// from latency-critical tenants, `~1.0` when a service keeps one
-    /// request in flight the whole window, `~0.0` while it sits quiet.
-    pub fn hp_pressure(&self, device: usize, now: SimTime) -> f64 {
-        let Some(d) = self.devices.get(&device) else {
-            return 0.0;
-        };
+    /// Time-weighted mean number of outstanding *high-priority* kernels
+    /// over the trailing window ending at `now` — live pressure from
+    /// latency-critical tenants, `~1.0` when a service keeps one request
+    /// in flight the whole window, `~0.0` while it sits quiet.
+    pub(crate) fn hp_pressure(&self, now: SimTime) -> f64 {
         let boundary = now - self.window;
         let span = now.saturating_since(boundary).as_secs_f64();
         if span <= 0.0 {
             return 0.0;
         }
-        let delta = d.integral_at(now) - d.integral_at(boundary);
+        let delta = self.integral_at(now) - self.integral_at(boundary);
         (delta / span).max(0.0)
-    }
-}
-
-impl SessionObserver for LoadMonitor {
-    fn on_event(&mut self, at: SimTime, device: usize, event: &Observation) {
-        let window = self.window;
-        let d = self.devices.entry(device).or_default();
-        match event {
-            Observation::ClientAttached {
-                client, priority, ..
-            } => {
-                d.priority.insert(client.0, priority.is_high());
-            }
-            Observation::ClientDetached { client, .. } => {
-                // Detach preempts and forgets the client's in-flight work.
-                d.set_outstanding(at, window, client.0, false);
-            }
-            Observation::KernelDispatched { client, .. } => {
-                d.set_outstanding(at, window, client.0, true);
-            }
-            Observation::KernelFinished { client } => {
-                d.set_outstanding(at, window, client.0, false);
-            }
-            Observation::EngineSample {
-                busy_thread_ns,
-                total_thread_slots,
-                ..
-            } => {
-                d.thread_slots = *total_thread_slots;
-                d.occ_samples.push_back((at, *busy_thread_ns));
-                let boundary = at - window;
-                while d.occ_samples.len() > 1 && d.occ_samples[1].0 <= boundary {
-                    d.occ_samples.pop_front();
-                }
-            }
-            Observation::ClientMigrated {
-                from, from_client, ..
-            } => {
-                // The source slot is a tombstone now; its in-flight kernel
-                // was preempted and will be re-issued on the destination.
-                if let Some(src) = self.devices.get_mut(from) {
-                    src.set_outstanding(at, window, from_client.0, false);
-                }
-            }
-            Observation::RequestCompleted { .. }
-            | Observation::RequestShed { .. }
-            | Observation::RequestDeferred { .. }
-            | Observation::Rebalance { .. } => {}
-        }
     }
 }
 
@@ -559,100 +617,191 @@ impl SessionObserver for LoadMonitor {
 mod tests {
     use super::*;
 
-    fn dispatch(m: &mut LoadMonitor, at_ms: u64, dev: usize, client: u32, kernel_name: &str) {
-        let k = KernelDesc::builder(kernel_name)
+    fn dispatch_ev(client: u32) -> Observation {
+        let k = KernelDesc::builder("k")
             .grid(1)
             .block(32)
             .block_cost(SimSpan::from_micros(10))
             .build_arc();
-        m.on_event(
-            SimTime::from_millis(at_ms),
-            dev,
-            &Observation::KernelDispatched {
-                client: ClientId(client),
-                kernel: k,
-            },
-        );
+        Observation::KernelDispatched {
+            client: ClientId(client),
+            kernel: k,
+        }
     }
 
-    fn attach(m: &mut LoadMonitor, at_ms: u64, dev: usize, client: u32, hp: bool) {
-        m.on_event(
-            SimTime::from_millis(at_ms),
-            dev,
-            &Observation::ClientAttached {
-                client: ClientId(client),
-                key: format!("c{client}"),
-                priority: if hp {
-                    Priority::High
-                } else {
-                    Priority::BestEffort
-                },
-                descriptor: None,
-                reattach: false,
+    fn attach_ev(client: u32, hp: bool) -> Observation {
+        Observation::ClientAttached {
+            client: ClientId(client),
+            key: format!("c{client}"),
+            priority: if hp {
+                Priority::High
+            } else {
+                Priority::BestEffort
             },
-        );
+            descriptor: None,
+            reattach: false,
+        }
+    }
+
+    fn finish_ev(client: u32) -> Observation {
+        Observation::KernelFinished {
+            client: ClientId(client),
+        }
+    }
+
+    fn detach_ev(client: u32) -> Observation {
+        Observation::ClientDetached {
+            client: ClientId(client),
+            key: format!("c{client}"),
+        }
+    }
+
+    /// `c{from_client}` moves from device 0 to device 1 as `to_client`.
+    fn migrate_ev(from_client: u32, to_client: u32) -> Observation {
+        Observation::ClientMigrated {
+            key: format!("c{from_client}"),
+            from: 0,
+            to: 1,
+            from_client: ClientId(from_client),
+            to_client: ClientId(to_client),
+            bytes: 0,
+            stall: SimSpan::ZERO,
+        }
+    }
+
+    fn feed(m: &mut LoadMonitor, at_ms: u64, event: Observation) {
+        m.on_event(SimTime::from_millis(at_ms), 0, &event);
+    }
+
+    #[test]
+    fn device_state_attach_records_key_and_priority() {
+        let mut s = DeviceState::default();
+        s.apply(0, &attach_ev(2, true));
+        let c = s.client(ClientId(2)).expect("record");
+        assert_eq!(c.key.as_deref(), Some("c2"));
+        assert!(c.attached && !c.outstanding);
+        assert_eq!(c.priority, Priority::High);
+        assert_eq!(s.clients_attached(), 1);
+        // Lower ids get placeholder records: unnamed, best-effort, detached.
+        let c = s.client(ClientId(0)).expect("placeholder");
+        assert!(c.key.is_none() && c.priority == Priority::BestEffort && !c.attached);
+    }
+
+    #[test]
+    fn device_state_dispatch_and_finish_toggle_the_outstanding_kernel() {
+        let mut s = DeviceState::default();
+        s.apply(0, &attach_ev(0, true));
+        s.apply(0, &attach_ev(1, false));
+        s.apply(0, &dispatch_ev(0));
+        s.apply(0, &dispatch_ev(1));
+        // A second dispatch before the finish adds nothing.
+        s.apply(0, &dispatch_ev(1));
+        assert_eq!((s.queue_depth(), s.hp_outstanding()), (2, 1));
+        s.apply(0, &finish_ev(0));
+        assert_eq!((s.queue_depth(), s.hp_outstanding()), (1, 0));
+        assert!(s.client(ClientId(1)).expect("record").outstanding);
+    }
+
+    #[test]
+    fn device_state_detach_clears_the_outstanding_kernel() {
+        let mut s = DeviceState::default();
+        s.apply(0, &attach_ev(0, true));
+        s.apply(0, &dispatch_ev(0));
+        s.apply(0, &detach_ev(0));
+        let c = s.client(ClientId(0)).expect("record");
+        assert!(!c.attached && !c.outstanding);
+        assert_eq!((s.queue_depth(), s.hp_outstanding()), (0, 0));
+        assert_eq!(s.clients_attached(), 0);
+        // The class survives the detach for the next window.
+        assert_eq!(c.priority, Priority::High);
+    }
+
+    #[test]
+    fn device_state_migrate_out_keeps_key_and_priority_and_clears_the_kernel() {
+        let mut s = DeviceState::default();
+        s.apply(0, &attach_ev(3, false));
+        s.apply(0, &dispatch_ev(3));
+        s.apply(0, &migrate_ev(3, 7));
+        let c = s.client(ClientId(3)).expect("record");
+        assert_eq!(c.key.as_deref(), Some("c3"));
+        assert_eq!(c.priority, Priority::BestEffort);
+        assert!(!c.attached && !c.outstanding);
+        assert_eq!((s.queue_depth(), s.clients_attached()), (0, 0));
+        // The source fold never grows a record for the destination id.
+        assert!(s.client(ClientId(7)).is_none());
+    }
+
+    #[test]
+    fn device_state_migrate_in_marks_the_destination_record_attached() {
+        let mut s = DeviceState::default();
+        s.apply(1, &migrate_ev(3, 1));
+        let c = s.client(ClientId(1)).expect("record");
+        assert_eq!(c.key.as_deref(), Some("c3"));
+        assert!(c.attached && !c.outstanding);
+        assert_eq!(c.priority, Priority::BestEffort);
+        assert_eq!(s.clients_attached(), 1);
+        // The source id means nothing on the destination.
+        assert!(s.client(ClientId(3)).is_none());
+    }
+
+    #[test]
+    fn device_state_keeps_the_last_engine_sample() {
+        let mut s = DeviceState::default();
+        for busy in [10u128, 30] {
+            s.apply(
+                0,
+                &Observation::EngineSample {
+                    busy_thread_ns: busy,
+                    total_thread_slots: 64,
+                    events_processed: 0,
+                },
+            );
+        }
+        assert_eq!((s.busy_thread_ns(), s.thread_slots()), (30, 64));
     }
 
     #[test]
     fn queue_depth_tracks_outstanding_kernels() {
         let mut m = LoadMonitor::new(SimSpan::from_millis(100));
-        attach(&mut m, 0, 0, 0, true);
-        attach(&mut m, 0, 0, 1, false);
-        dispatch(&mut m, 1, 0, 0, "a");
-        dispatch(&mut m, 1, 0, 1, "b");
-        assert_eq!(m.queue_depth(0), 2);
-        assert_eq!(m.queue_depth(1), 0);
-        m.on_event(
-            SimTime::from_millis(2),
-            0,
-            &Observation::KernelFinished {
-                client: ClientId(0),
-            },
-        );
-        assert_eq!(m.queue_depth(0), 1);
+        feed(&mut m, 0, attach_ev(0, true));
+        feed(&mut m, 0, attach_ev(1, false));
+        feed(&mut m, 1, dispatch_ev(0));
+        feed(&mut m, 1, dispatch_ev(1));
+        assert_eq!(m.queue_depth(), 2);
+        // A device that saw none of it reads empty.
+        assert_eq!(LoadMonitor::new(SimSpan::from_millis(100)).queue_depth(), 0);
+        feed(&mut m, 2, finish_ev(0));
+        assert_eq!(m.queue_depth(), 1);
         // Detach clears the remaining outstanding kernel.
-        m.on_event(
-            SimTime::from_millis(3),
-            0,
-            &Observation::ClientDetached {
-                client: ClientId(1),
-                key: "c1".into(),
-            },
-        );
-        assert_eq!(m.queue_depth(0), 0);
+        feed(&mut m, 3, detach_ev(1));
+        assert_eq!(m.queue_depth(), 0);
     }
 
     #[test]
     fn hp_pressure_decays_after_the_service_goes_quiet() {
         let mut m = LoadMonitor::new(SimSpan::from_millis(100));
-        attach(&mut m, 0, 0, 0, true);
+        feed(&mut m, 0, attach_ev(0, true));
         // One hp kernel outstanding over [0, 100ms), then nothing.
-        dispatch(&mut m, 0, 0, 0, "req");
-        m.on_event(
-            SimTime::from_millis(100),
-            0,
-            &Observation::KernelFinished {
-                client: ClientId(0),
-            },
-        );
+        feed(&mut m, 0, dispatch_ev(0));
+        feed(&mut m, 100, finish_ev(0));
         // Right at the finish the whole window was busy.
-        let hot = m.hp_pressure(0, SimTime::from_millis(100));
+        let hot = m.hp_pressure(SimTime::from_millis(100));
         assert!(hot > 0.95, "pressure at finish {hot}");
         // Half a window later only half the window was busy.
-        let mid = m.hp_pressure(0, SimTime::from_millis(150));
+        let mid = m.hp_pressure(SimTime::from_millis(150));
         assert!((0.4..0.6).contains(&mid), "pressure mid-decay {mid}");
         // A full window later the signal is gone.
-        let cold = m.hp_pressure(0, SimTime::from_millis(250));
+        let cold = m.hp_pressure(SimTime::from_millis(250));
         assert!(cold < 0.01, "pressure after decay {cold}");
     }
 
     #[test]
     fn best_effort_kernels_do_not_raise_hp_pressure() {
         let mut m = LoadMonitor::new(SimSpan::from_millis(100));
-        attach(&mut m, 0, 0, 0, false);
-        dispatch(&mut m, 0, 0, 0, "train");
-        assert_eq!(m.queue_depth(0), 1);
-        assert_eq!(m.hp_pressure(0, SimTime::from_millis(100)), 0.0);
+        feed(&mut m, 0, attach_ev(0, false));
+        feed(&mut m, 0, dispatch_ev(0));
+        assert_eq!(m.queue_depth(), 1);
+        assert_eq!(m.hp_pressure(SimTime::from_millis(100)), 0.0);
     }
 
     #[test]
@@ -661,43 +810,35 @@ mod tests {
         // 1000 thread slots; busy ramps at half speed: 50ms of busy-threads
         // accrued over each 100ms (per-slot share 0.5).
         for i in 0..=10u64 {
-            m.on_event(
-                SimTime::from_millis(10 * i),
-                0,
-                &Observation::EngineSample {
+            feed(
+                &mut m,
+                10 * i,
+                Observation::EngineSample {
                     busy_thread_ns: (10 * i * 1_000_000 / 2) as u128 * 1000,
                     total_thread_slots: 1000,
                     events_processed: 0,
                 },
             );
         }
-        let occ = m.recent_occupancy(0, SimTime::from_millis(100));
+        let occ = m.recent_occupancy(SimTime::from_millis(100));
         assert!((occ - 0.5).abs() < 0.05, "occupancy {occ}");
         // With no further samples the window drains toward zero.
-        let later = m.recent_occupancy(0, SimTime::from_millis(250));
+        let later = m.recent_occupancy(SimTime::from_millis(250));
         assert!(later < 0.01, "stale occupancy {later}");
     }
 
     #[test]
     fn migration_clears_the_source_slot() {
         let mut m = LoadMonitor::new(SimSpan::from_millis(100));
-        attach(&mut m, 0, 0, 3, false);
-        dispatch(&mut m, 1, 0, 3, "train");
-        assert_eq!(m.queue_depth(0), 1);
-        m.on_event(
-            SimTime::from_millis(2),
-            0,
-            &Observation::ClientMigrated {
-                key: "c3".into(),
-                from: 0,
-                to: 1,
-                from_client: ClientId(3),
-                to_client: ClientId(7),
-                bytes: 0,
-                stall: SimSpan::ZERO,
-            },
-        );
-        assert_eq!(m.queue_depth(0), 0, "migrated-away kernel forgotten");
+        feed(&mut m, 0, attach_ev(3, false));
+        feed(&mut m, 1, dispatch_ev(3));
+        assert_eq!(m.queue_depth(), 1);
+        feed(&mut m, 2, migrate_ev(3, 7));
+        assert_eq!(m.queue_depth(), 0, "migrated-away kernel forgotten");
+        // The destination's monitor gains no kernel from the move itself.
+        let mut dst = LoadMonitor::new(SimSpan::from_millis(100));
+        dst.on_event(SimTime::from_millis(2), 1, &migrate_ev(3, 7));
+        assert_eq!(dst.queue_depth(), 0);
     }
 
     #[test]

@@ -48,9 +48,7 @@ use tally_gpu::{ClientId, Engine, GpuSpec, KernelDesc, Priority, SimSpan, SimTim
 
 use crate::admission::{AdmissionPolicy, AdmissionVerdict};
 use crate::api::{ClientStub, Transport};
-use crate::events::{
-    ClientEvent, LoadMonitor, Observation, SessionObserver, SharedSyncObserver, TraceError,
-};
+use crate::events::{ClientEvent, LoadMonitor, Observation, SharedSyncObserver, TraceError};
 use crate::metrics::{ClientReport, LatencyRecorder, RunReport};
 use crate::system::{ClientMeta, Ctx, Passthrough, SharingSystem};
 use crate::timewheel::{TimerId, TimerWheel};
@@ -839,7 +837,7 @@ impl<'s> Colocation<'s> {
     }
 
     /// Registers an observer for the session's typed event stream (see
-    /// [`SessionObserver`]): lifecycle edges, request completions, kernel
+    /// [`SessionObserver`](crate::events::SessionObserver)): lifecycle edges, request completions, kernel
     /// dispatch/finish, and engine counter samples, delivered at the end
     /// of every settle. The handle
     /// is shared ([`SharedSyncObserver`]) — keep a clone to read the

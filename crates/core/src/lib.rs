@@ -90,8 +90,7 @@ pub use cluster::{
     LeastLoaded, LoadAware, PlacementPolicy, RoundRobin,
 };
 pub use events::{
-    ClientEvent, LoadMonitor, Observation, SessionObserver, SharedSyncObserver, TraceError,
-    FLEET_DEVICE,
+    ClientEvent, Observation, SessionObserver, SharedSyncObserver, TraceError, FLEET_DEVICE,
 };
 pub use harness::{
     run_solo, Colocation, HarnessConfig, InterceptMode, JobKind, JobSpec, Session, SessionEvent,

@@ -18,21 +18,21 @@
 //! A deliberate design note on sampling: [`Timeline`] does **not**
 //! schedule wake-ups on the cluster's fleet timer wheel. An extra barrier
 //! at each cadence instant would force every session to settle there,
-//! emitting extra [`Observation::EngineSample`]s — which feed
-//! [`LoadMonitor`](crate::events::LoadMonitor) and could therefore perturb
-//! load-aware placement and admission decisions, violating the
+//! emitting extra [`Observation::EngineSample`]s — which feed the
+//! cluster's load signals and the admission policies, and could therefore
+//! perturb load-aware placement and admission decisions, violating the
 //! observers-change-nothing contract. Every observation is already
 //! timestamped, so the sampler closes each fixed-cadence window lazily as
 //! events stream past its boundary; the resulting series is a pure
 //! function of the (deterministic) per-device event stream.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::sync::{Arc, Mutex};
 
-use tally_gpu::{SimSpan, SimTime};
+use tally_gpu::{ClientId, SimSpan, SimTime};
 
-use crate::events::{Observation, SessionObserver, FLEET_DEVICE};
+use crate::events::{DeviceState, Observation, SessionObserver, FLEET_DEVICE};
 
 // ---------------------------------------------------------------------
 // Histogram
@@ -242,32 +242,29 @@ pub struct DeviceMetrics {
     pub migrations_out: u64,
     /// Request latency distribution.
     pub latency: Histogram,
-    outstanding: BTreeSet<u32>,
-    attached: BTreeSet<u32>,
-    busy_thread_ns: u128,
-    thread_slots: u64,
+    state: DeviceState,
 }
 
 impl DeviceMetrics {
     /// Gauge: kernels dispatched and not yet finished, right now.
     pub fn queue_depth(&self) -> usize {
-        self.outstanding.len()
+        self.state.queue_depth()
     }
 
     /// Gauge: clients currently attached.
     pub fn clients_attached(&self) -> usize {
-        self.attached.len()
+        self.state.clients_attached()
     }
 
     /// The engine's cumulative busy-thread integral at the last sample —
     /// divide deltas by `elapsed × thread_slots` for mean occupancy.
     pub fn busy_thread_ns(&self) -> u128 {
-        self.busy_thread_ns
+        self.state.busy_thread_ns()
     }
 
     /// The device's resident-thread capacity (0 until the first sample).
     pub fn thread_slots(&self) -> u64 {
-        self.thread_slots
+        self.state.thread_slots()
     }
 }
 
@@ -340,8 +337,6 @@ pub struct MetricSample {
 pub struct MetricsHub {
     devices: BTreeMap<usize, DeviceMetrics>,
     clients: BTreeMap<String, ClientMetrics>,
-    /// `(device, session-local client id)` → stable client key.
-    names: BTreeMap<(usize, u32), String>,
     migrations: u64,
     migration_bytes: u64,
     migration_stall: SimSpan,
@@ -472,12 +467,14 @@ impl MetricsHub {
         out
     }
 
-    fn client_mut(&mut self, device: usize, id: u32) -> &mut ClientMetrics {
+    /// The metrics of the client `id` names on `device`, keyed by its
+    /// stable key (`client-{id}` while the stream never named it).
+    fn client_mut(&mut self, device: usize, id: ClientId) -> &mut ClientMetrics {
         let key = self
-            .names
-            .get(&(device, id))
-            .cloned()
-            .unwrap_or_else(|| format!("client-{id}"));
+            .devices
+            .get(&device)
+            .and_then(|d| d.state.client(id)?.key.as_deref())
+            .map_or_else(|| format!("client-{}", id.0), str::to_owned);
         self.clients.entry(key).or_default()
     }
 }
@@ -486,86 +483,64 @@ impl SessionObserver for MetricsHub {
     fn on_event(&mut self, _at: SimTime, device: usize, event: &Observation) {
         self.events += 1;
         match event {
-            Observation::ClientAttached {
-                client,
-                key,
-                priority,
-                ..
-            } => {
-                self.names.insert((device, client.0), key.clone());
-                let c = self.clients.entry(key.clone()).or_default();
-                c.high_priority = priority.is_high();
-                let d = self.devices.entry(device).or_default();
-                d.attaches += 1;
-                d.attached.insert(client.0);
-            }
-            Observation::ClientDetached { client, .. } => {
-                let d = self.devices.entry(device).or_default();
-                d.detaches += 1;
-                d.attached.remove(&client.0);
-                d.outstanding.remove(&client.0);
-            }
-            Observation::RequestCompleted {
-                client, latency, ..
-            } => {
-                let d = self.devices.entry(device).or_default();
-                d.requests += 1;
-                d.latency.record(*latency);
-                let c = self.client_mut(device, client.0);
-                c.requests += 1;
-                c.latency.record(*latency);
-            }
-            Observation::RequestShed { client, .. } => {
-                self.devices.entry(device).or_default().shed += 1;
-                self.client_mut(device, client.0).shed += 1;
-            }
-            Observation::RequestDeferred { client, .. } => {
-                self.devices.entry(device).or_default().deferred += 1;
-                self.client_mut(device, client.0).deferred += 1;
-            }
-            Observation::KernelDispatched { client, .. } => {
-                let d = self.devices.entry(device).or_default();
-                d.dispatched += 1;
-                d.outstanding.insert(client.0);
-            }
-            Observation::KernelFinished { client } => {
-                let d = self.devices.entry(device).or_default();
-                d.finished += 1;
-                d.outstanding.remove(&client.0);
-                self.client_mut(device, client.0).kernels += 1;
-            }
-            Observation::EngineSample {
-                busy_thread_ns,
-                total_thread_slots,
-                ..
-            } => {
-                let d = self.devices.entry(device).or_default();
-                d.busy_thread_ns = *busy_thread_ns;
-                d.thread_slots = *total_thread_slots;
+            Observation::Rebalance { .. } => {
+                self.rebalances += 1;
+                return;
             }
             Observation::ClientMigrated {
-                key,
                 from,
                 to,
-                from_client,
-                to_client,
                 bytes,
                 stall,
+                ..
             } => {
                 self.migrations += 1;
                 self.migration_bytes += *bytes;
                 self.migration_stall += *stall;
-                self.names.remove(&(*from, from_client.0));
-                self.names.insert((*to, to_client.0), key.clone());
                 let src = self.devices.entry(*from).or_default();
                 src.migrations_out += 1;
-                src.attached.remove(&from_client.0);
-                src.outstanding.remove(&from_client.0);
+                src.state.apply(*from, event);
                 let dst = self.devices.entry(*to).or_default();
                 dst.migrations_in += 1;
-                dst.attached.insert(to_client.0);
+                dst.state.apply(*to, event);
+                return;
             }
-            Observation::Rebalance { .. } => self.rebalances += 1,
+            _ => {}
+        }
+        let d = self.devices.entry(device).or_default();
+        d.state.apply(device, event);
+        match event {
+            Observation::ClientAttached { key, priority, .. } => {
+                d.attaches += 1;
+                let c = self.clients.entry(key.clone()).or_default();
+                c.high_priority = priority.is_high();
+            }
+            Observation::ClientDetached { .. } => d.detaches += 1,
+            Observation::RequestCompleted {
+                client, latency, ..
+            } => {
+                d.requests += 1;
+                d.latency.record(*latency);
+                let c = self.client_mut(device, *client);
+                c.requests += 1;
+                c.latency.record(*latency);
+            }
+            Observation::RequestShed { client, .. } => {
+                d.shed += 1;
+                self.client_mut(device, *client).shed += 1;
+            }
+            Observation::RequestDeferred { client, .. } => {
+                d.deferred += 1;
+                self.client_mut(device, *client).deferred += 1;
+            }
+            Observation::KernelDispatched { .. } => d.dispatched += 1,
+            Observation::KernelFinished { client } => {
+                d.finished += 1;
+                self.client_mut(device, *client).kernels += 1;
+            }
+            Observation::EngineSample { .. }
+            | Observation::ClientMigrated { .. }
+            | Observation::Rebalance { .. } => {}
         }
     }
 }
@@ -641,9 +616,7 @@ struct DeviceSeries {
     cur: WindowAccum,
     /// Index of the currently open window (`[idx·cadence, (idx+1)·cadence)`).
     cur_idx: u64,
-    outstanding: BTreeSet<u32>,
-    busy_ns: u128,
-    slots: u64,
+    state: DeviceState,
     busy_at_start: u128,
 }
 
@@ -652,11 +625,13 @@ impl DeviceSeries {
         let start = SimTime::from_nanos(self.cur_idx * cadence.as_nanos());
         let len = end.saturating_since(start);
         let accum = std::mem::take(&mut self.cur);
-        let occupancy = if self.slots == 0 || len.is_zero() {
+        let busy_ns = self.state.busy_thread_ns();
+        let slots = self.state.thread_slots();
+        let occupancy = if slots == 0 || len.is_zero() {
             0.0
         } else {
-            let busy = (self.busy_ns - self.busy_at_start) as f64;
-            busy / (len.as_nanos() as f64 * self.slots as f64)
+            let busy = (busy_ns - self.busy_at_start) as f64;
+            busy / (len.as_nanos() as f64 * slots as f64)
         };
         self.windows.push(TimelineWindow {
             start,
@@ -665,14 +640,14 @@ impl DeviceSeries {
             shed: accum.shed,
             deferred: accum.deferred,
             kernels: accum.kernels,
-            queue_depth: self.outstanding.len(),
+            queue_depth: self.state.queue_depth(),
             occupancy,
             p99: accum.latency.p99(),
             mean: accum.latency.mean(),
             migrations_out: accum.migrations_out,
             migration_stall: accum.migration_stall,
         });
-        self.busy_at_start = self.busy_ns;
+        self.busy_at_start = busy_ns;
         self.cur_idx += 1;
     }
 
@@ -902,6 +877,7 @@ impl SessionObserver for Timeline {
         let limit = SimTime::ZERO + self.duration;
         let d = self.devices.entry(device).or_default();
         d.flush_to(self.cadence, at, limit);
+        d.state.apply(device, event);
         match event {
             Observation::RequestCompleted { latency, .. } => {
                 d.cur.requests += 1;
@@ -909,34 +885,17 @@ impl SessionObserver for Timeline {
             }
             Observation::RequestShed { .. } => d.cur.shed += 1,
             Observation::RequestDeferred { .. } => d.cur.deferred += 1,
-            Observation::KernelDispatched { client, .. } => {
-                d.outstanding.insert(client.0);
-            }
-            Observation::KernelFinished { client } => {
-                d.cur.kernels += 1;
-                d.outstanding.remove(&client.0);
-            }
-            Observation::ClientDetached { client, .. } => {
-                d.outstanding.remove(&client.0);
-            }
-            Observation::ClientMigrated {
-                from_client, stall, ..
-            } => {
-                // Delivered stamped with the source device: its in-flight
-                // kernel was preempted and re-issues on the destination.
-                d.outstanding.remove(&from_client.0);
+            Observation::KernelFinished { .. } => d.cur.kernels += 1,
+            // Delivered stamped with the source device.
+            Observation::ClientMigrated { stall, .. } => {
                 d.cur.migrations_out += 1;
                 d.cur.migration_stall += *stall;
             }
-            Observation::EngineSample {
-                busy_thread_ns,
-                total_thread_slots,
-                ..
-            } => {
-                d.busy_ns = *busy_thread_ns;
-                d.slots = *total_thread_slots;
-            }
-            Observation::ClientAttached { .. } | Observation::Rebalance { .. } => {}
+            Observation::ClientAttached { .. }
+            | Observation::ClientDetached { .. }
+            | Observation::KernelDispatched { .. }
+            | Observation::EngineSample { .. }
+            | Observation::Rebalance { .. } => {}
         }
     }
 }
@@ -984,11 +943,10 @@ enum TraceEvent {
 
 #[derive(Debug, Default)]
 struct DeviceTrack {
-    /// Row (thread) names per session-local client id.
-    names: BTreeMap<u32, String>,
+    /// Row (thread) names are the client keys; a kernel span is open
+    /// while the client's kernel is outstanding.
+    state: DeviceState,
     events: Vec<TraceEvent>,
-    /// Open kernel span per client: begin instant.
-    open: BTreeMap<u32, SimTime>,
     /// Async request-span ids, device-local (globally unique as `d{n}-seq`).
     seq: u64,
     /// Latest event instant — the close timestamp for spans still open at
@@ -1001,11 +959,13 @@ impl DeviceTrack {
         self.events.push(ev);
     }
 
-    fn close_open_kernel(&mut self, at: SimTime, client: u32, truncated: bool) {
-        if self.open.remove(&client).is_some() {
+    /// Closes `client`'s kernel span if one is open. Call before the
+    /// event that ends it is applied to `state`.
+    fn close_open_kernel(&mut self, at: SimTime, client: ClientId, truncated: bool) {
+        if self.state.client(client).is_some_and(|c| c.outstanding) {
             self.push(TraceEvent::End {
                 ts: at,
-                tid: client,
+                tid: client.0,
                 truncated,
             });
         }
@@ -1089,26 +1049,30 @@ impl ChromeTraceWriter {
                 meta_name("process_name", pid, None, &format!("device {device}")),
                 &mut out,
             );
-            for (&tid, name) in &track.names {
-                emit(meta_name("thread_name", pid, Some(tid), name), &mut out);
+            for (tid, c) in track.state.clients() {
+                if let Some(name) = &c.key {
+                    emit(meta_name("thread_name", pid, Some(tid.0), name), &mut out);
+                }
             }
             for ev in &track.events {
                 emit(render_event(pid, device, ev), &mut out);
             }
             // Close any kernel span still in flight so every B has an E.
-            for (&client, &_begin) in &track.open {
-                emit(
-                    render_event(
-                        pid,
-                        device,
-                        &TraceEvent::End {
-                            ts: track.last_ts,
-                            tid: client,
-                            truncated: true,
-                        },
-                    ),
-                    &mut out,
-                );
+            for (tid, c) in track.state.clients() {
+                if c.outstanding {
+                    emit(
+                        render_event(
+                            pid,
+                            device,
+                            &TraceEvent::End {
+                                ts: track.last_ts,
+                                tid: tid.0,
+                                truncated: true,
+                            },
+                        ),
+                        &mut out,
+                    );
+                }
             }
         }
         for &(ts, name) in &self.fleet {
@@ -1208,7 +1172,6 @@ impl SessionObserver for ChromeTraceWriter {
                 return;
             }
             Observation::ClientMigrated {
-                key,
                 from,
                 to,
                 from_client,
@@ -1219,7 +1182,8 @@ impl SessionObserver for ChromeTraceWriter {
                 // Stamped with the source device; touches both tracks.
                 let src = self.devices.entry(*from).or_default();
                 src.last_ts = at;
-                src.close_open_kernel(at, from_client.0, true);
+                src.close_open_kernel(at, *from_client, true);
+                src.state.apply(*from, event);
                 src.push(TraceEvent::Instant {
                     ts: at,
                     tid: from_client.0,
@@ -1228,7 +1192,7 @@ impl SessionObserver for ChromeTraceWriter {
                 });
                 let dst = self.devices.entry(*to).or_default();
                 dst.last_ts = dst.last_ts.max(at);
-                dst.names.insert(to_client.0, key.clone());
+                dst.state.apply(*to, event);
                 dst.push(TraceEvent::Instant {
                     ts: at,
                     tid: to_client.0,
@@ -1259,12 +1223,8 @@ impl SessionObserver for ChromeTraceWriter {
         d.last_ts = d.last_ts.max(at);
         match event {
             Observation::ClientAttached {
-                client,
-                key,
-                reattach,
-                ..
+                client, reattach, ..
             } => {
-                d.names.insert(client.0, key.clone());
                 d.push(TraceEvent::Instant {
                     ts: at,
                     tid: client.0,
@@ -1274,7 +1234,7 @@ impl SessionObserver for ChromeTraceWriter {
             }
             Observation::ClientDetached { client, .. } => {
                 // Detach preempts and forgets in-flight work.
-                d.close_open_kernel(at, client.0, true);
+                d.close_open_kernel(at, *client, true);
                 d.push(TraceEvent::Instant {
                     ts: at,
                     tid: client.0,
@@ -1283,8 +1243,7 @@ impl SessionObserver for ChromeTraceWriter {
                 });
             }
             Observation::KernelDispatched { client, kernel } => {
-                d.close_open_kernel(at, client.0, true);
-                d.open.insert(client.0, at);
+                d.close_open_kernel(at, *client, true);
                 d.push(TraceEvent::Begin {
                     ts: at,
                     tid: client.0,
@@ -1292,7 +1251,7 @@ impl SessionObserver for ChromeTraceWriter {
                 });
             }
             Observation::KernelFinished { client } => {
-                d.close_open_kernel(at, client.0, false);
+                d.close_open_kernel(at, *client, false);
             }
             Observation::RequestCompleted {
                 client, arrival, ..
@@ -1326,6 +1285,7 @@ impl SessionObserver for ChromeTraceWriter {
             // Handled above.
             Observation::ClientMigrated { .. } | Observation::Rebalance { .. } => {}
         }
+        d.state.apply(device, event);
     }
 }
 

@@ -64,7 +64,7 @@ pub mod prelude {
         LeastLoaded, LoadAware, PlacementPolicy, RoundRobin,
     };
     pub use tally_core::events::{
-        LoadMonitor, Observation, SessionObserver, SharedSyncObserver, TraceError, FLEET_DEVICE,
+        Observation, SessionObserver, SharedSyncObserver, TraceError, FLEET_DEVICE,
     };
     pub use tally_core::harness::{
         run_solo, ActivityWindow, Colocation, HarnessConfig, InterceptMode, JobKind, JobSpec,

@@ -275,3 +275,37 @@ fn windowed_shed_rates_tile_the_run() {
         0
     );
 }
+
+/// The fleet path agrees too: on the load-aware two-device run, which
+/// migrates, the hub's per-key and per-device counters equal the
+/// cluster report's, and each device's queue-depth gauge equals the one
+/// its last timeline window closed with.
+#[test]
+fn hub_and_timeline_match_the_cluster_report() {
+    let (report, attached) = run_cluster(true);
+    let (timeline, hub) = attached.expect("telemetry attached");
+    let hub = hub.lock().expect("hub");
+    let mut timeline = timeline.lock().expect("timeline");
+    timeline.finish();
+
+    assert!(report.migrations > 0, "the phase-shifted fleet must migrate");
+    assert_eq!(hub.migrations(), report.migrations);
+    for c in &report.clients {
+        let m = hub
+            .client(&c.key)
+            .unwrap_or_else(|| panic!("hub is missing client {:?}", c.key));
+        assert_eq!(m.requests, c.report.requests, "{} requests", c.key);
+        assert_eq!(m.kernels, c.report.kernels, "{} kernels", c.key);
+        assert_eq!(m.shed, c.report.shed, "{} sheds", c.key);
+    }
+    for dev in &report.devices {
+        let m = hub.device(dev.device).expect("device metrics");
+        assert_eq!(m.migrations_in, dev.migrations_in, "device {}", dev.device);
+        assert_eq!(m.migrations_out, dev.migrations_out, "device {}", dev.device);
+        let last = timeline
+            .windows(dev.device)
+            .last()
+            .expect("closed windows");
+        assert_eq!(m.queue_depth(), last.queue_depth, "device {}", dev.device);
+    }
+}
