@@ -92,7 +92,9 @@ pub enum AdmissionVerdict {
 /// feeds it every [`Observation`] the session emits — exactly the
 /// observer stream, before buffering — and consults
 /// [`admit`](AdmissionPolicy::admit) for each best-effort arrival whose
-/// intake instant has come. Policies must be `Send` so a
+/// intake instant has come. In a cluster it also receives, stamped with
+/// its device, every [`Observation::ClientMigrated`] of a client leaving
+/// that device, just as the observers do. Policies must be `Send` so a
 /// [`Cluster`](crate::cluster::Cluster) can build one per device and
 /// advance sessions on worker threads; see
 /// [`Cluster::admission_with`](crate::cluster::Cluster::admission_with).
@@ -351,11 +353,7 @@ impl AdmissionPolicy for SloGuard {
             client, latency, ..
         } = event
         {
-            if self
-                .state
-                .client(*client)
-                .is_some_and(|c| c.priority.is_high())
-            {
+            if self.state.client(*client).is_some_and(|c| c.high_priority) {
                 self.latencies.push_back((at, *latency));
                 let boundary = at - self.window;
                 while self.latencies.front().is_some_and(|&(t, _)| t < boundary) {

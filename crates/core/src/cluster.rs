@@ -1226,8 +1226,9 @@ struct MigrationTallies<'a> {
 /// off. Each candidate's loads carry the projected state-transfer stall
 /// to every device ([`DeviceLoad::transfer`]); a chosen move is charged
 /// that stall on the destination, and moves to topologically unreachable
-/// devices are refused. Every move is announced to the source device's
-/// monitor and to the observers as [`Observation::ClientMigrated`].
+/// devices are refused. Every move is announced as
+/// [`Observation::ClientMigrated`] to the source device's monitor and
+/// admission policy and to the observers.
 /// Returns how many clients moved.
 #[allow(clippy::too_many_arguments)]
 fn rebalance_pass(
@@ -1295,9 +1296,7 @@ fn rebalance_pass(
             bytes: job.state_bytes,
             stall,
         };
-        if let Some(m) = sessions[d].monitor_mut() {
-            m.on_event(now, d, &ev);
-        }
+        sessions[d].observe_migration(now, &ev);
         fleet_emit(observers, now, d, &ev);
     }
     moved

@@ -25,14 +25,11 @@
 //!   shared handles ([`SharedSyncObserver`]) so the caller keeps access to
 //!   whatever the observer accumulated after the run finishes.
 //!
-//! `tally_workloads::trace::TraceRecorder` is the built-in observer that
-//! captures a replayable `ArrivalTrace` from a live run. Inside the crate
-//! one per-device fold of the stream (which clients are attached, their
-//! scheduling class, which kernels are in flight) backs every consumer
-//! that needs it: the cluster's load signals, the
-//! [`SloGuard`](crate::admission::SloGuard) drain gate, and the
-//! [`MetricsHub`](crate::telemetry::MetricsHub) /
-//! [`Timeline`](crate::telemetry::Timeline) gauges.
+//! `tally_workloads::trace::TraceRecorder` captures a replayable
+//! `ArrivalTrace` from a live run. Inside the crate, one per-device fold
+//! of the stream (attached clients, their class, kernels in flight) backs
+//! the cluster's load signals, [`SloGuard`](crate::admission::SloGuard)
+//! and the [`telemetry`](crate::telemetry) gauges.
 
 use std::collections::VecDeque;
 use std::fmt;
@@ -314,12 +311,12 @@ pub trait SessionObserver {
 pub type SharedSyncObserver = Arc<Mutex<dyn SessionObserver + Send>>;
 
 /// One client's record in a [`DeviceState`].
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub(crate) struct ClientRecord {
     /// Stable client key, once an attach or a migrate-in named it.
     pub(crate) key: Option<String>,
     /// Scheduling class; best-effort until an attach says otherwise.
-    pub(crate) priority: Priority,
+    pub(crate) high_priority: bool,
     /// Whether an activity window is open on this device.
     pub(crate) attached: bool,
     /// Whether a dispatched logical kernel has not finished yet.
@@ -353,7 +350,7 @@ impl DeviceState {
             } => {
                 let c = self.record(*client);
                 c.key = Some(key.clone());
-                c.priority = *priority;
+                c.high_priority = priority.is_high();
                 c.attached = true;
             }
             Observation::ClientDetached { client, .. } => {
@@ -389,7 +386,7 @@ impl DeviceState {
                     // Only best-effort clients migrate.
                     let c = self.record(*to_client);
                     c.key = Some(key.clone());
-                    c.priority = Priority::BestEffort;
+                    c.high_priority = false;
                     c.attached = true;
                 }
             }
@@ -403,12 +400,7 @@ impl DeviceState {
     fn record(&mut self, client: ClientId) -> &mut ClientRecord {
         let i = client.0 as usize;
         if i >= self.clients.len() {
-            self.clients.resize_with(i + 1, || ClientRecord {
-                key: None,
-                priority: Priority::BestEffort,
-                attached: false,
-                outstanding: false,
-            });
+            self.clients.resize_with(i + 1, ClientRecord::default);
         }
         &mut self.clients[i]
     }
@@ -417,7 +409,7 @@ impl DeviceState {
         let c = self.record(client);
         if c.outstanding != outstanding {
             c.outstanding = outstanding;
-            let hp = usize::from(c.priority.is_high());
+            let hp = usize::from(c.high_priority);
             if outstanding {
                 self.outstanding += 1;
                 self.hp_outstanding += hp;
@@ -509,22 +501,14 @@ impl LoadMonitor {
             | Observation::KernelFinished { .. }
             | Observation::ClientMigrated { .. } => self.advance(at),
             Observation::EngineSample { busy_thread_ns, .. } => {
-                self.occ_samples.push_back((at, *busy_thread_ns));
-                let boundary = at - self.window;
-                while self.occ_samples.len() > 1 && self.occ_samples[1].0 <= boundary {
-                    self.occ_samples.pop_front();
-                }
+                push_windowed(&mut self.occ_samples, at, *busy_thread_ns, self.window);
             }
             _ => {}
         }
         let hp_before = self.state.hp_outstanding();
         self.state.apply(device, event);
         if self.state.hp_outstanding() != hp_before {
-            self.hp_points.push_back((at, self.hp_integral));
-            let boundary = at - self.window;
-            while self.hp_points.len() > 1 && self.hp_points[1].0 <= boundary {
-                self.hp_points.pop_front();
-            }
+            push_windowed(&mut self.hp_points, at, self.hp_integral, self.window);
         }
     }
 
@@ -545,10 +529,8 @@ impl LoadMonitor {
                 let Some((t0, i0)) = prev else {
                     return pi; // before the first checkpoint: flat history
                 };
+                // `t0 <= t < pt`, so the span is positive.
                 let span = pt.saturating_since(t0).as_secs_f64();
-                if span <= 0.0 {
-                    return pi;
-                }
                 let frac = t.saturating_since(t0).as_secs_f64() / span;
                 return i0 + (pi - i0) * frac;
             }
@@ -563,9 +545,7 @@ impl LoadMonitor {
         }
     }
 
-    /// Kernels dispatched to the device's sharing system and not yet
-    /// finished, right now. Instantaneous queue pressure: every attached
-    /// client contributes at most one logical kernel.
+    /// Kernels dispatched and not yet finished, right now.
     pub(crate) fn queue_depth(&self) -> usize {
         self.state.queue_depth()
     }
@@ -580,15 +560,9 @@ impl LoadMonitor {
         }
         let boundary = now - self.window;
         // Step function: busy at an instant is the last sample at/before it.
-        let busy_at = |t: SimTime| -> u128 {
-            let mut v = 0;
-            for &(st, sb) in &self.occ_samples {
-                if st > t {
-                    break;
-                }
-                v = sb;
-            }
-            v
+        let busy_at = |t: SimTime| {
+            let last = self.occ_samples.iter().take_while(|s| s.0 <= t).last();
+            last.map_or(0, |s| s.1)
         };
         let span = now.saturating_since(boundary).as_secs_f64();
         if span <= 0.0 {
@@ -610,6 +584,17 @@ impl LoadMonitor {
         }
         let delta = self.integral_at(now) - self.integral_at(boundary);
         (delta / span).max(0.0)
+    }
+}
+
+/// Appends `(at, value)` to a time-ordered history and drops what lies
+/// wholly before the `window` ending at `at`, keeping the last entry at
+/// or before its start.
+fn push_windowed<T>(history: &mut VecDeque<(SimTime, T)>, at: SimTime, value: T, window: SimSpan) {
+    history.push_back((at, value));
+    let boundary = at - window;
+    while history.len() > 1 && history[1].0 <= boundary {
+        history.pop_front();
     }
 }
 
@@ -680,11 +665,11 @@ mod tests {
         let c = s.client(ClientId(2)).expect("record");
         assert_eq!(c.key.as_deref(), Some("c2"));
         assert!(c.attached && !c.outstanding);
-        assert_eq!(c.priority, Priority::High);
+        assert!(c.high_priority);
         assert_eq!(s.clients_attached(), 1);
         // Lower ids get placeholder records: unnamed, best-effort, detached.
         let c = s.client(ClientId(0)).expect("placeholder");
-        assert!(c.key.is_none() && c.priority == Priority::BestEffort && !c.attached);
+        assert!(c.key.is_none() && !c.high_priority && !c.attached);
     }
 
     #[test]
@@ -713,20 +698,22 @@ mod tests {
         assert_eq!((s.queue_depth(), s.hp_outstanding()), (0, 0));
         assert_eq!(s.clients_attached(), 0);
         // The class survives the detach for the next window.
-        assert_eq!(c.priority, Priority::High);
+        assert!(c.high_priority);
     }
 
     #[test]
     fn device_state_migrate_out_keeps_key_and_priority_and_clears_the_kernel() {
         let mut s = DeviceState::default();
-        s.apply(0, &attach_ev(3, false));
+        s.apply(0, &attach_ev(3, true));
         s.apply(0, &dispatch_ev(3));
+        assert_eq!(s.hp_outstanding(), 1);
         s.apply(0, &migrate_ev(3, 7));
         let c = s.client(ClientId(3)).expect("record");
         assert_eq!(c.key.as_deref(), Some("c3"));
-        assert_eq!(c.priority, Priority::BestEffort);
+        assert!(c.high_priority);
         assert!(!c.attached && !c.outstanding);
-        assert_eq!((s.queue_depth(), s.clients_attached()), (0, 0));
+        assert_eq!((s.queue_depth(), s.hp_outstanding()), (0, 0));
+        assert_eq!(s.clients_attached(), 0);
         // The source fold never grows a record for the destination id.
         assert!(s.client(ClientId(7)).is_none());
     }
@@ -738,7 +725,7 @@ mod tests {
         let c = s.client(ClientId(1)).expect("record");
         assert_eq!(c.key.as_deref(), Some("c3"));
         assert!(c.attached && !c.outstanding);
-        assert_eq!(c.priority, Priority::BestEffort);
+        assert!(!c.high_priority);
         assert_eq!(s.clients_attached(), 1);
         // The source id means nothing on the destination.
         assert!(s.client(ClientId(3)).is_none());

@@ -1030,17 +1030,22 @@ impl Sinks {
             return;
         }
         let ev = event();
-        if let Some(p) = self.admission.as_deref_mut() {
-            p.on_event(at, self.device, &ev);
-        }
+        self.consume(at, &ev);
         if self.monitor.is_some() || !self.observers.is_empty() {
             self.delivered += 1;
         }
-        if let Some(m) = self.monitor.as_mut() {
-            m.on_event(at, self.device, &ev);
-        }
         if !self.observers.is_empty() {
             self.buf.push((at, ev));
+        }
+    }
+
+    /// Feeds the admission policy, then the monitor.
+    fn consume(&mut self, at: SimTime, ev: &Observation) {
+        if let Some(p) = self.admission.as_deref_mut() {
+            p.on_event(at, self.device, ev);
+        }
+        if let Some(m) = self.monitor.as_mut() {
+            m.on_event(at, self.device, ev);
         }
     }
 
@@ -1173,10 +1178,12 @@ impl<'s> Session<'s> {
         self.sinks.monitor.as_ref()
     }
 
-    /// Mutable access to the installed load monitor, for the observations
-    /// a cluster produces itself (migrations).
-    pub(crate) fn monitor_mut(&mut self) -> Option<&mut LoadMonitor> {
-        self.sinks.monitor.as_mut()
+    /// Hands a migration off this device, which the cluster produces
+    /// itself, to the session's admission policy and load monitor, stamped
+    /// with this session's device index. Observers receive it from the
+    /// cluster.
+    pub(crate) fn observe_migration(&mut self, at: SimTime, event: &Observation) {
+        self.sinks.consume(at, event);
     }
 
     // Clients buffer the request-level detail observations need once

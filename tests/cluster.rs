@@ -574,3 +574,80 @@ fn migration_stall_is_charged_per_path_and_sums_into_reports() {
         );
     }
 }
+
+// ---- admission policies see migrations ----------------------------------
+
+/// One stamped migration: (at, stamped device, key, from, to).
+type StampedMigration = (SimTime, usize, String, usize, usize);
+type MigrationSink = std::sync::Arc<std::sync::Mutex<Vec<StampedMigration>>>;
+
+fn record_migration(sink: &MigrationSink, at: SimTime, device: usize, event: &Observation) {
+    if let Observation::ClientMigrated { key, from, to, .. } = event {
+        sink.lock()
+            .expect("migration sink")
+            .push((at, device, key.clone(), *from, *to));
+    }
+}
+
+/// An admission policy that admits everything and records the
+/// migrations in its stream.
+struct RecordingPolicy(MigrationSink);
+
+impl AdmissionPolicy for RecordingPolicy {
+    fn name(&self) -> &str {
+        "recording"
+    }
+    fn on_event(&mut self, at: SimTime, device: usize, event: &Observation) {
+        record_migration(&self.0, at, device, event);
+    }
+    fn admit(&mut self, _: SimTime, _: ClientId, _: usize) -> AdmissionVerdict {
+        AdmissionVerdict::Admit
+    }
+}
+
+/// An observer recording the migrations in its stream.
+struct RecordingObserver(MigrationSink);
+
+impl SessionObserver for RecordingObserver {
+    fn on_event(&mut self, at: SimTime, device: usize, event: &Observation) {
+        record_migration(&self.0, at, device, event);
+    }
+}
+
+/// Each device's admission policy sees exactly the `ClientMigrated`
+/// events the observers see stamped with that device's index — the
+/// migrations off it — so a policy's view of the device never keeps a
+/// migrated client's preempted kernel in flight.
+#[test]
+fn admission_policies_see_the_migrations_off_their_device() {
+    let spec = GpuSpec::a100();
+    let c = cfg(4, 200);
+    let n = 2;
+    let per_device: Vec<MigrationSink> = (0..n).map(|_| MigrationSink::default()).collect();
+    let observed = MigrationSink::default();
+    let sinks = per_device.clone();
+    let report = Cluster::new()
+        .devices(n, spec.clone())
+        .clients(mixes::phase_shifted(
+            &spec,
+            SimSpan::from_millis(500),
+            c.duration,
+            0.5,
+        ))
+        .rebalance_every(SimSpan::from_millis(250))
+        .policy(LoadAware::default())
+        .admission_with(move |d| Box::new(RecordingPolicy(sinks[d].clone())))
+        .sync_observer(std::sync::Arc::new(std::sync::Mutex::new(
+            RecordingObserver(observed.clone()),
+        )))
+        .config(c)
+        .run();
+    assert!(report.migrations > 0, "LoadAware must migrate here");
+    let observed = observed.lock().expect("observer sink").clone();
+    assert_eq!(observed.len() as u64, report.migrations);
+    for (d, sink) in per_device.iter().enumerate() {
+        let want: Vec<_> = observed.iter().filter(|m| m.1 == d).cloned().collect();
+        assert!(want.iter().all(|m| m.3 == d), "stamped with the source");
+        assert_eq!(*sink.lock().expect("policy sink"), want, "device {d}");
+    }
+}

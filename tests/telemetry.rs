@@ -288,7 +288,10 @@ fn hub_and_timeline_match_the_cluster_report() {
     let mut timeline = timeline.lock().expect("timeline");
     timeline.finish();
 
-    assert!(report.migrations > 0, "the phase-shifted fleet must migrate");
+    assert!(
+        report.migrations > 0,
+        "the phase-shifted fleet must migrate"
+    );
     assert_eq!(hub.migrations(), report.migrations);
     for c in &report.clients {
         let m = hub
@@ -301,11 +304,12 @@ fn hub_and_timeline_match_the_cluster_report() {
     for dev in &report.devices {
         let m = hub.device(dev.device).expect("device metrics");
         assert_eq!(m.migrations_in, dev.migrations_in, "device {}", dev.device);
-        assert_eq!(m.migrations_out, dev.migrations_out, "device {}", dev.device);
-        let last = timeline
-            .windows(dev.device)
-            .last()
-            .expect("closed windows");
+        assert_eq!(
+            m.migrations_out, dev.migrations_out,
+            "device {}",
+            dev.device
+        );
+        let last = timeline.windows(dev.device).last().expect("closed windows");
         assert_eq!(m.queue_depth(), last.queue_depth, "device {}", dev.device);
     }
 }
