@@ -435,11 +435,6 @@ impl DeviceState {
         self.outstanding
     }
 
-    /// Outstanding kernels of high-priority clients.
-    pub(crate) fn hp_outstanding(&self) -> usize {
-        self.hp_outstanding
-    }
-
     /// Clients currently attached.
     pub(crate) fn clients_attached(&self) -> usize {
         self.clients.iter().filter(|c| c.attached).count()
@@ -505,16 +500,16 @@ impl LoadMonitor {
             }
             _ => {}
         }
-        let hp_before = self.state.hp_outstanding();
+        let hp_before = self.state.hp_outstanding;
         self.state.apply(device, event);
-        if self.state.hp_outstanding() != hp_before {
+        if self.state.hp_outstanding != hp_before {
             push_windowed(&mut self.hp_points, at, self.hp_integral, self.window);
         }
     }
 
     fn advance(&mut self, at: SimTime) {
         if at > self.last_update {
-            self.hp_integral += self.state.hp_outstanding() as f64
+            self.hp_integral += self.state.hp_outstanding as f64
                 * at.saturating_since(self.last_update).as_secs_f64();
             self.last_update = at;
         }
@@ -539,7 +534,7 @@ impl LoadMonitor {
         match prev {
             // After the last checkpoint the slope is the current count.
             Some((t0, i0)) => {
-                i0 + self.state.hp_outstanding() as f64 * t.saturating_since(t0).as_secs_f64()
+                i0 + self.state.hp_outstanding as f64 * t.saturating_since(t0).as_secs_f64()
             }
             None => 0.0,
         }
@@ -681,9 +676,9 @@ mod tests {
         s.apply(0, &dispatch_ev(1));
         // A second dispatch before the finish adds nothing.
         s.apply(0, &dispatch_ev(1));
-        assert_eq!((s.queue_depth(), s.hp_outstanding()), (2, 1));
+        assert_eq!((s.queue_depth(), s.hp_outstanding), (2, 1));
         s.apply(0, &finish_ev(0));
-        assert_eq!((s.queue_depth(), s.hp_outstanding()), (1, 0));
+        assert_eq!((s.queue_depth(), s.hp_outstanding), (1, 0));
         assert!(s.client(ClientId(1)).expect("record").outstanding);
     }
 
@@ -695,7 +690,7 @@ mod tests {
         s.apply(0, &detach_ev(0));
         let c = s.client(ClientId(0)).expect("record");
         assert!(!c.attached && !c.outstanding);
-        assert_eq!((s.queue_depth(), s.hp_outstanding()), (0, 0));
+        assert_eq!((s.queue_depth(), s.hp_outstanding), (0, 0));
         assert_eq!(s.clients_attached(), 0);
         // The class survives the detach for the next window.
         assert!(c.high_priority);
@@ -706,13 +701,13 @@ mod tests {
         let mut s = DeviceState::default();
         s.apply(0, &attach_ev(3, true));
         s.apply(0, &dispatch_ev(3));
-        assert_eq!(s.hp_outstanding(), 1);
+        assert_eq!(s.hp_outstanding, 1);
         s.apply(0, &migrate_ev(3, 7));
         let c = s.client(ClientId(3)).expect("record");
         assert_eq!(c.key.as_deref(), Some("c3"));
         assert!(c.high_priority);
         assert!(!c.attached && !c.outstanding);
-        assert_eq!((s.queue_depth(), s.hp_outstanding()), (0, 0));
+        assert_eq!((s.queue_depth(), s.hp_outstanding), (0, 0));
         assert_eq!(s.clients_attached(), 0);
         // The source fold never grows a record for the destination id.
         assert!(s.client(ClientId(7)).is_none());

@@ -837,9 +837,9 @@ impl<'s> Colocation<'s> {
     }
 
     /// Registers an observer for the session's typed event stream (see
-    /// [`SessionObserver`](crate::events::SessionObserver)): lifecycle edges, request completions, kernel
-    /// dispatch/finish, and engine counter samples, delivered at the end
-    /// of every settle. The handle
+    /// [`SessionObserver`](crate::events::SessionObserver)): lifecycle
+    /// edges, request completions, kernel dispatch/finish, and engine
+    /// counter samples, delivered at the end of every settle. The handle
     /// is shared ([`SharedSyncObserver`]) — keep a clone to read the
     /// observer's state back after [`Colocation::run`]. May be called
     /// several times; observers are notified in registration order.
