@@ -28,9 +28,7 @@
 //! * the next periodic rebalance tick ([`Cluster::rebalance_every`]);
 //! * the next client departure anywhere in the fleet, *when*
 //!   [`Cluster::migrate_on_detach`] is on (a departure triggers a
-//!   migration pass) — forecast by a fleet-level
-//!   [`TimerWheel`] that re-scans a device
-//!   only when its client lifecycle actually changed;
+//!   migration pass);
 //! * the end of the run.
 //!
 //! Between barriers the sessions are advanced concurrently on a scoped
@@ -99,7 +97,6 @@ use crate::harness::{
 };
 use crate::metrics::{ClientReport, HostStats, LatencyRecorder};
 use crate::system::{Passthrough, SharingSystem};
-use crate::timewheel::{TimerId, TimerWheel};
 use crate::topology::Topology;
 
 /// Load snapshot of one device, handed to [`PlacementPolicy`] decisions.
@@ -120,7 +117,10 @@ pub struct DeviceLoad {
     /// The device's hardware description (lets policies evaluate
     /// [`job_demand`] against heterogeneous GPUs).
     pub spec: GpuSpec,
-    /// Clients currently resident (attached and not departed).
+    /// Clients counted toward this snapshot. A rebalance pass counts the
+    /// attached clients; a trace injection also counts clients admitted at
+    /// that instant that attach in the next settle; up-front placement
+    /// counts every client placed so far.
     pub clients: usize,
     /// Resident high-priority clients.
     pub high_priority: usize,
@@ -690,10 +690,11 @@ impl Cluster {
     }
 
     /// Worker threads for advancing sessions between barriers (default:
-    /// the host's available parallelism). `1` runs the historical
-    /// single-threaded drive. The report is byte-identical for every
-    /// value — see the [module docs](self) on the barrier loop — so this
-    /// only trades host wall-clock for cores.
+    /// the host's available parallelism), capped at the device count
+    /// ([`HostStats::threads`] records the count used). `1` runs the
+    /// historical single-threaded drive. The report is byte-identical for
+    /// every value — see the [module docs](self) on the barrier loop — so
+    /// this only trades host wall-clock for cores.
     ///
     /// # Panics
     ///
@@ -738,9 +739,13 @@ impl Cluster {
             "topology spans {} devices but the fleet has {n}",
             topology.devices()
         );
-        let threads = threads.unwrap_or_else(|| {
-            std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
-        });
+        // More workers than sessions would idle, so the pool never exceeds
+        // the fleet.
+        let threads = threads
+            .unwrap_or_else(|| {
+                std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
+            })
+            .min(n);
 
         // Give every explicitly added client a stable key (jobs may repeat
         // a name); trace clients carry their event key.
@@ -762,29 +767,26 @@ impl Cluster {
                 );
             }
         }
+        let mut clients: Vec<FleetClient> = jobs.into_iter().map(FleetClient::new).collect();
 
         // Up-front placement of the explicitly added jobs, one at a time
-        // against the loads so far. `locations` maps fleet client ->
-        // (device, session-local slot) and is maintained across migrations;
-        // trace clients get theirs when they are injected at first arrival.
+        // against the loads so far; trace clients are placed when they are
+        // injected at first arrival.
         let mut placed_jobs: Vec<Vec<JobSpec>> = vec![Vec::new(); n];
-        let mut placements: Vec<Option<usize>> = vec![None; jobs.len()];
-        let mut locations: Vec<Option<(usize, usize)>> = vec![None; jobs.len()];
-        for (k, job) in jobs.iter().enumerate().take(upfront) {
+        for client in clients.iter_mut().take(upfront) {
             let loads: Vec<DeviceLoad> = devices
                 .iter()
                 .enumerate()
                 .map(|(d, spec)| load_of(d, spec, placed_jobs[d].iter()))
                 .collect();
-            let d = policy.place(job, &loads);
+            let d = policy.place(&client.job, &loads);
             assert!(d < n, "policy `{}` placed on device {d}/{n}", policy.name());
-            placements[k] = Some(d);
-            locations[k] = Some((d, placed_jobs[d].len()));
-            placed_jobs[d].push(job.clone());
+            client.place(d, placed_jobs[d].len());
+            placed_jobs[d].push(client.job.clone());
         }
         // Trace clients await injection in first-arrival order (the order
         // `compile_trace` emits).
-        let mut pending: std::collections::VecDeque<usize> = (upfront..jobs.len()).collect();
+        let mut pending: std::collections::VecDeque<usize> = (upfront..clients.len()).collect();
 
         // One session per device, seeds staggered by device index, every
         // observer attached to every session under its device index. Each
@@ -817,29 +819,13 @@ impl Cluster {
         let end = SimTime::ZERO + cfg.duration;
         let mut last_departures = vec![0u64; n];
         let mut next_rebalance = rebalance_every.map(|p| SimTime::ZERO + p);
-        let mut migrations: u64 = 0;
-        let mut migration_bytes: u64 = 0;
-        let mut migration_stall = SimSpan::ZERO;
-        let mut per_client_migrations = vec![0u32; jobs.len()];
-        let mut per_client_stall = vec![SimSpan::ZERO; jobs.len()];
-        let mut migrations_in = vec![0u64; n];
-        let mut migrations_out = vec![0u64; n];
+        // Each device's next departure, rescanned only when its lifecycle
+        // epoch changed (see `HostStats::departure_scans`).
+        let mut next_departures: Vec<(Option<u64>, SimTime)> = vec![(None, SimTime::MAX); n];
         let mut host = HostStats {
             threads,
             ..HostStats::default()
         };
-        // Fleet-level wake forecast, all in one wheel: one departure timer
-        // per device holding its session's next window-close (recomputed
-        // only when its lifecycle epoch changed, so idle devices are never
-        // re-scanned — see `HostStats::departure_scans`), plus the next
-        // rebalance tick and the next pending-trace-client injection. The
-        // barrier is then `end.min(wheel.peek())` instead of re-min-folding
-        // every source on every iteration.
-        let mut fleet_wheel: TimerWheel<FleetWake> = TimerWheel::new();
-        let mut dep_timers: Vec<Option<TimerId>> = vec![None; n];
-        let mut dep_epochs: Vec<Option<u64>> = vec![None; n];
-        let mut reb_timer: Option<(SimTime, TimerId)> = None;
-        let mut inj_timer: Option<(SimTime, TimerId)> = None;
 
         // Barrier drive: inject trace clients whose first arrival is due,
         // settle everyone, migrate if triggered — all in device-index
@@ -848,7 +834,7 @@ impl Cluster {
         loop {
             let now = sessions[0].now();
             while let Some(&k) = pending.front() {
-                if jobs[k].first_active() > now {
+                if clients[k].job.first_active() > now {
                     break;
                 }
                 pending.pop_front();
@@ -856,11 +842,8 @@ impl Cluster {
                     policy.as_mut(),
                     &devices,
                     &mut sessions,
-                    &jobs,
-                    k,
+                    &mut clients[k],
                     now,
-                    &mut placements,
-                    &mut locations,
                 );
             }
             for s in sessions.iter_mut() {
@@ -891,19 +874,9 @@ impl Cluster {
                     &devices,
                     &topology,
                     &mut sessions,
-                    &mut locations,
-                    &jobs,
+                    &mut clients,
                     now,
                     &sync_observers,
-                    &mut MigrationTallies {
-                        per_client_migrations: &mut per_client_migrations,
-                        per_client_stall: &mut per_client_stall,
-                        migrations_in: &mut migrations_in,
-                        migrations_out: &mut migrations_out,
-                        migrations: &mut migrations,
-                        migration_bytes: &mut migration_bytes,
-                        migration_stall: &mut migration_stall,
-                    },
                 );
                 fleet_emit(
                     &sync_observers,
@@ -922,57 +895,31 @@ impl Cluster {
                 break;
             }
 
-            // The next interaction point. Session-local wake-ups (kernel
-            // finishes, arrivals, window edges) deliberately do NOT bound
-            // it — each worker handles its own between barriers. Fired
-            // timers clear their registration slot so the re-registration
-            // checks below see them as gone.
-            for (_, wake) in fleet_wheel.advance_to(now) {
-                match wake {
-                    FleetWake::Departure(d) => dep_timers[d] = None,
-                    FleetWake::Rebalance => reb_timer = None,
-                    FleetWake::Inject => inj_timer = None,
-                }
+            // The next interaction point: every term lies after `now`.
+            // Session-local wake-ups (kernel finishes, arrivals, window
+            // edges) deliberately do NOT bound it — each worker handles
+            // its own between barriers.
+            let mut barrier = end;
+            if let Some(t) = next_rebalance {
+                barrier = barrier.min(t);
+            }
+            if let Some(&k) = pending.front() {
+                barrier = barrier.min(clients[k].job.first_active());
             }
             if migrate_on_detach {
                 // Departures trigger migration passes, so the next one
-                // anywhere in the fleet is an interaction point. Refresh
-                // only the devices whose lifecycle changed.
+                // anywhere in the fleet is an interaction point. A cached
+                // departure at or before `now` has already happened.
                 for (d, s) in sessions.iter().enumerate() {
                     let epoch = Some(s.lifecycle_epoch());
-                    if dep_epochs[d] == epoch {
-                        continue;
+                    if next_departures[d].0 != epoch {
+                        next_departures[d] = (epoch, s.next_departure());
                     }
-                    dep_epochs[d] = epoch;
-                    if let Some(tid) = dep_timers[d].take() {
-                        fleet_wheel.cancel(tid);
-                    }
-                    let at = s.next_departure();
-                    if at < SimTime::MAX {
-                        dep_timers[d] = Some(fleet_wheel.insert(at, FleetWake::Departure(d)));
+                    let at = next_departures[d].1;
+                    if at > now {
+                        barrier = barrier.min(at);
                     }
                 }
-            }
-            if reb_timer.map(|(t, _)| t) != next_rebalance {
-                if let Some((_, tid)) = reb_timer.take() {
-                    fleet_wheel.cancel(tid);
-                }
-                if let Some(t) = next_rebalance {
-                    reb_timer = Some((t, fleet_wheel.insert(t, FleetWake::Rebalance)));
-                }
-            }
-            let next_injection = pending.front().map(|&k| jobs[k].first_active());
-            if inj_timer.map(|(t, _)| t) != next_injection {
-                if let Some((_, tid)) = inj_timer.take() {
-                    fleet_wheel.cancel(tid);
-                }
-                if let Some(t) = next_injection {
-                    inj_timer = Some((t, fleet_wheel.insert(t, FleetWake::Inject)));
-                }
-            }
-            let mut barrier = end;
-            if let Some(t) = fleet_wheel.peek() {
-                barrier = barrier.min(t);
             }
             debug_assert!(
                 barrier > now || barrier >= end,
@@ -997,26 +944,28 @@ impl Cluster {
                 policy.as_mut(),
                 &devices,
                 &mut sessions,
-                &jobs,
-                k,
+                &mut clients[k],
                 final_now,
-                &mut placements,
-                &mut locations,
             );
         }
 
         // Collect: per-client reports from wherever each client ended up.
-        let clients: Vec<ClusterClientReport> = jobs
+        let migrations = clients.iter().map(|c| u64::from(c.migrations)).sum();
+        let migration_bytes = clients
             .iter()
-            .enumerate()
-            .map(|(k, job)| {
-                let (d, slot) = locations[k].expect("every client placed by run end");
+            .map(|c| u64::from(c.migrations) * c.job.state_bytes)
+            .sum();
+        let migration_stall = clients.iter().map(|c| c.stall).sum();
+        let clients: Vec<ClusterClientReport> = clients
+            .into_iter()
+            .map(|c| {
+                let (d, slot) = c.location.expect("every client placed by run end");
                 ClusterClientReport {
-                    key: job.key().to_string(),
-                    initial_device: placements[k].expect("every client placed by run end"),
+                    key: c.job.key().to_string(),
+                    initial_device: c.initial_device,
                     device: d,
-                    migrations: per_client_migrations[k],
-                    migration_stall: per_client_stall[k],
+                    migrations: c.migrations,
+                    migration_stall: c.stall,
                     report: sessions[d].client_report_at(slot),
                 }
             })
@@ -1035,13 +984,14 @@ impl Cluster {
                         }
                     }
                 }
+                let (migrations_in, migrations_out) = s.migrations();
                 DeviceReport {
                     device: d,
                     system: s.system_name().to_string(),
-                    placed: placements.iter().filter(|&&p| p == Some(d)).count() as u64,
+                    placed: clients.iter().filter(|c| c.initial_device == d).count() as u64,
                     residents: residents.len(),
-                    migrations_in: migrations_in[d],
-                    migrations_out: migrations_out[d],
+                    migrations_in,
+                    migrations_out,
                     throughput: residents.iter().map(|c| c.report.throughput).sum(),
                     p99: pooled.p99(),
                 }
@@ -1075,16 +1025,16 @@ fn host_now() -> std::time::Instant {
     std::time::Instant::now()
 }
 
-/// Advances every session to `barrier` on up to `threads` scoped worker
-/// threads. Workers pull sessions off a shared queue — sessions are
-/// independent between barriers, so assignment order cannot influence
-/// results — and hold their observations until every worker is done,
-/// when they are delivered in device order. `threads == 1` short-circuits
-/// to a plain in-order loop that delivers at the end of every settle
-/// (bit-for-bit the historical single-threaded drive, in the same order).
+/// Advances every session to `barrier` on `threads` (at most one per
+/// session) scoped worker threads. Workers pull sessions off a shared
+/// queue — sessions are independent between barriers, so assignment order
+/// cannot influence results — and hold their observations until every
+/// worker is done, when they are delivered in device order.
+/// `threads == 1` short-circuits to a plain in-order loop that delivers at
+/// the end of every settle (bit-for-bit the historical single-threaded
+/// drive, in the same order).
 fn advance_fleet(sessions: &mut [Session<'static>], barrier: SimTime, threads: usize) {
-    let workers = threads.min(sessions.len());
-    if workers <= 1 {
+    if threads <= 1 {
         for s in sessions.iter_mut() {
             s.run_until(barrier, false);
         }
@@ -1092,7 +1042,7 @@ fn advance_fleet(sessions: &mut [Session<'static>], barrier: SimTime, threads: u
     }
     let queue = Mutex::new(sessions.iter_mut());
     std::thread::scope(|scope| {
-        for _ in 0..workers {
+        for _ in 0..threads {
             scope.spawn(|| loop {
                 let session = queue.lock().expect("queue lock").next();
                 match session {
@@ -1105,18 +1055,6 @@ fn advance_fleet(sessions: &mut [Session<'static>], barrier: SimTime, threads: u
     for s in sessions.iter_mut() {
         s.deliver_events();
     }
-}
-
-/// Payload of a fleet-level wake timer: which registration slot the
-/// fired timer should clear so the barrier loop re-registers it.
-#[derive(Clone, Copy)]
-enum FleetWake {
-    /// Device's next client departure (window close).
-    Departure(usize),
-    /// The next periodic rebalance tick.
-    Rebalance,
-    /// The next pending trace client's first arrival.
-    Inject,
 }
 
 /// Delivers a fleet-level observation (stamped `device`) to the user
@@ -1175,48 +1113,31 @@ fn fill_runtime_signals(load: &mut DeviceLoad, session: &Session<'_>, now: SimTi
 /// the clients live right now (plus any admitted this same instant), asks
 /// the policy, and admits the job into the chosen session. The session's
 /// normal lifecycle attaches it when its first window opens.
-#[allow(clippy::too_many_arguments)]
 fn place_pending(
     policy: &mut dyn PlacementPolicy,
     devices: &[GpuSpec],
     sessions: &mut [Session<'static>],
-    jobs: &[JobSpec],
-    k: usize,
+    client: &mut FleetClient,
     now: SimTime,
-    placements: &mut [Option<usize>],
-    locations: &mut [Option<(usize, usize)>],
 ) {
     let loads: Vec<DeviceLoad> = devices
         .iter()
         .enumerate()
         .map(|(dev, spec)| {
-            let mut load = load_of(dev, spec, loadable_specs(&sessions[dev], now));
+            let mut load = load_of(dev, spec, sessions[dev].loadable_specs(now));
             fill_runtime_signals(&mut load, &sessions[dev], now);
             load
         })
         .collect();
-    let d = policy.place(&jobs[k], &loads);
+    let d = policy.place(&client.job, &loads);
     assert!(
         d < sessions.len(),
         "policy `{}` placed on device {d}/{}",
         policy.name(),
         sessions.len()
     );
-    let slot = sessions[d].admit_job(jobs[k].clone());
-    placements[k] = Some(d);
-    locations[k] = Some((d, slot.0 as usize));
-}
-
-/// The migration counters a [`rebalance_pass`] accumulates into,
-/// bundled so the pass signature stays readable.
-struct MigrationTallies<'a> {
-    per_client_migrations: &'a mut [u32],
-    per_client_stall: &'a mut [SimSpan],
-    migrations_in: &'a mut [u64],
-    migrations_out: &'a mut [u64],
-    migrations: &'a mut u64,
-    migration_bytes: &'a mut u64,
-    migration_stall: &'a mut SimSpan,
+    let slot = sessions[d].admit_job(client.job.clone());
+    client.place(d, slot.0 as usize);
 }
 
 /// One migration pass: offer the policy every active best-effort client,
@@ -1230,38 +1151,35 @@ struct MigrationTallies<'a> {
 /// [`Observation::ClientMigrated`] to the source device's monitor and
 /// admission policy and to the observers.
 /// Returns how many clients moved.
-#[allow(clippy::too_many_arguments)]
 fn rebalance_pass(
     policy: &mut dyn PlacementPolicy,
     devices: &[GpuSpec],
     topology: &Topology,
     sessions: &mut [Session<'static>],
-    locations: &mut [Option<(usize, usize)>],
-    jobs: &[JobSpec],
+    clients: &mut [FleetClient],
     now: SimTime,
     observers: &[SharedSyncObserver],
-    tallies: &mut MigrationTallies<'_>,
 ) -> u64 {
     let mut moved = 0;
-    for k in 0..jobs.len() {
-        let Some((d, slot)) = locations[k] else {
+    for client in clients.iter_mut() {
+        let Some((d, slot)) = client.location else {
             continue; // trace client not injected yet
         };
-        if jobs[k].priority.is_high() || !sessions[d].client_active(slot) {
+        let job = &client.job;
+        if job.priority.is_high() || !sessions[d].client_active(slot) {
             continue;
         }
-        let job = sessions[d].client_spec(slot).clone();
         let loads: Vec<DeviceLoad> = devices
             .iter()
             .enumerate()
             .map(|(dev, spec)| {
-                let mut load = load_of(dev, spec, active_specs(&sessions[dev]));
+                let mut load = load_of(dev, spec, sessions[dev].active_specs());
                 fill_runtime_signals(&mut load, &sessions[dev], now);
                 load.transfer = topology.transfer_time(job.state_bytes, d, dev);
                 load
             })
             .collect();
-        let Some(target) = policy.migrate(&job, d, &loads) else {
+        let Some(target) = policy.migrate(job, d, &loads) else {
             continue;
         };
         assert!(
@@ -1276,19 +1194,10 @@ fn rebalance_pass(
         let Some(stall) = topology.transfer_time(job.state_bytes, d, target) else {
             continue; // no interconnect path — the move is refused
         };
-        let (meta, client) = sessions[d].extract_client(slot);
-        let new_id = sessions[target].inject_client(meta, client, stall);
-        locations[k] = Some((target, new_id.0 as usize));
-        tallies.per_client_migrations[k] += 1;
-        tallies.per_client_stall[k] += stall;
-        tallies.migrations_out[d] += 1;
-        tallies.migrations_in[target] += 1;
-        *tallies.migrations += 1;
-        *tallies.migration_bytes += job.state_bytes;
-        *tallies.migration_stall += stall;
-        moved += 1;
+        let (meta, state) = sessions[d].extract_client(slot);
+        let new_id = sessions[target].inject_client(meta, state, stall);
         let ev = Observation::ClientMigrated {
-            key: jobs[k].key().to_string(),
+            key: job.key().to_string(),
             from: d,
             to: target,
             from_client: tally_gpu::ClientId(slot as u32),
@@ -1296,31 +1205,46 @@ fn rebalance_pass(
             bytes: job.state_bytes,
             stall,
         };
+        client.location = Some((target, new_id.0 as usize));
+        client.migrations += 1;
+        client.stall += stall;
+        moved += 1;
         sessions[d].observe_migration(now, &ev);
         fleet_emit(observers, now, d, &ev);
     }
     moved
 }
 
-/// The specs of a session's currently active clients.
-fn active_specs<'a, 's>(
-    session: &'a Session<'s>,
-) -> impl Iterator<Item = &'a JobSpec> + use<'a, 's> {
-    (0..session.client_len())
-        .filter(move |&i| !session.client_is_tombstone(i) && session.client_active(i))
-        .map(move |i| session.client_spec(i))
+/// One fleet client as the drive loop tracks it: its spec, where the
+/// policy first placed it, where it lives now, and what its migrations
+/// cost it.
+struct FleetClient {
+    job: JobSpec,
+    initial_device: usize,
+    /// `(device, session-local slot)`; `None` until a trace client is
+    /// injected at its first arrival.
+    location: Option<(usize, usize)>,
+    migrations: u32,
+    stall: SimSpan,
 }
 
-/// The specs counting toward placement load at `now`: active clients plus
-/// those admitted this instant that have not settled into attachment yet
-/// (so a burst of same-instant arrivals sees its earlier siblings).
-fn loadable_specs<'a, 's>(
-    session: &'a Session<'s>,
-    now: SimTime,
-) -> impl Iterator<Item = &'a JobSpec> + use<'a, 's> {
-    (0..session.client_len())
-        .filter(move |&i| !session.client_is_tombstone(i) && session.client_loadable(i, now))
-        .map(move |i| session.client_spec(i))
+impl FleetClient {
+    fn new(job: JobSpec) -> Self {
+        FleetClient {
+            job,
+            initial_device: 0,
+            location: None,
+            migrations: 0,
+            stall: SimSpan::ZERO,
+        }
+    }
+
+    /// Records the policy's placement of the client into `slot` on
+    /// `device`.
+    fn place(&mut self, device: usize, slot: usize) {
+        self.initial_device = device;
+        self.location = Some((device, slot));
+    }
 }
 
 /// Outcome of one cluster run.
@@ -1683,6 +1607,18 @@ mod tests {
         assert_eq!(residents, 3);
         let per_client: u64 = report.clients.iter().map(|c| c.migrations as u64).sum();
         assert_eq!(per_client, report.migrations);
+    }
+
+    #[test]
+    fn host_stats_record_the_workers_actually_used() {
+        // Only one worker per device ever runs, whatever pool was asked for.
+        let report = Cluster::new()
+            .devices(2, GpuSpec::tiny())
+            .client(trainer("a", 1000, 0))
+            .threads(4)
+            .config(cfg(1))
+            .run();
+        assert_eq!(report.host.threads, 2);
     }
 
     #[test]

@@ -974,6 +974,9 @@ pub struct Session<'s> {
     // Window-close detaches seen so far (migrations excluded) — lets an
     // external driver notice departures and react (e.g. rebalance).
     departures: u64,
+    // Cross-device migrations into and out of this session.
+    migrations_in: u64,
+    migrations_out: u64,
     // Observation plumbing: the consumers of the event stream, and the
     // instant of the last engine counter sample.
     sinks: Sinks,
@@ -1133,6 +1136,8 @@ impl<'s> Session<'s> {
             pending_completions: Vec::new(),
             in_transit: Vec::new(),
             departures: 0,
+            migrations_in: 0,
+            migrations_out: 0,
             sinks: Sinks::default(),
             last_sample: None,
             wheel: TimerWheel::new(),
@@ -1649,10 +1654,6 @@ impl<'s> Session<'s> {
         self.lifecycle_epoch
     }
 
-    pub(crate) fn client_len(&self) -> usize {
-        self.clients.len()
-    }
-
     /// Currently attached. A client sitting in the gap between two
     /// scheduled windows (detached-by-schedule) reports inactive, which
     /// keeps it out of migration candidate sets and load snapshots.
@@ -1660,20 +1661,27 @@ impl<'s> Session<'s> {
         self.clients[i].attached
     }
 
-    /// Whether client `i` counts toward a placement-load snapshot taken at
-    /// `now`: attached, or admitted with a window opening at this instant
-    /// (it will attach in the next settle).
-    pub(crate) fn client_loadable(&self, i: usize, now: SimTime) -> bool {
-        let c = &self.clients[i];
-        !c.migrated_away && (c.attached || c.window().is_some_and(|w| w.from <= now))
+    /// The specs of the attached clients, in client order. A migration
+    /// tombstone is never attached.
+    pub(crate) fn active_specs(&self) -> impl Iterator<Item = &JobSpec> + '_ {
+        self.clients.iter().filter(|c| c.attached).map(|c| &c.spec)
     }
 
-    pub(crate) fn client_spec(&self, i: usize) -> &JobSpec {
-        &self.clients[i].spec
+    /// The specs counting toward a placement-load snapshot taken at `now`,
+    /// in client order: attached clients, plus those admitted with a window
+    /// opening at this instant (they attach in the next settle).
+    pub(crate) fn loadable_specs(&self, now: SimTime) -> impl Iterator<Item = &JobSpec> + '_ {
+        self.clients
+            .iter()
+            .filter(move |c| {
+                !c.migrated_away && (c.attached || c.window().is_some_and(|w| w.from <= now))
+            })
+            .map(|c| &c.spec)
     }
 
-    pub(crate) fn client_is_tombstone(&self, i: usize) -> bool {
-        self.clients[i].migrated_away
+    /// Migrations `(into, out of)` this session so far.
+    pub(crate) fn migrations(&self) -> (u64, u64) {
+        (self.migrations_in, self.migrations_out)
     }
 
     pub(crate) fn client_report_at(&self, i: usize) -> ClientReport {
@@ -1720,6 +1728,7 @@ impl<'s> Session<'s> {
         }
         client.timer_dirty = false;
         self.lifecycle_epoch += 1;
+        self.migrations_out += 1;
         // The kernel that was in flight (if any) was preempted with the
         // detach; the client re-issues it on the destination device.
         client.waiting_kernel = false;
@@ -1774,6 +1783,7 @@ impl<'s> Session<'s> {
         client.observe = self.sinks.active();
         self.clients.push(client);
         self.lifecycle_epoch += 1;
+        self.migrations_in += 1;
         self.sync_client_timers(id.0 as usize);
         id
     }

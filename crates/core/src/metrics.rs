@@ -337,7 +337,8 @@ impl RunReport {
 /// fingerprint across thread counts and hosts.
 #[derive(Clone, Debug, Default)]
 pub struct HostStats {
-    /// Worker threads used for device advancement.
+    /// Worker threads used for device advancement: the requested pool
+    /// size, capped at the device count.
     pub threads: usize,
     /// Barriers executed by the cluster drive loop.
     pub barriers: u64,
@@ -351,9 +352,9 @@ pub struct HostStats {
     /// Engine→system notifications delivered, fleet-wide (deterministic).
     pub notifications: u64,
     /// Linear next-departure scans performed, fleet-wide (deterministic).
-    /// The fleet wheel re-scans a device only when its client lifecycle
-    /// changed, so this stays near O(devices + lifecycle edges) instead
-    /// of O(barriers × devices).
+    /// The cluster caches each device's next departure and re-scans only
+    /// when the device's client lifecycle changed, so this stays near
+    /// O(devices + lifecycle edges) instead of O(barriers × devices).
     pub departure_scans: u64,
 }
 

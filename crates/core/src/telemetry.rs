@@ -15,8 +15,8 @@
 //! count, so every query-time result and every export is byte-identical
 //! for any number of worker threads.
 //!
-//! A deliberate design note on sampling: [`Timeline`] does **not**
-//! schedule wake-ups on the cluster's fleet timer wheel. An extra barrier
+//! A deliberate design note on sampling: [`Timeline`] does **not** add
+//! its cadence instants to the cluster's barriers. An extra barrier
 //! at each cadence instant would force every session to settle there,
 //! emitting extra [`Observation::EngineSample`]s — which feed the
 //! cluster's load signals and the admission policies, and could therefore
@@ -671,7 +671,7 @@ impl DeviceSeries {
 ///
 /// Windows are `[k·cadence, (k+1)·cadence)` and close lazily as
 /// timestamped events stream past each boundary (see the module docs for
-/// why no fleet-wheel wake-up is scheduled); the export is a pure
+/// why no cluster barrier is scheduled); the export is a pure
 /// function of the per-device event stream, hence byte-identical for
 /// every cluster thread count.
 ///

@@ -5,11 +5,9 @@
 //! request arrivals, CPU-gap expiries, and in-flight launch deliveries all
 //! contribute deadlines. A linear scan over every client
 //! ([`Session::next_wake_scan`](crate::harness::Session::next_wake_scan))
-//! is O(clients) per query — fine for one device, hopeless when a 128-GPU
-//! [`Cluster`](crate::cluster::Cluster) folds it over the whole fleet at
-//! every step. The wheel makes both registration and the earliest-deadline
-//! query cheap and *incremental*: only timers that actually changed are
-//! touched.
+//! is O(clients) per query, and a session asks after every step. The
+//! wheel makes both registration and the earliest-deadline query cheap and
+//! *incremental*: only timers that actually changed are touched.
 //!
 //! # Design
 //!

@@ -651,3 +651,70 @@ fn admission_policies_see_the_migrations_off_their_device() {
         assert_eq!(*sink.lock().expect("policy sink"), want, "device {d}");
     }
 }
+
+// ---- barrier schedule ---------------------------------------------------
+
+/// Records the instant of every fleet-level `Rebalance` marker.
+#[derive(Default)]
+struct RebalanceLog(Vec<SimTime>);
+
+impl SessionObserver for RebalanceLog {
+    fn on_event(&mut self, at: SimTime, _device: usize, event: &Observation) {
+        if matches!(event, Observation::Rebalance { .. }) {
+            self.0.push(at);
+        }
+    }
+}
+
+/// The drive loop stops exactly at every departure, rebalance tick and
+/// trace injection before the end, once per distinct instant, plus once
+/// at the end; a rebalance pass runs at every departure and tick.
+#[test]
+fn barriers_fall_exactly_on_departures_ticks_and_injections() {
+    let spec = GpuSpec::a100();
+    let ms = SimTime::from_millis;
+    let duration = SimSpan::from_secs(1);
+    let end = SimTime::ZERO + duration;
+    let departures = [ms(250), ms(600)];
+    let ticks = [ms(300), ms(600), ms(900)];
+    let injection = ms(450);
+    let trainer = |key: &str| TrainModel::PointNet.job(&spec).with_client_key(key);
+    let log = std::sync::Arc::new(std::sync::Mutex::new(RebalanceLog::default()));
+    let report = Cluster::new()
+        .devices(3, spec.clone())
+        .client(
+            trainer("windowed")
+                .active_until(departures[0])
+                .also_active(ms(400), Some(departures[1])),
+        )
+        .client(trainer("steady"))
+        .trace([(
+            injection,
+            SessionEvent::Arrive {
+                key: "late".into(),
+                job: trainer("late"),
+            },
+        )])
+        .expect("valid trace")
+        .rebalance_every(SimSpan::from_millis(300))
+        .sync_observer(log.clone())
+        .threads(1)
+        .config(HarnessConfig {
+            duration,
+            warmup: SimSpan::ZERO,
+            ..Default::default()
+        })
+        .run();
+
+    let passes: std::collections::BTreeSet<SimTime> = departures
+        .into_iter()
+        .chain(ticks)
+        .filter(|&t| t < end)
+        .collect();
+    let mut points = passes.clone();
+    points.insert(injection);
+    let interior = points.iter().filter(|&&t| t > SimTime::ZERO).count() as u64;
+    assert_eq!(report.host.barriers, interior + 1);
+    let rebalances = log.lock().expect("rebalance log").0.clone();
+    assert_eq!(rebalances, passes.into_iter().collect::<Vec<_>>());
+}

@@ -467,10 +467,11 @@ fn churn_trace_reports_are_identical_for_any_thread_count() {
 fn idle_devices_never_force_full_fleet_departure_scans() {
     // One client cycles through 20 activity windows on its device while
     // seven single-trainer devices sit in steady state. Forecasting the
-    // fleet's next departure by folding over every device at every barrier
-    // would cost barriers x devices scans; the epoch-gated fleet timer
-    // wheel re-scans a session only when its client lifecycle actually
-    // changed, so idle devices contribute O(1) scans for the whole run.
+    // fleet's next departure by scanning every device at every barrier
+    // would cost barriers x devices scans; the cluster caches each
+    // device's forecast and re-scans a session only when its client
+    // lifecycle actually changed, so idle devices contribute O(1) scans
+    // for the whole run.
     let spec = GpuSpec::a100();
     let c = cfg(4);
     let mut windows = Vec::new();
