@@ -1,6 +1,6 @@
-//! Micro-benchmarks of the substrate components: engine event throughput,
-//! kernel transformation passes, interpreter speed, and scheduler decision
-//! latency.
+//! Micro-benchmarks of the substrate components: engine event throughput
+//! and launch-storage high-water mark, kernel transformation passes,
+//! interpreter speed, and scheduler decision latency.
 //!
 //! Like every harness in this crate these are standalone (no Criterion —
 //! the build environment is offline): each case is warmed up, then timed
@@ -84,6 +84,31 @@ fn engine_throughput(sink: &mut JsonSink) {
         }
         assert_eq!(done, 1000);
     });
+}
+
+/// Launch-storage high-water mark over 100,000 launches run one after
+/// another (submit, drain, repeat). Untimed and deterministic: the engine
+/// keeps only live launches, so the row reads 1; a per-launch history
+/// table would make it read 100,000 and fail the trajectory gate.
+fn engine_launch_storage(sink: &mut JsonSink) {
+    const LAUNCHES: u64 = 100_000;
+    let k = KernelDesc::builder("serial")
+        .grid(108)
+        .block(256)
+        .block_cost(SimSpan::from_micros(5))
+        .build_arc();
+    let mut engine = Engine::new(GpuSpec::a100());
+    for _ in 0..LAUNCHES {
+        engine.submit(LaunchRequest::full(k.clone(), ClientId(0), Priority::High));
+        while let Step::Notified(_) = engine.advance(SimTime::MAX) {}
+    }
+    let stats = engine.stats();
+    assert_eq!(stats.completed, LAUNCHES);
+    println!(
+        "{:<44} {:>16}",
+        "engine: peak live launches over 100k serial", stats.peak_live
+    );
+    sink.record("peak_live_launches", stats.peak_live as f64, &[]);
 }
 
 fn transformation_passes(sink: &mut JsonSink) {
@@ -407,6 +432,7 @@ fn main() {
     );
     banner("Micro-benchmarks (best-of-3 batches)");
     engine_throughput(&mut sink);
+    engine_launch_storage(&mut sink);
     transformation_passes(&mut sink);
     interpreter(&mut sink);
     scheduler_colocation(&mut sink);

@@ -336,7 +336,9 @@ impl fmt::Display for Direction {
 ///
 /// A `host_` prefix marks wall-clock measured on whatever machine ran the
 /// bench: tracked, never gated (CI runners and dev boxes differ by far
-/// more than any sane threshold). Otherwise, latency-flavored names
+/// more than any sane threshold). A `peak_` prefix marks a deterministic
+/// high-water mark of retained state (e.g. `peak_live_launches`) and is
+/// lower-is-better. Otherwise, latency-flavored names
 /// (`p99`, `latency`, `overhead`, `turnaround`, `ns_per`, and
 /// `_ms`/`_us`/`_ns` suffixes) are lower-is-better; throughput-flavored
 /// names (`throughput`, `req_per`, `iterations`, `speedup`, `fraction`,
@@ -347,9 +349,10 @@ pub fn metric_direction(name: &str) -> Direction {
     if n.starts_with("host_") {
         return Direction::Informational;
     }
-    let lower = ["p99", "p50", "latency", "overhead", "turnaround", "ns_per"]
-        .iter()
-        .any(|p| n.contains(p))
+    let lower = n.starts_with("peak_")
+        || ["p99", "p50", "latency", "overhead", "turnaround", "ns_per"]
+            .iter()
+            .any(|p| n.contains(p))
         || n.ends_with("_ms")
         || n.ends_with("_us")
         || n.ends_with("_ns");
@@ -555,6 +558,86 @@ mod tests {
             sink.record(m, *v, tags);
         }
         parse_document(&sink.render()).expect("parses")
+    }
+
+    /// Every metric name in the committed trajectory, with the direction
+    /// the gate reads it in. A naming rule change must not silently flip
+    /// (or ungate) a committed row; a new metric joins this table.
+    #[test]
+    fn committed_metrics_keep_their_direction() {
+        use Direction::{HigherIsBetter as H, Informational as I, LowerIsBetter as L};
+        let expected: BTreeMap<&str, Direction> = [
+            ("admission_hp_p99_ms", L),
+            ("admission_hp_run_p99_ms", L),
+            ("admission_shed_count", I),
+            ("be_norm_avg", H),
+            ("completed_req_per_s", H),
+            ("fleet_norm_throughput", H),
+            ("hetero_blind_over_cost_p99", L),
+            ("hetero_migration_stall_ms", L),
+            ("hetero_migrations", I),
+            ("hetero_victim_p99_ms", L),
+            ("host_fleet_advance_ns", I),
+            ("host_fleet_barriers", I),
+            ("host_hub_events_per_s", I),
+            ("host_ns_per_iter", I),
+            ("host_threads", I),
+            ("host_wheel_speedup_x", I),
+            ("inference_time_ms", L),
+            ("intercept_total_cost_us", L),
+            ("ll_over_rr_worst_client", I),
+            ("local_fraction", H),
+            ("migrations", I),
+            ("online_p99_ms", L),
+            ("p99_ms", L),
+            ("p99_overhead", L),
+            ("p99_overhead_avg", L),
+            ("peak_live_launches", L),
+            ("phase_hp_p90_latency_ms", L),
+            ("phase_ll_over_la_p90", I),
+            ("phase_migrations", I),
+            ("phase_p99_ms", L),
+            ("phase_trainer_throughput", H),
+            ("profile_cache_hit_ratio", I),
+            ("profile_measurements", I),
+            ("ptb_overhead_avg", L),
+            ("retained_training_throughput", H),
+            ("scaling_x", H),
+            ("solo_latency_ms", L),
+            ("solo_throughput_it_per_s", H),
+            ("system_throughput", H),
+            ("system_throughput_avg", H),
+            ("total_req_per_min", H),
+            ("trainer_attachments", I),
+            ("trainer_iterations", H),
+            ("trainer_throughput", H),
+            ("turnaround_ms", L),
+            ("virtualization_overhead", L),
+            ("virtualization_overhead_avg", L),
+            ("whole_run_p99_ms", L),
+            ("worst_client_norm", H),
+        ]
+        .into_iter()
+        .collect();
+        let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+        let mut files = 0;
+        for entry in std::fs::read_dir(&root).expect("repository root") {
+            let name = entry.expect("dir entry").file_name();
+            let name = name.to_string_lossy();
+            if !(name.starts_with("BENCH_") && name.ends_with(".json")) {
+                continue;
+            }
+            files += 1;
+            let text = std::fs::read_to_string(root.join(&*name)).expect("readable");
+            let doc = parse_document(&text).expect("committed document parses");
+            for metric in doc.rows.iter().map(|r| r.metric.as_str()) {
+                let want = expected
+                    .get(metric)
+                    .unwrap_or_else(|| panic!("{name}: `{metric}` is not in the table"));
+                assert_eq!(metric_direction(metric), *want, "{name}: {metric}");
+            }
+        }
+        assert!(files > 0, "no committed BENCH_*.json found");
     }
 
     #[test]

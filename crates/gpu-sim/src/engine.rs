@@ -6,6 +6,11 @@
 //! slots in `(priority, submission order)` order, per-launch progress, and a
 //! memory-bandwidth interference model.
 //!
+//! The engine keeps only *live* launches — pending (not yet arrived),
+//! resident, or draining. A launch is retired the moment it completes or
+//! finishes draining after a preemption, so the engine's memory is bounded
+//! by what is in flight, not by how many launches a run has submitted.
+//!
 //! # Execution model
 //!
 //! * A [`LaunchRequest`] becomes dispatchable after
@@ -38,7 +43,7 @@ use std::collections::{BinaryHeap, VecDeque};
 use crate::rng::SmallRng;
 
 use crate::kernel::KernelDesc;
-use crate::launch::{LaunchId, LaunchRequest, LaunchShape, Notification};
+use crate::launch::{LaunchId, LaunchRequest, LaunchShape, Notification, Priority};
 use crate::spec::GpuSpec;
 use crate::time::{SimSpan, SimTime};
 
@@ -67,6 +72,9 @@ pub struct EngineStats {
     pub preempted: u64,
     /// Wave/round events processed.
     pub groups: u64,
+    /// Most launches held at once (pending, resident or draining): the
+    /// high-water mark of the engine's launch storage.
+    pub peak_live: u64,
 }
 
 #[derive(Copy, Clone, Debug)]
@@ -109,6 +117,7 @@ impl Ord for HeapEntry {
 
 #[derive(Debug)]
 struct Active {
+    id: LaunchId,
     req: LaunchRequest,
     /// First original-grid block index covered by this launch.
     base_offset: u64,
@@ -124,7 +133,6 @@ struct Active {
     resident_blocks: u64,
     preempt: bool,
     arrived: bool,
-    submit_seq: u64,
     /// PTB: requested worker count.
     ptb_target: u64,
     /// PTB: a round is currently executing.
@@ -181,12 +189,14 @@ pub struct Engine {
     spec: GpuSpec,
     now: SimTime,
     event_seq: u64,
-    submit_seq: u64,
+    /// The id the next submitted launch gets; ids follow submission order.
+    next_id: u64,
     heap: BinaryHeap<Reverse<HeapEntry>>,
-    launches: Vec<Option<Active>>,
-    /// Indices of still-active launches (dispatch and contention scans
-    /// iterate this, not the ever-growing `launches` vec).
-    active: Vec<usize>,
+    /// Live launches only, pushed on submit and `swap_remove`d on retire.
+    /// Every lookup is a short linear scan (a device rarely holds more
+    /// than a handful of launches), and the dispatch and contention scans
+    /// iterate this list in a fixed, deterministic order.
+    active: Vec<Active>,
     free: Capacity,
     out: VecDeque<Notification>,
     jitter: f64,
@@ -214,9 +224,8 @@ impl Engine {
             spec,
             now: SimTime::ZERO,
             event_seq: 0,
-            submit_seq: 0,
+            next_id: 0,
             heap: BinaryHeap::new(),
-            launches: Vec::new(),
             active: Vec::new(),
             free,
             out: VecDeque::new(),
@@ -283,18 +292,22 @@ impl Engine {
         self.active.is_empty()
     }
 
-    /// Whether the given launch is still known to the engine (pending,
-    /// resident, or draining).
+    /// Whether the given launch is still live (pending, resident, or
+    /// draining). A retired id — completed or fully drained — reads as
+    /// inactive forever, since ids are never reused.
     pub fn is_active(&self, id: LaunchId) -> bool {
-        self.launches
-            .get(id.0 as usize)
-            .is_some_and(Option::is_some)
+        self.find(id).is_some()
     }
 
     /// Number of tasks the launch has completed so far (in its own task
-    /// space), or `None` if the launch is no longer active.
+    /// space), or `None` once the launch has retired.
     pub fn progress(&self, id: LaunchId) -> Option<u64> {
-        self.launches.get(id.0 as usize)?.as_ref().map(|a| a.done)
+        self.find(id).map(|i| self.active[i].done)
+    }
+
+    /// Position of a live launch in `active`; `None` once it has retired.
+    fn find(&self, id: LaunchId) -> Option<usize> {
+        self.active.iter().position(|a| a.id == id)
     }
 
     /// Submits a launch request; it becomes dispatchable after the launch
@@ -320,11 +333,11 @@ impl Engine {
         if let LaunchShape::Ptb { workers, .. } = req.shape {
             assert!(workers > 0, "PTB launch must have at least one worker");
         }
-        let id = LaunchId(self.launches.len() as u64);
-        self.active.push(self.launches.len());
-        self.submit_seq += 1;
+        let id = LaunchId(self.next_id);
+        self.next_id += 1;
         self.stats.submitted += 1;
-        self.launches.push(Some(Active {
+        self.active.push(Active {
+            id,
             req,
             base_offset,
             total,
@@ -334,10 +347,10 @@ impl Engine {
             resident_blocks: 0,
             preempt: false,
             arrived: false,
-            submit_seq: self.submit_seq,
             ptb_target,
             round_active: false,
-        }));
+        });
+        self.stats.peak_live = self.stats.peak_live.max(self.active.len() as u64);
         let at = self.now + self.spec.launch_overhead + extra;
         self.push(at, Ev::Arrive(id));
         id
@@ -347,19 +360,17 @@ impl Engine {
     ///
     /// PTB launches drain at the next task boundary; `Full`/`Slice` launches
     /// stop placing new blocks and drain their resident waves. Returns
-    /// `false` if the launch is no longer active (already finished), in
+    /// `false` if the launch has already retired (finished or drained), in
     /// which case no notification will fire.
     ///
     /// A [`Notification::Preempted`] is delivered by a subsequent
     /// [`Engine::advance`] call once the launch has fully drained (possibly
     /// immediately, without time passing).
     pub fn preempt(&mut self, id: LaunchId) -> bool {
-        let Some(slot) = self.launches.get_mut(id.0 as usize) else {
+        let Some(pos) = self.find(id) else {
             return false;
         };
-        let Some(active) = slot.as_mut() else {
-            return false;
-        };
+        let active = &mut self.active[pos];
         if active.preempt {
             return true;
         }
@@ -375,7 +386,7 @@ impl Engine {
                 at: self.now,
             };
             self.stats.preempted += 1;
-            self.deactivate(id);
+            self.active.swap_remove(pos);
             self.out.push_back(note);
             self.dispatch();
         }
@@ -427,13 +438,6 @@ impl Engine {
         }));
     }
 
-    fn deactivate(&mut self, id: LaunchId) {
-        self.launches[id.0 as usize] = None;
-        if let Some(pos) = self.active.iter().position(|&i| i == id.0 as usize) {
-            self.active.swap_remove(pos);
-        }
-    }
-
     fn fit(&self, n: u64, threads: u64, smem: u64) -> u64 {
         let by_blocks = self.free.blocks;
         let by_threads = self.free.threads.checked_div(threads).unwrap_or(n);
@@ -463,15 +467,10 @@ impl Engine {
         }
         let total_threads = self.spec.total_thread_slots() as f64;
         let mut interference = 0.0;
-        for &i in &self.active {
-            if i == exclude.0 as usize {
-                continue;
-            }
-            if let Some(a) = &self.launches[i] {
-                if a.resident_blocks > 0 {
-                    let share = (a.resident_blocks * a.threads_per_block()) as f64 / total_threads;
-                    interference += a.req.kernel.mem_intensity * share;
-                }
+        for a in &self.active {
+            if a.id != exclude && a.resident_blocks > 0 {
+                let share = (a.resident_blocks * a.threads_per_block()) as f64 / total_threads;
+                interference += a.req.kernel.mem_intensity * share;
             }
         }
         1.0 + self.spec.contention_beta * interference
@@ -487,9 +486,10 @@ impl Engine {
 
     fn process(&mut self, ev: Ev) {
         match ev {
+            // A launch preempted before its arrival has already retired.
             Ev::Arrive(id) => {
-                if let Some(active) = self.launches[id.0 as usize].as_mut() {
-                    active.arrived = true;
+                if let Some(pos) = self.find(id) {
+                    self.active[pos].arrived = true;
                     self.dispatch();
                 }
             }
@@ -499,11 +499,12 @@ impl Engine {
     }
 
     fn group_done(&mut self, id: LaunchId, blocks: u64) {
+        let pos = self
+            .find(id)
+            .expect("group completion for a retired launch");
         let (threads, smem, finished, note);
         {
-            let active = self.launches[id.0 as usize]
-                .as_mut()
-                .expect("group completion for a removed launch");
+            let active = &mut self.active[pos];
             threads = active.threads_per_block();
             smem = active.smem_per_block();
             active.done += blocks;
@@ -537,7 +538,7 @@ impl Engine {
         }
         self.release(blocks, threads, smem);
         if finished {
-            self.deactivate(id);
+            self.active.swap_remove(pos);
         }
         if let Some(n) = note {
             self.out.push_back(n);
@@ -546,9 +547,10 @@ impl Engine {
     }
 
     fn round_done(&mut self, id: LaunchId, take: u64) {
-        let active = self.launches[id.0 as usize]
-            .as_mut()
-            .expect("round completion for a removed launch");
+        let pos = self
+            .find(id)
+            .expect("round completion for a retired launch");
+        let active = &mut self.active[pos];
         active.done += take;
         active.round_active = false;
         self.stats.groups += 1;
@@ -574,7 +576,7 @@ impl Engine {
                     at: self.now,
                 }
             };
-            self.deactivate(id);
+            self.active.swap_remove(pos);
             self.release(workers, threads, smem);
             self.out.push_back(note);
             self.dispatch();
@@ -589,11 +591,10 @@ impl Engine {
     /// target, releases workers that have no task left to fetch, fetches
     /// one task per remaining worker, and schedules the round completion.
     fn start_round(&mut self, id: LaunchId) {
+        let pos = self.find(id).expect("active PTB launch");
         let (threads, smem, want_more, remaining);
         {
-            let active = self.launches[id.0 as usize]
-                .as_ref()
-                .expect("active PTB launch");
+            let active = &self.active[pos];
             threads = active.threads_per_block();
             smem = active.smem_per_block();
             want_more = active.ptb_target.saturating_sub(active.resident_blocks);
@@ -606,9 +607,7 @@ impl Engine {
         }
         let slow = self.slowdown(id);
         let jitter = self.jitter_factor();
-        let active = self.launches[id.0 as usize]
-            .as_mut()
-            .expect("active PTB launch");
+        let active = &mut self.active[pos];
         active.resident_blocks += top_up;
         let take = active.resident_blocks.min(remaining);
         // Workers beyond the remaining work exit the persistent loop now.
@@ -642,60 +641,49 @@ impl Engine {
         // Fast path: at most one launch wants resources (the common case —
         // solo phases, or one best-effort kernel while the high-priority
         // side is idle).
-        let mut first: Option<usize> = None;
+        let mut first: Option<&Active> = None;
         let mut multi = false;
-        for &i in &self.active {
-            if self.launches[i]
-                .as_ref()
-                .is_some_and(Active::wants_dispatch)
-            {
-                if first.is_some() {
-                    multi = true;
-                    break;
-                }
-                first = Some(i);
+        for a in self.active.iter().filter(|a| a.wants_dispatch()) {
+            if first.is_some() {
+                multi = true;
+                break;
             }
+            first = Some(a);
         }
-        let Some(first_id) = first else { return };
+        let Some(first) = first else { return };
         if !multi {
-            let is_ptb = self.launches[first_id].as_ref().is_some_and(Active::is_ptb);
+            let (id, is_ptb) = (first.id, first.is_ptb());
             if is_ptb {
-                self.place_ptb(LaunchId(first_id as u64));
+                self.place_ptb(id);
             } else {
-                while self.place_wave_chunk(LaunchId(first_id as u64)) {}
+                while self.place_wave_chunk(id) {}
             }
             return;
         }
-        let mut ids: Vec<usize> = self
+        // Ids follow submission order, so `(priority, id)` is the
+        // `(priority, submission order)` visit order.
+        let mut ids: Vec<(Priority, LaunchId)> = self
             .active
             .iter()
-            .copied()
-            .filter(|&i| {
-                self.launches[i]
-                    .as_ref()
-                    .is_some_and(Active::wants_dispatch)
-            })
+            .filter(|a| a.wants_dispatch())
+            .map(|a| (a.req.priority, a.id))
             .collect();
-        ids.sort_by_key(|&i| {
-            let a = self.launches[i].as_ref().expect("filtered above");
-            (a.req.priority, a.submit_seq)
-        });
+        ids.sort_unstable();
         loop {
             let mut placed_any = false;
-            for &i in &ids {
+            for &(_, id) in &ids {
                 if self.free.blocks == 0 {
                     return;
                 }
-                let Some(active) = self.launches[i].as_ref() else {
-                    continue;
-                };
+                // Placement never retires a launch, so every id is live.
+                let active = &self.active[self.find(id).expect("live during dispatch")];
                 if !active.wants_dispatch() {
                     continue;
                 }
                 let placed = if active.is_ptb() {
-                    self.place_ptb(LaunchId(i as u64))
+                    self.place_ptb(id)
                 } else {
-                    self.place_wave_chunk(LaunchId(i as u64))
+                    self.place_wave_chunk(id)
                 };
                 placed_any |= placed;
             }
@@ -708,11 +696,10 @@ impl Engine {
     /// Places at most one wave chunk of `id`; returns whether anything was
     /// placed.
     fn place_wave_chunk(&mut self, id: LaunchId) -> bool {
+        let pos = self.find(id).expect("active launch");
         let (threads, smem, pending, chunk_cap);
         {
-            let active = self.launches[id.0 as usize]
-                .as_ref()
-                .expect("active launch");
+            let active = &self.active[pos];
             threads = active.threads_per_block();
             smem = active.smem_per_block();
             pending = active.total - active.fetched;
@@ -732,9 +719,7 @@ impl Engine {
         self.reserve(m, threads, smem);
         let slow = self.slowdown(id);
         let jitter = self.jitter_factor();
-        let active = self.launches[id.0 as usize]
-            .as_mut()
-            .expect("active launch");
+        let active = &mut self.active[pos];
         active.fetched += m;
         active.in_flight += 1;
         active.resident_blocks += m;
@@ -746,11 +731,10 @@ impl Engine {
     }
 
     fn place_ptb(&mut self, id: LaunchId) -> bool {
+        let pos = self.find(id).expect("active launch");
         let (threads, smem, target);
         {
-            let active = self.launches[id.0 as usize]
-                .as_ref()
-                .expect("active launch");
+            let active = &self.active[pos];
             debug_assert!(active.resident_blocks == 0 && !active.round_active);
             threads = active.threads_per_block();
             smem = active.smem_per_block();
@@ -761,10 +745,7 @@ impl Engine {
             return false;
         }
         self.reserve(m, threads, smem);
-        self.launches[id.0 as usize]
-            .as_mut()
-            .expect("active launch")
-            .resident_blocks = m;
+        self.active[pos].resident_blocks = m;
         self.start_round(id);
         true
     }
@@ -964,6 +945,86 @@ mod tests {
             }
         ));
         assert!(e.is_idle());
+    }
+
+    #[test]
+    fn stale_arrival_of_launch_preempted_before_arrival_is_ignored() {
+        let mut e = Engine::new(GpuSpec::tiny());
+        let k = kernel(16, 512, 100);
+        let id = e.submit(LaunchRequest::full(
+            k.clone(),
+            ClientId(0),
+            Priority::BestEffort,
+        ));
+        // Retire it while its arrival is still queued, then keep a second
+        // launch running past that arrival instant.
+        assert!(e.preempt(id));
+        let other = e.submit(LaunchRequest::full(k, ClientId(1), Priority::BestEffort));
+        let notes = drain(&mut e);
+        let preempted: Vec<_> = notes
+            .iter()
+            .filter(|n| matches!(n, Notification::Preempted { .. }))
+            .collect();
+        assert_eq!(preempted.len(), 1);
+        assert_eq!(preempted[0].launch(), id);
+        assert_eq!(notes.len(), 2);
+        assert_eq!(notes[1].launch(), other);
+        assert_eq!(e.stats().groups, 2, "the stale arrival placed nothing");
+        assert!(e.is_idle());
+        assert_eq!(e.free_block_slots(), 16);
+    }
+
+    #[test]
+    fn retired_ids_read_as_inactive() {
+        let mut e = Engine::new(GpuSpec::tiny());
+        let k = kernel(16, 512, 100);
+        let done = e.submit(LaunchRequest::full(k.clone(), ClientId(0), Priority::High));
+        let drained = e.submit(LaunchRequest::full(k, ClientId(0), Priority::High));
+        assert!(e.is_active(done) && e.progress(done) == Some(0));
+        assert!(e.preempt(drained));
+        let notes = drain(&mut e);
+        assert_eq!(notes.len(), 2);
+        for id in [done, drained] {
+            assert!(!e.is_active(id));
+            assert_eq!(e.progress(id), None);
+            assert!(!e.preempt(id), "a retired launch cannot be preempted");
+        }
+        assert_eq!(e.advance(SimTime::MAX), Step::Idle, "no late notification");
+    }
+
+    #[test]
+    fn ids_stay_monotone_across_retirements() {
+        let mut e = Engine::new(GpuSpec::tiny());
+        let k = kernel(16, 512, 10);
+        let mut last = None;
+        for _ in 0..1000 {
+            let id = e.submit(LaunchRequest::full(k.clone(), ClientId(0), Priority::High));
+            assert!(last.is_none_or(|prev| id > prev), "{id} after {last:?}");
+            last = Some(id);
+            assert_eq!(drain(&mut e).len(), 1);
+        }
+        let late = e.submit(LaunchRequest::full(k, ClientId(0), Priority::High));
+        assert!(late > last.expect("submitted"));
+    }
+
+    #[test]
+    fn peak_live_is_the_high_water_of_live_launches() {
+        let mut e = Engine::new(GpuSpec::tiny());
+        let k = kernel(16, 512, 10);
+        for _ in 0..3 {
+            e.submit(LaunchRequest::full(k.clone(), ClientId(0), Priority::High));
+        }
+        drain(&mut e);
+        for _ in 0..100 {
+            e.submit(LaunchRequest::full(k.clone(), ClientId(0), Priority::High));
+            drain(&mut e);
+        }
+        assert_eq!(e.stats().submitted, 103);
+        assert_eq!(
+            e.stats().peak_live,
+            3,
+            "retired launches leave nothing behind"
+        );
     }
 
     #[test]

@@ -133,6 +133,15 @@ impl LaunchRequest {
 }
 
 /// Identifier of one launch submitted to the engine.
+///
+/// An engine hands ids out in submission order: they are monotone and never
+/// reused. Once the launch retires (completes, or drains after a
+/// preemption), its id reads as inactive: [`Engine::is_active`] is `false`,
+/// [`Engine::progress`] is `None` and [`Engine::preempt`] is a no-op.
+///
+/// [`Engine::is_active`]: crate::Engine::is_active
+/// [`Engine::progress`]: crate::Engine::progress
+/// [`Engine::preempt`]: crate::Engine::preempt
 #[derive(Copy, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct LaunchId(pub u64);
 

@@ -43,7 +43,8 @@ fn random_action(rng: &mut SmallRng) -> Action {
 }
 
 /// Every submitted launch eventually resolves (completed or preempted),
-/// all resources return to the pool, and time never runs backwards.
+/// all resources return to the pool, time never runs backwards, and the
+/// engine never holds more launches than are live.
 #[test]
 fn launches_conserve_and_resolve() {
     for case in 0..128u64 {
@@ -56,6 +57,7 @@ fn launches_conserve_and_resolve() {
         let total_threads = spec.total_thread_slots();
         let mut engine = Engine::new(spec);
         let mut live: Vec<LaunchId> = Vec::new();
+        let mut max_live = 0usize;
         let mut submitted = 0u64;
         let mut resolved = 0u64;
         let mut last_now = engine.now();
@@ -107,6 +109,7 @@ fn launches_conserve_and_resolve() {
                         priority: Priority::BestEffort,
                     });
                     live.push(id);
+                    max_live = max_live.max(live.len());
                     submitted += 1;
                 }
                 Action::Advance(us) => {
@@ -135,6 +138,10 @@ fn launches_conserve_and_resolve() {
         assert!(live.is_empty(), "case {case}: launches left unresolved");
         assert_eq!(submitted, resolved, "case {case}");
         assert!(engine.is_idle(), "case {case}");
+        assert!(
+            engine.stats().peak_live <= max_live as u64,
+            "case {case}: the engine held launches that were no longer live"
+        );
         assert_eq!(
             engine.free_block_slots(),
             total_blocks,
