@@ -193,9 +193,10 @@ pub struct Engine {
     next_id: u64,
     heap: BinaryHeap<Reverse<HeapEntry>>,
     /// Live launches only, pushed on submit and `swap_remove`d on retire.
-    /// Every lookup is a short linear scan (a device rarely holds more
-    /// than a handful of launches), and the dispatch and contention scans
-    /// iterate this list in a fixed, deterministic order.
+    /// Events find their launch by a linear scan; dispatch and placement
+    /// address launches by position, since nothing retires mid-dispatch.
+    /// The dispatch and contention scans iterate this list in a fixed,
+    /// deterministic order.
     active: Vec<Active>,
     free: Capacity,
     out: VecDeque<Notification>,
@@ -581,20 +582,21 @@ impl Engine {
             self.out.push_back(note);
             self.dispatch();
         } else {
-            self.start_round(id);
+            self.start_round(pos);
             // Freed tail workers (if any) may unblock other launches.
             self.dispatch();
         }
     }
 
-    /// Starts the next PTB round for `id`: tops workers up toward the
-    /// target, releases workers that have no task left to fetch, fetches
-    /// one task per remaining worker, and schedules the round completion.
-    fn start_round(&mut self, id: LaunchId) {
-        let pos = self.find(id).expect("active PTB launch");
-        let (threads, smem, want_more, remaining);
+    /// Starts the next PTB round for the launch at `pos`: tops workers up
+    /// toward the target, releases workers that have no task left to
+    /// fetch, fetches one task per remaining worker, and schedules the
+    /// round completion.
+    fn start_round(&mut self, pos: usize) {
+        let (id, threads, smem, want_more, remaining);
         {
             let active = &self.active[pos];
+            id = active.id;
             threads = active.threads_per_block();
             smem = active.smem_per_block();
             want_more = active.ptb_target.saturating_sub(active.resident_blocks);
@@ -641,49 +643,43 @@ impl Engine {
         // Fast path: at most one launch wants resources (the common case —
         // solo phases, or one best-effort kernel while the high-priority
         // side is idle).
-        let mut first: Option<&Active> = None;
-        let mut multi = false;
-        for a in self.active.iter().filter(|a| a.wants_dispatch()) {
-            if first.is_some() {
-                multi = true;
-                break;
-            }
-            first = Some(a);
-        }
-        let Some(first) = first else { return };
-        if !multi {
-            let (id, is_ptb) = (first.id, first.is_ptb());
-            if is_ptb {
-                self.place_ptb(id);
+        let mut wanting = (0..self.active.len()).filter(|&pos| self.active[pos].wants_dispatch());
+        let Some(first) = wanting.next() else { return };
+        if wanting.next().is_none() {
+            if self.active[first].is_ptb() {
+                self.place_ptb(first);
             } else {
-                while self.place_wave_chunk(id) {}
+                while self.place_wave_chunk(first) {}
             }
             return;
         }
         // Ids follow submission order, so `(priority, id)` is the
-        // `(priority, submission order)` visit order.
-        let mut ids: Vec<(Priority, LaunchId)> = self
+        // `(priority, submission order)` visit order. Placement never
+        // retires a launch, so the positions stay valid for the whole pass.
+        // The sort is the stable one: `active` is nearly in id order, and
+        // the stable sort merges such runs in linear time.
+        let mut order: Vec<(Priority, LaunchId, usize)> = self
             .active
             .iter()
-            .filter(|a| a.wants_dispatch())
-            .map(|a| (a.req.priority, a.id))
+            .enumerate()
+            .filter(|(_, a)| a.wants_dispatch())
+            .map(|(pos, a)| (a.req.priority, a.id, pos))
             .collect();
-        ids.sort_unstable();
+        order.sort();
         loop {
             let mut placed_any = false;
-            for &(_, id) in &ids {
+            for &(_, _, pos) in &order {
                 if self.free.blocks == 0 {
                     return;
                 }
-                // Placement never retires a launch, so every id is live.
-                let active = &self.active[self.find(id).expect("live during dispatch")];
+                let active = &self.active[pos];
                 if !active.wants_dispatch() {
                     continue;
                 }
                 let placed = if active.is_ptb() {
-                    self.place_ptb(id)
+                    self.place_ptb(pos)
                 } else {
-                    self.place_wave_chunk(id)
+                    self.place_wave_chunk(pos)
                 };
                 placed_any |= placed;
             }
@@ -693,13 +689,13 @@ impl Engine {
         }
     }
 
-    /// Places at most one wave chunk of `id`; returns whether anything was
-    /// placed.
-    fn place_wave_chunk(&mut self, id: LaunchId) -> bool {
-        let pos = self.find(id).expect("active launch");
-        let (threads, smem, pending, chunk_cap);
+    /// Places at most one wave chunk of the launch at `pos`; returns
+    /// whether anything was placed.
+    fn place_wave_chunk(&mut self, pos: usize) -> bool {
+        let (id, threads, smem, pending, chunk_cap);
         {
             let active = &self.active[pos];
+            id = active.id;
             threads = active.threads_per_block();
             smem = active.smem_per_block();
             pending = active.total - active.fetched;
@@ -730,8 +726,7 @@ impl Engine {
         true
     }
 
-    fn place_ptb(&mut self, id: LaunchId) -> bool {
-        let pos = self.find(id).expect("active launch");
+    fn place_ptb(&mut self, pos: usize) -> bool {
         let (threads, smem, target);
         {
             let active = &self.active[pos];
@@ -746,7 +741,7 @@ impl Engine {
         }
         self.reserve(m, threads, smem);
         self.active[pos].resident_blocks = m;
-        self.start_round(id);
+        self.start_round(pos);
         true
     }
 }
