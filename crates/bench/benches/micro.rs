@@ -14,7 +14,6 @@ use tally_core::events::{Observation, SessionObserver};
 use tally_core::harness::{Colocation, HarnessConfig, JobSpec, WorkloadOp};
 use tally_core::scheduler::{TallyConfig, TallySystem};
 use tally_core::telemetry::MetricsHub;
-use tally_core::timewheel::TimerWheel;
 use tally_gpu::{
     ClientId, Engine, GpuSpec, KernelDesc, LaunchRequest, Priority, SimSpan, SimTime, Step,
 };
@@ -169,114 +168,6 @@ fn scheduler_colocation(sink: &mut JsonSink) {
             .config(cfg.clone())
             .run()
     });
-}
-
-/// A deterministic xorshift stream (the benches are offline: no rand).
-fn xorshift(seed: u64) -> impl FnMut() -> u64 {
-    let mut s = seed | 1;
-    move || {
-        s ^= s << 13;
-        s ^= s >> 7;
-        s ^= s << 17;
-        s
-    }
-}
-
-const CHURN_EVENTS: usize = 4096;
-
-/// Pops the earliest of `timers` deadlines and re-arms it, `CHURN_EVENTS`
-/// times, through the hierarchical timer wheel. Returns a checksum of the
-/// fire sequence so the linear-scan twin below can be proven equivalent.
-fn wheel_churn(timers: usize) -> u64 {
-    let mut rng = xorshift(0x5EED ^ timers as u64);
-    let mut wheel: TimerWheel<u64> = TimerWheel::new();
-    for v in 0..timers as u64 {
-        wheel.insert(SimTime::from_nanos(rng() % 1_000_000), v);
-    }
-    let mut sum = 0u64;
-    for _ in 0..CHURN_EVENTS {
-        let due = wheel.peek().expect("population is constant");
-        for (at, v) in wheel.advance_to(due) {
-            sum = sum
-                .wrapping_mul(0x100000001B3)
-                .wrapping_add(at.as_nanos() ^ v);
-            wheel.insert(at + SimSpan::from_nanos(1 + rng() % 1_000_000), v);
-        }
-    }
-    sum
-}
-
-/// The pre-wheel behavior: an unordered timer list scanned end to end for
-/// every "what fires next" question, with same-instant ties broken by
-/// insertion order (exactly the wheel's contract).
-fn scan_churn(timers: usize) -> u64 {
-    let mut rng = xorshift(0x5EED ^ timers as u64);
-    let mut seq = 0u64;
-    let mut list: Vec<(u64, u64, u64)> = (0..timers as u64)
-        .map(|v| {
-            seq += 1;
-            (rng() % 1_000_000, seq, v)
-        })
-        .collect();
-    let mut sum = 0u64;
-    for _ in 0..CHURN_EVENTS {
-        let due = list.iter().map(|&(at, _, _)| at).min().expect("non-empty");
-        let mut fired: Vec<(u64, u64, u64)> = list
-            .iter()
-            .copied()
-            .filter(|&(at, _, _)| at <= due)
-            .collect();
-        fired.sort_unstable_by_key(|&(at, s, _)| (at, s));
-        list.retain(|&(at, _, _)| at > due);
-        for (at, _, v) in fired {
-            sum = sum.wrapping_mul(0x100000001B3).wrapping_add(at ^ v);
-            seq += 1;
-            list.push((at + 1 + rng() % 1_000_000, seq, v));
-        }
-    }
-    sum
-}
-
-/// Timer wheel vs the linear next-wake scan it replaced, at fleet-scale
-/// timer populations (~16 armed timers per device). The two cases produce
-/// identical fire sequences — asserted via checksum — so the comparison is
-/// work-for-work.
-fn timer_wheel_vs_scan(sink: &mut JsonSink) {
-    banner("Timer wheel vs linear next-wake scan (same fire sequence)");
-    for devices in [8usize, 32, 128] {
-        let timers = devices * 16;
-        assert_eq!(
-            wheel_churn(timers),
-            scan_churn(timers),
-            "wheel and scan fire sequences diverged at {timers} timers"
-        );
-        let wheel_ns = bench(
-            sink,
-            &format!("timewheel: {devices}-device churn ({timers} timers)"),
-            100,
-            || wheel_churn(timers),
-        );
-        let scan_ns = bench(
-            sink,
-            &format!("linear scan: {devices}-device churn ({timers} timers)"),
-            100,
-            || scan_churn(timers),
-        );
-        let speedup = scan_ns as f64 / wheel_ns as f64;
-        println!("    wheel speedup at {devices} devices: {speedup:.1}x");
-        sink.record(
-            "host_wheel_speedup_x",
-            speedup,
-            &[("devices", &devices.to_string())],
-        );
-        if devices == 128 {
-            assert!(
-                wheel_ns < scan_ns,
-                "the wheel must beat the linear scan at 128 devices \
-                 ({wheel_ns} ns/iter vs {scan_ns} ns/iter)"
-            );
-        }
-    }
 }
 
 /// Whole-fleet advancement at 8/32/128 devices for 1/2/4 worker threads:
@@ -436,7 +327,6 @@ fn main() {
     transformation_passes(&mut sink);
     interpreter(&mut sink);
     scheduler_colocation(&mut sink);
-    timer_wheel_vs_scan(&mut sink);
     fleet_thread_sweep(&mut sink);
     metrics_hub_overhead(&mut sink);
     sink.finish();

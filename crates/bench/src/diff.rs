@@ -582,7 +582,6 @@ mod tests {
             ("host_hub_events_per_s", I),
             ("host_ns_per_iter", I),
             ("host_threads", I),
-            ("host_wheel_speedup_x", I),
             ("inference_time_ms", L),
             ("intercept_total_cost_us", L),
             ("ll_over_rr_worst_client", I),

@@ -51,7 +51,6 @@ use crate::api::{ClientStub, Transport};
 use crate::events::{ClientEvent, LoadMonitor, Observation, SharedSyncObserver, TraceError};
 use crate::metrics::{ClientReport, LatencyRecorder, RunReport};
 use crate::system::{ClientMeta, Ctx, Passthrough, SharingSystem};
-use crate::timewheel::{TimerId, TimerWheel};
 
 /// One step of a client's program.
 #[derive(Clone, Debug)]
@@ -463,23 +462,6 @@ pub(crate) struct Client {
     /// Intake paused until this instant (an [`AdmissionVerdict::Defer`]);
     /// pending arrivals are re-offered once it expires.
     intake_hold: Option<SimTime>,
-    /// Wake-up timers currently registered for this client in the
-    /// session's wheel. Cleared on migration (timer ids are per-wheel).
-    timers: ClientTimers,
-    /// Set when a wake-relevant field changed during a settle pass; the
-    /// end-of-settle sync re-registers this client's timers.
-    timer_dirty: bool,
-}
-
-/// The per-client wake-up timers a session keeps registered in its
-/// [`TimerWheel`]: the next activity-window edge (open when detached,
-/// close when attached), the next request arrival, and the CPU-gap /
-/// interception-burst expiry.
-#[derive(Clone, Copy, Default)]
-struct ClientTimers {
-    window: Option<TimerId>,
-    arrival: Option<TimerId>,
-    gap: Option<TimerId>,
 }
 
 impl Client {
@@ -514,8 +496,6 @@ impl Client {
             shed: 0,
             deferred: 0,
             intake_hold: None,
-            timers: ClientTimers::default(),
-            timer_dirty: false,
         }
     }
 
@@ -960,6 +940,9 @@ impl<'s> Colocation<'s> {
 pub struct Session<'s> {
     engine: Engine,
     metas: Vec<ClientMeta>,
+    // Every client ever added, indexed by `ClientId`; retired clients and
+    // migration tombstones keep their slot. `next_wake` is a scan over
+    // these records and `in_transit`.
     clients: Vec<Client>,
     system: SystemSlot<'s>,
     end: SimTime,
@@ -969,8 +952,9 @@ pub struct Session<'s> {
     intercept: InterceptMode,
     pending_completions: Vec<ClientId>,
     // Kernels held in the interception layer until their stub cost
-    // elapses, with the wheel timer that tracks each delivery instant.
-    in_transit: Vec<(SimTime, ClientId, Arc<KernelDesc>, TimerId)>,
+    // elapses, with the instant each reaches the system. `next_wake`
+    // scans them along with the clients.
+    in_transit: Vec<(SimTime, ClientId, Arc<KernelDesc>)>,
     // Window-close detaches seen so far (migrations excluded) — lets an
     // external driver notice departures and react (e.g. rebalance).
     departures: u64,
@@ -981,21 +965,12 @@ pub struct Session<'s> {
     // instant of the last engine counter sample.
     sinks: Sinks,
     last_sample: Option<SimTime>,
-    // Wake-up bookkeeping: every client window edge / arrival / gap and
-    // every in-transit launch registers a timer here, so `next_wake` is a
-    // `peek` instead of a linear scan. `dirty` lists clients whose timers
-    // must be re-synced at the end of the current settle.
-    wheel: TimerWheel<Wake>,
-    dirty: Vec<usize>,
     // Bumped whenever the set of clients or their attachment changes —
     // the cluster uses it to cache per-session departure forecasts.
     lifecycle_epoch: u64,
     // Host-observability counters (see `HostStats`).
     notifications: u64,
     departure_scans: Cell<u64>,
-    // Stride counter for the debug-build wheel-vs-scan cross-check.
-    #[cfg(debug_assertions)]
-    wake_queries: Cell<u64>,
 }
 
 /// Where a session's observations go. The admission policy and the
@@ -1070,17 +1045,6 @@ impl Sinks {
     }
 }
 
-/// What a wheel timer wakes the session for.
-#[derive(Copy, Clone, Debug)]
-enum Wake {
-    /// A client's window edge, arrival, or gap expiry; the payload is the
-    /// client index. Which of the three fired is irrelevant — the sync
-    /// pass recomputes all of a dirty client's timers.
-    Client(u32),
-    /// An in-transit (intercepted) launch reaching the system.
-    Launch,
-}
-
 // Sessions must be free to cross thread boundaries: the cluster advances
 // them on worker threads. (`fn` taking it by value proves `Send`
 // structurally; a non-`Send` field would fail to compile here.)
@@ -1123,7 +1087,7 @@ impl<'s> Session<'s> {
                 c.stub = Some(ClientStub::new(transport));
             }
         }
-        let mut session = Session {
+        Session {
             engine,
             metas,
             clients,
@@ -1140,18 +1104,10 @@ impl<'s> Session<'s> {
             migrations_out: 0,
             sinks: Sinks::default(),
             last_sample: None,
-            wheel: TimerWheel::new(),
-            dirty: Vec::new(),
             lifecycle_epoch: 0,
             notifications: 0,
             departure_scans: Cell::new(0),
-            #[cfg(debug_assertions)]
-            wake_queries: Cell::new(0),
-        };
-        for i in 0..session.clients.len() {
-            session.sync_client_timers(i);
         }
-        session
     }
 
     /// Registers a thread-safe observer (see [`SharedSyncObserver`] and
@@ -1280,10 +1236,6 @@ impl<'s> Session<'s> {
                             client.gap_until = Some(now + cost);
                         }
                     }
-                    if !client.timer_dirty {
-                        client.timer_dirty = true;
-                        self.dirty.push(i);
-                    }
                     self.lifecycle_epoch += 1;
                     progressed = true;
                 }
@@ -1303,30 +1255,18 @@ impl<'s> Session<'s> {
                         key: client.spec.key().to_string(),
                     });
                     self.departures += 1;
-                    if !client.timer_dirty {
-                        client.timer_dirty = true;
-                        self.dirty.push(i);
-                    }
                     self.lifecycle_epoch += 1;
                     progressed = true;
                 }
             }
+            // Launches of detached clients are dropped; those whose
+            // interception cost has elapsed reach the system.
             let clients = &self.clients;
-            let wheel = &mut self.wheel;
-            self.in_transit.retain(|&(_, c, _, tid)| {
-                if clients[c.0 as usize].attached {
-                    true
-                } else {
-                    wheel.cancel(tid);
-                    false
-                }
-            });
-
-            // Launches whose interception cost has elapsed reach the system.
             let mut due = Vec::new();
-            self.in_transit.retain(|&(t, c, ref k, tid)| {
-                if t <= now {
-                    wheel.cancel(tid);
+            self.in_transit.retain(|&(t, c, ref k)| {
+                if !clients[c.0 as usize].attached {
+                    false
+                } else if t <= now {
                     due.push((c, Arc::clone(k)));
                     false
                 } else {
@@ -1347,15 +1287,8 @@ impl<'s> Session<'s> {
                     continue;
                 }
                 let id = ClientId(i as u32);
-                let wake_inputs = (client.next_arrival, client.gap_until, client.intake_hold);
                 client.tick(now, sinks.admission.as_deref_mut(), id);
                 let kernel = client.advance(now, self.warmup);
-                if wake_inputs != (client.next_arrival, client.gap_until, client.intake_hold)
-                    && !client.timer_dirty
-                {
-                    client.timer_dirty = true;
-                    self.dirty.push(i);
-                }
                 for (arrival, latency) in client.fresh_requests.drain(..) {
                     sinks.emit(now, || Observation::RequestCompleted {
                         client: id,
@@ -1381,8 +1314,7 @@ impl<'s> Session<'s> {
                     match client.stub.as_mut() {
                         Some(stub) => {
                             let cost = stub.launch_burst();
-                            let tid = self.wheel.insert(now + cost, Wake::Launch);
-                            self.in_transit.push((now + cost, id, kernel, tid));
+                            self.in_transit.push((now + cost, id, kernel));
                         }
                         None => {
                             sinks.emit(now, || Observation::KernelDispatched {
@@ -1416,7 +1348,6 @@ impl<'s> Session<'s> {
                 }
             });
         }
-        self.sync_timers();
     }
 
     /// Delivers the queued observations to the observers, in order. A
@@ -1428,104 +1359,16 @@ impl<'s> Session<'s> {
         self.sinks.deliver();
     }
 
-    /// Re-registers the wheel timers of every client whose wake-relevant
-    /// state changed during the settle, after advancing the wheel to the
-    /// current instant (timers that fired correspond to state the settle
-    /// just processed; re-syncing is what retires them).
-    fn sync_timers(&mut self) {
-        let now = self.engine.now();
-        for (_, wake) in self.wheel.advance_to(now) {
-            // Launch timers are cancelled when their kernel is delivered,
-            // so a due one only appears if its client detached first — in
-            // which case the launch was already dropped with it. A due
-            // client timer marks its owner for re-sync (normally a no-op:
-            // the edge that fired also marked it dirty).
-            if let Wake::Client(i) = wake {
-                let i = i as usize;
-                if !self.clients[i].timer_dirty {
-                    self.clients[i].timer_dirty = true;
-                    self.dirty.push(i);
-                }
-            }
-        }
-        while let Some(i) = self.dirty.pop() {
-            self.sync_client_timers(i);
-        }
-    }
-
-    /// Cancels and re-registers client `i`'s wake timers from its current
-    /// state: the next window edge when detached, the window close /
-    /// arrival / gap expiry when attached, nothing when retired.
-    fn sync_client_timers(&mut self, i: usize) {
-        let old = {
-            let c = &mut self.clients[i];
-            c.timer_dirty = false;
-            std::mem::take(&mut c.timers)
-        };
-        for id in [old.window, old.arrival, old.gap].into_iter().flatten() {
-            self.wheel.cancel(id);
-        }
-        let c = &self.clients[i];
-        if c.retired() {
-            return;
-        }
-        let (window, arrival, gap) = if c.attached {
-            (
-                c.window().and_then(|w| w.until),
-                c.next_arrival_time(),
-                c.gap_until,
-            )
-        } else {
-            (c.window().map(|w| w.from), None, None)
-        };
-        let wake = Wake::Client(i as u32);
-        self.clients[i].timers = ClientTimers {
-            window: window.map(|t| self.wheel.insert(t, wake)),
-            arrival: arrival.map(|t| self.wheel.insert(t, wake)),
-            gap: gap.map(|t| self.wheel.insert(t, wake)),
-        };
-    }
-
     /// The next instant anything interesting happens: an engine event, a
     /// client lifecycle edge, a request arrival, a CPU gap or interception
     /// cost expiring, or a system timer — capped at the end of the run.
     ///
-    /// Answered in O(wheel levels) by the session's [`TimerWheel`]; debug
-    /// builds cross-check against [`Session::next_wake_scan`].
+    /// A scan over the session's clients (retired ones and migration
+    /// tombstones contribute nothing) and in-transit launches. Sessions
+    /// hold a handful of clients, so the scan costs less than keeping a
+    /// timer queue in sync with every settle. Asks the system for its
+    /// timer exactly once.
     pub fn next_wake(&self) -> SimTime {
-        let mut wake = self.end;
-        if let Some(t) = self.engine.next_event_time() {
-            wake = wake.min(t);
-        }
-        if let Some(t) = self.wheel.peek() {
-            wake = wake.min(t);
-        }
-        if let Some(t) = self.system.get().next_timer() {
-            wake = wake.min(t.max(self.engine.now()));
-        }
-        // Cross-check the wheel against the linear scan — every query at
-        // first, then on a stride: the scan is O(clients) per call, which
-        // turns big debug-build integration runs quadratic if done always.
-        #[cfg(debug_assertions)]
-        {
-            let n = self.wake_queries.get();
-            self.wake_queries.set(n.wrapping_add(1));
-            if n < 4096 || n.is_multiple_of(61) {
-                assert_eq!(
-                    wake,
-                    self.next_wake_scan(),
-                    "timer wheel and linear scan disagree on the next wake-up"
-                );
-            }
-        }
-        wake
-    }
-
-    /// The linear-scan reference implementation of [`Session::next_wake`]:
-    /// O(clients) per call, kept as the debug-assert cross-check for the
-    /// timer wheel (and as the baseline the `micro` bench measures the
-    /// wheel against).
-    pub fn next_wake_scan(&self) -> SimTime {
         let mut wake = self.end;
         if let Some(t) = self.engine.next_event_time() {
             wake = wake.min(t);
@@ -1550,7 +1393,7 @@ impl<'s> Session<'s> {
                 wake = wake.min(t);
             }
         }
-        for &(t, _, _, _) in &self.in_transit {
+        for &(t, _, _) in &self.in_transit {
             wake = wake.min(t);
         }
         if let Some(t) = self.system.get().next_timer() {
@@ -1701,15 +1544,7 @@ impl<'s> Session<'s> {
             self.pending_completions.extend(ctx.take_completions());
         }
         self.pending_completions.retain(|&c| c != id);
-        let wheel = &mut self.wheel;
-        self.in_transit.retain(|&(_, c, _, tid)| {
-            if c == id {
-                wheel.cancel(tid);
-                false
-            } else {
-                true
-            }
-        });
+        self.in_transit.retain(|&(_, c, _)| c != id);
         let mut tombstone = Client::new(JobSpec::training(
             self.clients[i].spec.name.clone(),
             Vec::new(),
@@ -1717,16 +1552,6 @@ impl<'s> Session<'s> {
         tombstone.window_idx = tombstone.spec.windows.len();
         tombstone.migrated_away = true;
         let mut client = std::mem::replace(&mut self.clients[i], tombstone);
-        // Timer ids are meaningless outside this session's wheel: cancel
-        // them here so the destination session registers fresh ones.
-        let timers = std::mem::take(&mut client.timers);
-        for tid in [timers.window, timers.arrival, timers.gap]
-            .into_iter()
-            .flatten()
-        {
-            self.wheel.cancel(tid);
-        }
-        client.timer_dirty = false;
         self.lifecycle_epoch += 1;
         self.migrations_out += 1;
         // The kernel that was in flight (if any) was preempted with the
@@ -1784,7 +1609,6 @@ impl<'s> Session<'s> {
         self.clients.push(client);
         self.lifecycle_epoch += 1;
         self.migrations_in += 1;
-        self.sync_client_timers(id.0 as usize);
         id
     }
 
@@ -1803,7 +1627,6 @@ impl<'s> Session<'s> {
         }
         self.clients.push(client);
         self.lifecycle_epoch += 1;
-        self.sync_client_timers(id.0 as usize);
         id
     }
 
@@ -2401,5 +2224,143 @@ mod tests {
             report.clients[1].iterations > 0,
             "trainer ran while attached"
         );
+    }
+
+    // ---- next_wake: what each client state contributes -----------------
+
+    fn ms(n: u64) -> SimTime {
+        SimTime::from_millis(n)
+    }
+
+    fn gap(n: u64) -> WorkloadOp {
+        WorkloadOp::CpuGap(SimSpan::from_millis(n))
+    }
+
+    /// Steps the session (settle → wake → advance) until it reaches `t`.
+    fn step_until(s: &mut Session<'_>, t: SimTime) {
+        while s.now() < t {
+            let wake = s.next_wake().min(t);
+            s.advance_to(wake);
+            s.settle();
+        }
+    }
+
+    #[test]
+    fn next_wake_is_an_in_transit_launch() {
+        let job = JobSpec::training("t", vec![WorkloadOp::Kernel(kernel(100))]);
+        let mut s = Colocation::on(GpuSpec::tiny())
+            .client(job)
+            .config(cfg(1))
+            .transport(Transport::SharedMemory)
+            .into_session();
+        s.settle();
+        let burst_end = s.clients[0].gap_until.expect("attach burst stalls");
+        assert_eq!(s.next_wake(), burst_end);
+        s.advance_to(burst_end);
+        s.settle();
+        // The launch sits in the stub; nothing else is pending.
+        assert_eq!(s.in_transit.len(), 1);
+        let due = s.in_transit[0].0;
+        assert!(due > s.now());
+        assert_eq!(s.engine.next_event_time(), None);
+        assert_eq!(s.next_wake(), due);
+        s.advance_to(due);
+        s.settle();
+        assert!(s.in_transit.is_empty(), "the launch reached the system");
+    }
+
+    #[test]
+    fn next_wake_is_a_detached_clients_next_window() {
+        let job = JobSpec::training("t", vec![gap(1)])
+            .active_window(ms(5), ms(10))
+            .also_active(ms(20), Some(ms(30)));
+        let mut s = Colocation::on(GpuSpec::tiny())
+            .client(job)
+            .config(cfg(1))
+            .into_session();
+        s.settle();
+        assert!(!s.clients[0].attached);
+        assert_eq!(s.next_wake(), ms(5));
+        step_until(&mut s, ms(10));
+        assert!(!s.clients[0].attached, "first window closed");
+        assert_eq!(s.next_wake(), ms(20));
+    }
+
+    #[test]
+    fn next_wake_is_an_attached_clients_earliest_edge() {
+        // One request that is a single CPU gap: after the first settle the
+        // client has a window close, a next arrival and a gap expiry, and
+        // the engine has nothing queued.
+        let wake = |until: u64, second_arrival: u64, gap_ms: u64| {
+            let job = JobSpec::inference("svc", vec![gap(gap_ms)], vec![ms(0), ms(second_arrival)])
+                .active_until(ms(until));
+            let mut s = Colocation::on(GpuSpec::tiny())
+                .client(job)
+                .config(cfg(1))
+                .into_session();
+            s.settle();
+            assert!(s.clients[0].attached);
+            s.next_wake()
+        };
+        assert_eq!(wake(3, 5, 4), ms(3), "window close");
+        assert_eq!(wake(10, 2, 4), ms(2), "next arrival");
+        assert_eq!(wake(10, 5, 1), ms(1), "CPU gap expiry");
+    }
+
+    #[test]
+    fn next_wake_ignores_retired_and_migrated_clients() {
+        // A retired client's remaining arrivals never wake the session.
+        let svc = JobSpec::inference("svc", vec![gap(1)], vec![ms(0), ms(20)]).active_until(ms(2));
+        let trainer = JobSpec::training("t", vec![gap(50)]);
+        let mut s = Colocation::on(GpuSpec::tiny())
+            .clients([svc, trainer.clone()])
+            .config(cfg(1))
+            .into_session();
+        s.settle();
+        assert_eq!(s.next_wake(), ms(1));
+        step_until(&mut s, ms(2));
+        assert!(s.clients[0].retired());
+        assert_eq!(s.next_wake(), ms(50));
+
+        // Nor does the tombstone a migration leaves behind.
+        let svc = JobSpec::inference("svc", vec![gap(1)], vec![ms(0), ms(20)]);
+        let mut s = Colocation::on(GpuSpec::tiny())
+            .clients([svc, trainer])
+            .config(cfg(1))
+            .into_session();
+        s.settle();
+        assert_eq!(s.next_wake(), ms(1));
+        let _ = s.extract_client(0);
+        assert!(s.clients[0].migrated_away);
+        assert_eq!(s.next_wake(), ms(50));
+    }
+
+    /// A system whose timer never moves.
+    struct FixedTimer(SimTime);
+
+    impl SharingSystem for FixedTimer {
+        fn name(&self) -> &str {
+            "fixed-timer"
+        }
+        fn on_kernel_ready(&mut self, _: &mut Ctx<'_>, _: ClientId, _: Arc<KernelDesc>) {}
+        fn on_notification(&mut self, _: &mut Ctx<'_>, _: &tally_gpu::Notification) {}
+        fn poll(&mut self, _: &mut Ctx<'_>) {}
+        fn next_timer(&self) -> Option<SimTime> {
+            Some(self.0)
+        }
+    }
+
+    #[test]
+    fn next_wake_clamps_a_past_system_timer_to_now() {
+        let mut s = Colocation::on(GpuSpec::tiny())
+            .client(JobSpec::training("t", vec![gap(10)]))
+            .system_boxed(Box::new(FixedTimer(ms(1))))
+            .config(cfg(1))
+            .into_session();
+        s.settle();
+        assert_eq!(s.next_wake(), ms(1), "a future timer is honoured");
+        s.advance_to(ms(3));
+        s.settle();
+        assert_eq!(s.next_wake(), ms(3), "a past timer reads as now");
     }
 }

@@ -20,7 +20,6 @@
 //! | multi-GPU placement, barrier-parallel drive, migration (beyond the paper) | [`cluster`] |
 //! | typed event stream, observers, runtime load signals (beyond the paper) | [`events`] |
 //! | observer-driven admission control for open-loop load (beyond the paper) | [`admission`] |
-//! | hierarchical timer wheel behind `Session::next_wake` (beyond the paper) | [`timewheel`] |
 //! | metrics registry, time-series sampler, Chrome-trace export (beyond the paper) | [`telemetry`] |
 //! | device-interconnect graph + migration transfer costs (beyond the paper) | [`topology`] |
 //!
@@ -79,7 +78,6 @@ pub mod profiler;
 pub mod scheduler;
 pub mod system;
 pub mod telemetry;
-pub mod timewheel;
 pub mod topology;
 pub mod transform;
 
@@ -103,5 +101,4 @@ pub use telemetry::{
     ChromeTraceWriter, ClientMetrics, DeviceMetrics, Histogram, MetricSample, MetricsHub, Timeline,
     TimelineWindow,
 };
-pub use timewheel::{TimerId, TimerWheel};
 pub use topology::{Link, LinkKind, Topology};

@@ -6,10 +6,10 @@
 //! reports, or telemetry destroys byte-identical replay. Rather than
 //! trying to prove which maps are iterated (a whole-program analysis),
 //! the rule bans the types outright in simulation crates: `BTreeMap` /
-//! `BTreeSet` are drop-in for the access patterns this codebase uses,
-//! and the rare genuinely-lookup-only map carries an allow whose reason
-//! must argue exactly that (see `tally_core::timewheel` for the model
-//! citizen).
+//! `BTreeSet` are drop-in for the access patterns this codebase uses.
+//! A genuinely lookup-only map may carry an allow, but its reason must
+//! argue exactly that: every access is a keyed get/insert/remove and
+//! nothing ever iterates the map. The workspace has no such site today.
 
 use super::{FileCtx, Rule};
 use crate::lexer::TokKind;

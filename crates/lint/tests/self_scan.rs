@@ -65,8 +65,10 @@ fn every_suppression_is_reasoned_and_used() {
         );
     }
 
-    // The audit trail this PR created: the D1/D2 exceptions documented
-    // in ARCHITECTURE.md are present and accounted for.
+    // The audit trail: the D1 exceptions documented in ARCHITECTURE.md
+    // are present and accounted for, and no simulation crate carries a
+    // hash container at all (the allow mechanism itself is covered by
+    // the `allow_reasoned.rs` fixture).
     let d1 = report
         .suppressions
         .iter()
@@ -78,5 +80,5 @@ fn every_suppression_is_reasoned_and_used() {
         .filter(|s| s.rule == "D2-unordered-iter")
         .count();
     assert!(d1 >= 1, "expected at least one reasoned D1 site");
-    assert!(d2 >= 1, "expected at least one reasoned D2 site");
+    assert_eq!(d2, 0, "expected no D2 allows: use an ordered container");
 }
