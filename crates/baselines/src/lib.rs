@@ -37,8 +37,8 @@ mod time_slicing;
 
 pub use kernel_priority::KernelLevelPriority;
 pub use mps::Mps;
-pub use tgs::{Tgs, TgsConfig};
-pub use time_slicing::{TimeSlicing, TimeSlicingConfig};
+pub use tgs::Tgs;
+pub use time_slicing::TimeSlicing;
 
 use tally_core::system::SharingSystem;
 

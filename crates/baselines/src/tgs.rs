@@ -21,42 +21,28 @@ use tally_gpu::{
     ClientId, KernelDesc, LaunchId, LaunchRequest, Notification, Priority, SimSpan, SimTime,
 };
 
-/// TGS rate-controller parameters.
-#[derive(Clone, Debug)]
-pub struct TgsConfig {
-    /// Adaptation interval.
-    pub tick: SimSpan,
-    /// Multiplicative decrease factor when the high-priority job is
-    /// saturated.
-    pub decrease: f64,
-    /// Additive increase per healthy tick.
-    pub increase: f64,
-    /// Best-effort duty-cycle bounds.
-    pub share_bounds: (f64, f64),
-    /// Initial best-effort duty cycle.
-    pub initial_share: f64,
-    /// High-priority busy fraction above which the job counts as
-    /// saturated (throughput at risk).
-    pub saturation: f64,
-}
+// The AIMD constants below model the rate controller of the TGS paper
+// (NSDI'23); this reproduction runs every experiment with these values.
 
-impl Default for TgsConfig {
-    fn default() -> Self {
-        TgsConfig {
-            tick: SimSpan::from_millis(100),
-            decrease: 0.5,
-            increase: 0.05,
-            share_bounds: (0.05, 1.0),
-            initial_share: 0.5,
-            saturation: 0.95,
-        }
-    }
-}
+/// Adaptation interval of the TGS controller.
+const TICK: SimSpan = SimSpan::from_millis(100);
+/// TGS multiplicative decrease of the best-effort duty cycle on saturation.
+const DECREASE: f64 = 0.5;
+/// TGS additive increase of the duty cycle per healthy tick.
+const INCREASE: f64 = 0.05;
+/// Lowest duty cycle: TGS throttles the best-effort job, never starves it.
+const MIN_SHARE: f64 = 0.05;
+/// Highest duty cycle: back-to-back best-effort launches.
+const MAX_SHARE: f64 = 1.0;
+/// TGS duty cycle before any feedback arrives.
+const INITIAL_SHARE: f64 = 0.5;
+/// High-priority busy fraction above which TGS's throughput feedback
+/// counts the job as saturated.
+const SATURATION: f64 = 0.95;
 
 /// The TGS sharing system.
 #[derive(Debug)]
 pub struct Tgs {
-    cfg: TgsConfig,
     share: f64,
     next_tick: SimTime,
     /// Simulated time this tick during which the hp side had work queued
@@ -74,14 +60,8 @@ pub struct Tgs {
 impl Tgs {
     /// A TGS instance with default adaptation parameters.
     pub fn new() -> Self {
-        Self::with_config(TgsConfig::default())
-    }
-
-    /// A TGS instance with explicit parameters.
-    pub fn with_config(cfg: TgsConfig) -> Self {
         Tgs {
-            share: cfg.initial_share,
-            cfg,
+            share: INITIAL_SHARE,
             next_tick: SimTime::ZERO,
             hp_busy_in_tick: SimSpan::ZERO,
             hp_busy_since: None,
@@ -153,14 +133,14 @@ impl SharingSystem for Tgs {
         self.update_busy(now);
         // Throughput-protecting AIMD tick.
         while now >= self.next_tick {
-            let busy_frac = self.hp_busy_in_tick.ratio(self.cfg.tick).min(1.0);
-            if busy_frac > self.cfg.saturation {
-                self.share = (self.share * self.cfg.decrease).max(self.cfg.share_bounds.0);
+            let busy_frac = self.hp_busy_in_tick.ratio(TICK).min(1.0);
+            if busy_frac > SATURATION {
+                self.share = (self.share * DECREASE).max(MIN_SHARE);
             } else {
-                self.share = (self.share + self.cfg.increase).min(self.cfg.share_bounds.1);
+                self.share = (self.share + INCREASE).min(MAX_SHARE);
             }
             self.hp_busy_in_tick = SimSpan::ZERO;
-            self.next_tick = self.next_tick.max(now) + self.cfg.tick;
+            self.next_tick = self.next_tick.max(now) + TICK;
         }
         // Kernel-level context exclusivity: high-priority kernels launch
         // only while no best-effort kernel owns the GPU (and vice versa) —

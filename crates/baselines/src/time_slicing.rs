@@ -16,20 +16,9 @@ use tally_gpu::{
     SimTime,
 };
 
-/// Time-Slicing configuration.
-#[derive(Clone, Debug)]
-pub struct TimeSlicingConfig {
-    /// Scheduling quantum per context.
-    pub quantum: SimSpan,
-}
-
-impl Default for TimeSlicingConfig {
-    fn default() -> Self {
-        TimeSlicingConfig {
-            quantum: SimSpan::from_millis(2),
-        }
-    }
-}
+/// Scheduling quantum per context: the 2 ms default time slice of
+/// NVIDIA's driver-level time-slicing.
+const QUANTUM: SimSpan = SimSpan::from_millis(2);
 
 #[derive(Clone, Debug)]
 struct PendingKernel {
@@ -41,7 +30,6 @@ struct PendingKernel {
 /// The Time-Slicing sharing system.
 #[derive(Debug)]
 pub struct TimeSlicing {
-    cfg: TimeSlicingConfig,
     pending: Vec<Option<PendingKernel>>,
     inflight: Option<(LaunchId, ClientId)>,
     preempting: bool,
@@ -53,13 +41,7 @@ pub struct TimeSlicing {
 impl TimeSlicing {
     /// A Time-Slicing instance with the default 2 ms quantum.
     pub fn new() -> Self {
-        Self::with_config(TimeSlicingConfig::default())
-    }
-
-    /// A Time-Slicing instance with an explicit quantum.
-    pub fn with_config(cfg: TimeSlicingConfig) -> Self {
         TimeSlicing {
-            cfg,
             pending: Vec::new(),
             inflight: None,
             preempting: false,
@@ -157,7 +139,7 @@ impl SharingSystem for TimeSlicing {
                     // it and the quantum restarts. Without this refresh the
                     // expired `quantum_end` timer re-fires at the same
                     // instant forever and the run livelocks.
-                    _ => self.quantum_end = now + self.cfg.quantum,
+                    _ => self.quantum_end = now + QUANTUM,
                 }
             }
             return;
@@ -171,10 +153,10 @@ impl SharingSystem for TimeSlicing {
                         // A real context switch burns driver time.
                         let until = now + ctx.engine.spec().context_switch_overhead;
                         self.switching_until = Some(until);
-                        self.quantum_end = until + self.cfg.quantum;
+                        self.quantum_end = until + QUANTUM;
                         return;
                     }
-                    self.quantum_end = now + self.cfg.quantum;
+                    self.quantum_end = now + QUANTUM;
                 }
                 None => return, // nothing anywhere
             }

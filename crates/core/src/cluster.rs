@@ -90,10 +90,10 @@ use std::sync::Mutex;
 use tally_gpu::{GpuSpec, SimSpan, SimTime};
 
 use crate::admission::AdmissionPolicy;
+use crate::api::Transport;
 use crate::events::{LoadMonitor, Observation, SharedSyncObserver, TraceError};
 use crate::harness::{
-    compile_trace, Colocation, HarnessConfig, InterceptMode, JobKind, JobSpec, Session,
-    SessionEvent,
+    compile_trace, Colocation, HarnessConfig, JobKind, JobSpec, Session, SessionEvent,
 };
 use crate::metrics::{ClientReport, HostStats, LatencyRecorder};
 use crate::system::{Passthrough, SharingSystem};
@@ -284,9 +284,10 @@ impl PlacementPolicy for LeastLoaded {
 ///   [`LeastLoaded`].
 /// * **Migration** moves a best-effort client off a device whose
 ///   high-priority pressure exceeds the coldest alternative's by more
-///   than `margin` — so trainers evacuate a device whose service is in a
-///   burst phase and come back when the burst moves elsewhere, something
-///   no static `job_demand` comparison can see. The margin keeps the rule
+///   than a fixed margin (0.25 outstanding kernels) — so trainers
+///   evacuate a device whose service is in a burst phase and come back
+///   when the burst moves elsewhere, something no static `job_demand`
+///   comparison can see. The margin keeps the rule
 ///   hysteretic: near-equal pressures never trigger a move, so clients
 ///   don't ping-pong within a phase.
 /// * **Transfer costs** are amortized, not ignored: under a non-flat
@@ -305,16 +306,12 @@ impl PlacementPolicy for LeastLoaded {
 /// let costed = LoadAware::default();
 /// assert_eq!(costed.horizon, Some(SimSpan::from_millis(500)));
 /// // Patient variant: a long horizon accepts expensive moves.
-/// let patient = LoadAware { horizon: Some(SimSpan::from_secs(10)), ..LoadAware::default() };
+/// let patient = LoadAware { horizon: Some(SimSpan::from_secs(10)) };
 /// // Topology-blind ablation: migrates as if every link were free.
 /// assert_eq!(LoadAware::topology_blind().horizon, None);
 /// ```
 #[derive(Clone, Debug)]
 pub struct LoadAware {
-    /// Minimum high-priority pressure gap (in mean outstanding kernels)
-    /// between the source and the coldest other device before a
-    /// migration fires.
-    pub margin: f64,
     /// Amortization horizon for transfer costs: a move fires only when
     /// `pressure_gap × horizon ≥ projected stall` — the tail-latency
     /// relief expected over the horizon must pay for the state transfer.
@@ -328,11 +325,16 @@ pub struct LoadAware {
 impl Default for LoadAware {
     fn default() -> Self {
         LoadAware {
-            margin: 0.25,
             horizon: Some(SimSpan::from_millis(500)),
         }
     }
 }
+
+/// Minimum high-priority pressure gap (in mean outstanding kernels)
+/// between the source and the coldest other device before [`LoadAware`]
+/// migrates. The paper is single-GPU, so this hysteresis is the fleet
+/// extension's own calibration.
+const MIGRATE_MARGIN: f64 = 0.25;
 
 impl LoadAware {
     /// The topology-blind ablation: identical pressure rules, but
@@ -341,10 +343,7 @@ impl LoadAware {
     /// was before transfer costs existed — keep it around for measuring
     /// what cost-awareness buys.
     pub fn topology_blind() -> Self {
-        LoadAware {
-            horizon: None,
-            ..LoadAware::default()
-        }
+        LoadAware { horizon: None }
     }
 
     fn runtime_load(d: &DeviceLoad) -> f64 {
@@ -387,7 +386,7 @@ impl PlacementPolicy for LoadAware {
                 };
                 cost(a).partial_cmp(&cost(b)).expect("finite load")
             })?;
-        if devices[from].hp_pressure <= target.hp_pressure + self.margin {
+        if devices[from].hp_pressure <= target.hp_pressure + MIGRATE_MARGIN {
             return None;
         }
         if let Some(h) = self.horizon {
@@ -474,7 +473,7 @@ pub struct Cluster {
     policy: Box<dyn PlacementPolicy>,
     system_factory: Box<dyn Fn(usize) -> Box<dyn SharingSystem>>,
     cfg: HarnessConfig,
-    intercept: InterceptMode,
+    transport: Option<Transport>,
     migrate_on_detach: bool,
     rebalance_every: Option<SimSpan>,
     sync_observers: Vec<SharedSyncObserver>,
@@ -519,7 +518,7 @@ impl Cluster {
             policy: Box::new(RoundRobin::default()),
             system_factory: Box::new(|_| Box::new(Passthrough::new())),
             cfg: HarnessConfig::default(),
-            intercept: InterceptMode::Native,
+            transport: None,
             migrate_on_detach: true,
             rebalance_every: None,
             sync_observers: Vec::new(),
@@ -650,8 +649,8 @@ impl Cluster {
     /// `transport` (see [`Colocation::transport`]). A migrated client pays
     /// the attach burst again on its new device — migration is a
     /// reconnect.
-    pub fn transport(mut self, transport: crate::api::Transport) -> Self {
-        self.intercept = InterceptMode::Virtualized(transport);
+    pub fn transport(mut self, transport: Transport) -> Self {
+        self.transport = Some(transport);
         self
     }
 
@@ -721,7 +720,7 @@ impl Cluster {
             mut policy,
             system_factory,
             cfg,
-            intercept,
+            transport,
             migrate_on_detach,
             rebalance_every,
             sync_observers,
@@ -798,12 +797,14 @@ impl Cluster {
             .map(|(d, dev_jobs)| {
                 let mut dev_cfg = cfg.clone();
                 dev_cfg.seed = cfg.seed.wrapping_add(d as u64);
-                let mut session = Colocation::on(devices[d].clone())
+                let mut colo = Colocation::on(devices[d].clone())
                     .clients(dev_jobs)
                     .system_boxed(system_factory(d))
-                    .config(dev_cfg)
-                    .intercept(intercept)
-                    .into_session();
+                    .config(dev_cfg);
+                if let Some(t) = transport {
+                    colo = colo.transport(t);
+                }
+                let mut session = colo.into_session();
                 session.set_device_index(d);
                 session.set_monitor(LoadMonitor::new(monitor_window));
                 for obs in &sync_observers {

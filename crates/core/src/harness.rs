@@ -402,19 +402,6 @@ impl Default for HarnessConfig {
     }
 }
 
-/// How clients reach the sharing system (paper §4.3).
-#[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
-pub enum InterceptMode {
-    /// Clients talk to the GPU natively: no interception stub, no
-    /// forwarding cost. The *Ideal* configuration.
-    #[default]
-    Native,
-    /// Every client runs behind an `LD_PRELOAD`-style interception stub
-    /// over the given transport: state-mutating calls pay the channel
-    /// round trip, context reads are answered from the client-side cache.
-    Virtualized(Transport),
-}
-
 pub(crate) struct Client {
     spec: JobSpec,
     attached: bool,
@@ -754,7 +741,8 @@ pub struct Colocation<'s> {
     jobs: Vec<JobSpec>,
     system: Option<SystemSlot<'s>>,
     cfg: HarnessConfig,
-    intercept: InterceptMode,
+    /// `None` runs clients natively (the *Ideal* configuration).
+    transport: Option<Transport>,
     sync_observers: Vec<SharedSyncObserver>,
     admission: Option<Box<dyn AdmissionPolicy>>,
 }
@@ -765,7 +753,7 @@ impl fmt::Debug for Colocation<'_> {
             .field("spec", &self.spec)
             .field("jobs", &self.jobs)
             .field("cfg", &self.cfg)
-            .field("intercept", &self.intercept)
+            .field("transport", &self.transport)
             .finish_non_exhaustive()
     }
 }
@@ -778,7 +766,7 @@ impl<'s> Colocation<'s> {
             jobs: Vec::new(),
             system: None,
             cfg: HarnessConfig::default(),
-            intercept: InterceptMode::Native,
+            transport: None,
             sync_observers: Vec::new(),
             admission: None,
         }
@@ -863,14 +851,7 @@ impl<'s> Colocation<'s> {
     /// [`InterceptStats`](crate::api::InterceptStats) appear in the
     /// report.
     pub fn transport(mut self, transport: Transport) -> Self {
-        self.intercept = InterceptMode::Virtualized(transport);
-        self
-    }
-
-    /// Sets the interception mode explicitly ([`InterceptMode::Native`]
-    /// is the default).
-    pub fn intercept(mut self, mode: InterceptMode) -> Self {
-        self.intercept = mode;
+        self.transport = Some(transport);
         self
     }
 
@@ -901,12 +882,12 @@ impl<'s> Colocation<'s> {
             jobs,
             system,
             cfg,
-            intercept,
+            transport,
             sync_observers,
             admission,
         } = self;
         let system = system.unwrap_or_else(|| SystemSlot::Owned(Box::new(Passthrough::new())));
-        let mut session = Session::new(&spec, jobs, system, &cfg, intercept);
+        let mut session = Session::new(&spec, jobs, system, &cfg, transport);
         for obs in sync_observers {
             session.add_sync_observer(obs);
         }
@@ -949,7 +930,8 @@ pub struct Session<'s> {
     warmup: SimTime,
     duration: SimSpan,
     record_timelines: bool,
-    intercept: InterceptMode,
+    // The interception stub's transport; `None` runs clients natively.
+    transport: Option<Transport>,
     pending_completions: Vec<ClientId>,
     // Kernels held in the interception layer until their stub cost
     // elapses, with the instant each reaches the system. `next_wake`
@@ -1069,7 +1051,7 @@ impl<'s> Session<'s> {
         jobs: Vec<JobSpec>,
         system: SystemSlot<'s>,
         cfg: &HarnessConfig,
-        intercept: InterceptMode,
+        transport: Option<Transport>,
     ) -> Self {
         assert!(
             cfg.warmup < cfg.duration,
@@ -1083,9 +1065,7 @@ impl<'s> Session<'s> {
         let mut clients: Vec<Client> = jobs.into_iter().map(Client::new).collect();
         for c in &mut clients {
             c.record_timelines = cfg.record_timelines;
-            if let InterceptMode::Virtualized(transport) = intercept {
-                c.stub = Some(ClientStub::new(transport));
-            }
+            c.stub = transport.map(ClientStub::new);
         }
         Session {
             engine,
@@ -1096,7 +1076,7 @@ impl<'s> Session<'s> {
             warmup: SimTime::ZERO + cfg.warmup,
             duration: cfg.duration,
             record_timelines: cfg.record_timelines,
-            intercept,
+            transport,
             pending_completions: Vec::new(),
             in_transit: Vec::new(),
             departures: 0,
@@ -1622,9 +1602,7 @@ impl<'s> Session<'s> {
         let mut client = Client::new(job);
         client.record_timelines = self.record_timelines;
         client.observe = self.sinks.active();
-        if let InterceptMode::Virtualized(transport) = self.intercept {
-            client.stub = Some(ClientStub::new(transport));
-        }
+        client.stub = self.transport.map(ClientStub::new);
         self.clients.push(client);
         self.lifecycle_epoch += 1;
         id

@@ -91,8 +91,7 @@ pub use events::{
     ClientEvent, Observation, SessionObserver, SharedSyncObserver, TraceError, FLEET_DEVICE,
 };
 pub use harness::{
-    run_solo, Colocation, HarnessConfig, InterceptMode, JobKind, JobSpec, Session, SessionEvent,
-    WorkloadOp,
+    run_solo, Colocation, HarnessConfig, JobKind, JobSpec, Session, SessionEvent, WorkloadOp,
 };
 pub use metrics::{ClientReport, HostStats, LatencyRecorder, RunReport, Windowed};
 pub use scheduler::{TallyConfig, TallySystem};

@@ -36,46 +36,23 @@ pub enum LaunchCfg {
     },
 }
 
-/// Profiler/scheduler tuning knobs.
-#[derive(Clone, Debug)]
-pub struct ProfilerConfig {
-    /// The turnaround-latency threshold (paper default 0.0316 ms).
-    pub turnaround_bound: SimSpan,
-    /// Slice sizes to try, as fractions of the kernel's total blocks.
-    pub slice_fractions: Vec<f64>,
-    /// PTB worker counts to try, as multiples of the SM count.
-    pub worker_multiples: Vec<u32>,
-    /// Measurements averaged per configuration before trusting them
-    /// (the simulator is deterministic, so the default is 1; the paper
-    /// averages ~10 noisy hardware runs).
-    pub profile_runs: u32,
-}
+/// Slice sizes to try, as fractions of the kernel's total blocks
+/// (paper §4.2: 1/32 to 1/4 of the grid).
+const SLICE_FRACTIONS: [f64; 4] = [1.0 / 32.0, 1.0 / 16.0, 1.0 / 8.0, 1.0 / 4.0];
 
-impl Default for ProfilerConfig {
-    fn default() -> Self {
-        ProfilerConfig {
-            turnaround_bound: SimSpan::from_nanos(31_600),
-            slice_fractions: vec![1.0 / 32.0, 1.0 / 16.0, 1.0 / 8.0, 1.0 / 4.0],
-            // Descending: the fastest candidates are profiled first, so the
-            // profiling phase itself runs near full speed.
-            worker_multiples: vec![8, 4, 2, 1],
-            profile_runs: 1,
-        }
-    }
-}
+/// PTB worker counts to try, as multiples of the SM count (paper §4.2).
+/// Descending: the fastest candidates are profiled first, so the
+/// profiling phase itself runs near full speed.
+const WORKER_MULTIPLES: [u32; 4] = [8, 4, 2, 1];
 
 /// Generates the candidate set for a kernel (paper §4.2): PTB worker
 /// counts are multiples of the SM count that fit the thread constraints;
 /// slice sizes are fractions of the total block count.
-pub fn candidate_configs(
-    cfg: &ProfilerConfig,
-    spec: &GpuSpec,
-    kernel: &KernelDesc,
-) -> Vec<LaunchCfg> {
+pub fn candidate_configs(spec: &GpuSpec, kernel: &KernelDesc) -> Vec<LaunchCfg> {
     let total = kernel.grid.count();
     let capacity = spec.wave_capacity(kernel.threads_per_block(), kernel.smem_bytes);
     let mut out = Vec::new();
-    for &m in &cfg.worker_multiples {
+    for m in WORKER_MULTIPLES {
         let workers = (m as u64 * spec.num_sms as u64).min(capacity).min(total);
         if workers > 0 {
             let c = LaunchCfg::Ptb {
@@ -86,7 +63,7 @@ pub fn candidate_configs(
             }
         }
     }
-    for &f in &cfg.slice_fractions {
+    for f in SLICE_FRACTIONS {
         let blocks = ((total as f64 * f).round() as u64).clamp(1, total);
         let c = LaunchCfg::Slice { blocks };
         if !out.contains(&c) {
@@ -163,12 +140,13 @@ impl TransparentProfiler {
         p.chosen
     }
 
-    /// The next configuration that still needs `profile_runs` measurements,
-    /// or `None` when every candidate is measured (after which
-    /// [`TransparentProfiler::finalize`] picks the winner).
+    /// The next configuration that has no measurement yet, or `None` when
+    /// every candidate is measured (after which
+    /// [`TransparentProfiler::finalize`] picks the winner). The simulator
+    /// is deterministic, so one measurement per candidate suffices; the
+    /// paper averages ~10 noisy hardware runs.
     pub fn next_unmeasured(
         &mut self,
-        cfg: &ProfilerConfig,
         candidates: &[LaunchCfg],
         kernel: &KernelDesc,
     ) -> Option<LaunchCfg> {
@@ -180,12 +158,13 @@ impl TransparentProfiler {
         candidates
             .iter()
             .copied()
-            .find(|c| p.measurements.get(c).map_or(0, |m| m.runs) < cfg.profile_runs)
+            .find(|c| !p.measurements.contains_key(c))
     }
 
     /// Records one measurement of `launch_cfg`: `tasks` original blocks
     /// executed in `duration` using `workers` resident blocks (equal to
-    /// `tasks` for slices).
+    /// `tasks` for slices). Repeat measurements of one configuration are
+    /// averaged.
     pub fn record(
         &mut self,
         kernel: &KernelDesc,
@@ -213,14 +192,14 @@ impl TransparentProfiler {
     }
 
     /// Picks the winning configuration once all candidates are measured:
-    /// the highest-rate configuration whose turnaround is within the
-    /// bound, falling back to the lowest-turnaround configuration when
+    /// the highest-rate configuration whose turnaround is within `bound`,
+    /// falling back to the lowest-turnaround configuration when
     /// none complies (ties broken by rate).
     ///
     /// Returns the choice (also cached for [`TransparentProfiler::chosen`]).
     pub fn finalize(
         &mut self,
-        cfg: &ProfilerConfig,
+        bound: SimSpan,
         candidates: &[LaunchCfg],
         kernel: &KernelDesc,
     ) -> Option<LaunchCfg> {
@@ -228,10 +207,7 @@ impl TransparentProfiler {
         if p.chosen.is_some() {
             return p.chosen;
         }
-        let all_measured = candidates
-            .iter()
-            .all(|c| p.measurements.get(c).map_or(0, |m| m.runs) >= cfg.profile_runs);
-        if !all_measured {
+        if !candidates.iter().all(|c| p.measurements.contains_key(c)) {
             return None;
         }
         // When the bound is unattainable (per-block time alone exceeds it —
@@ -244,7 +220,7 @@ impl TransparentProfiler {
             .map(|c| p.measurements[c].turnaround())
             .min()
             .expect("candidates nonempty");
-        let effective_bound = cfg.turnaround_bound.max(min_turnaround.mul_f64(1.25));
+        let effective_bound = bound.max(min_turnaround.mul_f64(1.25));
         let choice = candidates
             .iter()
             .filter(|c| p.measurements[c].turnaround() <= effective_bound)
@@ -264,7 +240,6 @@ impl TransparentProfiler {
             .get(&Self::key(kernel))?
             .measurements
             .get(&launch_cfg)
-            .filter(|m| m.runs > 0)
             .map(Measurement::turnaround)
     }
 }
@@ -272,7 +247,13 @@ impl TransparentProfiler {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scheduler::TallyConfig;
     use tally_gpu::GpuSpec;
+
+    /// The paper's default turnaround bound (0.0316 ms).
+    fn paper_bound() -> SimSpan {
+        TallyConfig::paper_default().turnaround_bound
+    }
 
     fn kernel(blocks: u32, cost_us: u64) -> KernelDesc {
         KernelDesc::builder("k")
@@ -284,10 +265,9 @@ mod tests {
 
     #[test]
     fn candidates_respect_capacity_and_grid() {
-        let cfg = ProfilerConfig::default();
         let spec = GpuSpec::a100();
         let k = kernel(4320, 100);
-        let cands = candidate_configs(&cfg, &spec, &k);
+        let cands = candidate_configs(&spec, &k);
         // 256-thread blocks: capacity 864 caps the 8×108=864 multiple.
         assert!(cands.contains(&LaunchCfg::Ptb { workers: 108 }));
         assert!(cands.contains(&LaunchCfg::Ptb { workers: 864 }));
@@ -299,10 +279,9 @@ mod tests {
 
     #[test]
     fn tiny_kernels_get_deduplicated_candidates() {
-        let cfg = ProfilerConfig::default();
         let spec = GpuSpec::a100();
         let k = kernel(4, 10);
-        let cands = candidate_configs(&cfg, &spec, &k);
+        let cands = candidate_configs(&spec, &k);
         // All PTB multiples clamp to 4 workers; all slice fractions to 1.
         assert_eq!(
             cands,
@@ -315,14 +294,13 @@ mod tests {
 
     #[test]
     fn profiling_flow_measures_then_chooses() {
-        let cfg = ProfilerConfig::default();
         let spec = GpuSpec::a100();
         let k = kernel(864, 20); // one wave of 20us blocks
-        let cands = candidate_configs(&cfg, &spec, &k);
+        let cands = candidate_configs(&spec, &k);
         let mut prof = TransparentProfiler::new();
         assert_eq!(prof.chosen(&k), None);
         // Feed measurements: every candidate still unmeasured gets one.
-        while let Some(c) = prof.next_unmeasured(&cfg, &cands, &k) {
+        while let Some(c) = prof.next_unmeasured(&cands, &k) {
             let (tasks, duration) = match c {
                 LaunchCfg::Slice { blocks } => (blocks, SimSpan::from_micros(24)),
                 LaunchCfg::Ptb { workers } => {
@@ -333,7 +311,9 @@ mod tests {
             };
             prof.record(&k, c, tasks, duration);
         }
-        let chosen = prof.finalize(&cfg, &cands, &k).expect("all measured");
+        let chosen = prof
+            .finalize(paper_bound(), &cands, &k)
+            .expect("all measured");
         // The 864-worker PTB config finishes 864 blocks in 29us — by far
         // the best rate, and its Eq.1 turnaround (29us × 864/864) is within
         // the 31.6us bound.
@@ -344,10 +324,7 @@ mod tests {
 
     #[test]
     fn infeasible_bound_falls_back_to_min_turnaround() {
-        let cfg = ProfilerConfig {
-            turnaround_bound: SimSpan::from_nanos(1), // nothing fits
-            ..ProfilerConfig::default()
-        };
+        let bound = SimSpan::from_nanos(1); // nothing fits
         let k = kernel(100, 50);
         let cands = vec![
             LaunchCfg::Slice { blocks: 50 },
@@ -358,12 +335,37 @@ mod tests {
         // => 625us latency, turnaround = 62.5us.
         prof.record(&k, cands[0], 50, SimSpan::from_micros(54));
         prof.record(&k, cands[1], 100, SimSpan::from_micros(625));
-        let chosen = prof.finalize(&cfg, &cands, &k).expect("measured");
+        let chosen = prof.finalize(bound, &cands, &k).expect("measured");
         assert_eq!(
             chosen,
             LaunchCfg::Slice { blocks: 50 },
             "min turnaround wins"
         );
+    }
+
+    #[test]
+    fn repeat_measurements_average_without_completing_the_profile() {
+        let k = kernel(100, 10);
+        let cands = vec![
+            LaunchCfg::Slice { blocks: 10 },
+            LaunchCfg::Slice { blocks: 20 },
+        ];
+        let mut prof = TransparentProfiler::new();
+        assert_eq!(prof.finalize(paper_bound(), &cands, &k), None);
+        prof.record(&k, cands[0], 10, SimSpan::from_micros(10));
+        assert_eq!(prof.finalize(paper_bound(), &cands, &k), None);
+        // A second record of a measured candidate is averaged into it...
+        prof.record(&k, cands[0], 10, SimSpan::from_micros(20));
+        assert_eq!(
+            prof.turnaround(&k, cands[0]),
+            Some(SimSpan::from_micros(15))
+        );
+        // ...and does not make the other candidate count as measured.
+        assert_eq!(prof.next_unmeasured(&cands, &k), Some(cands[1]));
+        assert_eq!(prof.finalize(paper_bound(), &cands, &k), None);
+        prof.record(&k, cands[1], 20, SimSpan::from_micros(25));
+        assert_eq!(prof.next_unmeasured(&cands, &k), None);
+        assert!(prof.finalize(paper_bound(), &cands, &k).is_some());
     }
 
     #[test]
@@ -385,7 +387,6 @@ mod tests {
 
     #[test]
     fn separate_profiles_per_grid_dims() {
-        let cfg = ProfilerConfig::default();
         let k1 = kernel(100, 10);
         let k2 = KernelDesc {
             grid: tally_gpu::Dim3::linear(200),
@@ -394,7 +395,7 @@ mod tests {
         let cands = vec![LaunchCfg::Slice { blocks: 10 }];
         let mut prof = TransparentProfiler::new();
         prof.record(&k1, cands[0], 10, SimSpan::from_micros(14));
-        assert!(prof.finalize(&cfg, &cands, &k1).is_some());
+        assert!(prof.finalize(paper_bound(), &cands, &k1).is_some());
         assert_eq!(prof.chosen(&k2), None, "different grid profiles separately");
     }
 }

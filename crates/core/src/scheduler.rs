@@ -24,23 +24,30 @@ use tally_gpu::{
     SimTime,
 };
 
-use crate::profiler::{
-    candidate_configs, LaunchCfg, ProfilerConfig, ProfilerStats, TransparentProfiler,
-};
+use crate::profiler::{candidate_configs, LaunchCfg, ProfilerStats, TransparentProfiler};
 use crate::system::{Ctx, SharingSystem};
-use crate::transform::{KernelTransformer, TransformConfig, TransformPlan, TransformStats};
+use crate::transform::{KernelTransformer, TransformPlan, TransformStats, PTB_OVERHEAD_PPM};
 
 /// Tally's configuration.
 ///
 /// Client→server API forwarding cost is no longer configured here: it is
 /// modeled by the session's per-client interception stubs
 /// ([`Colocation::transport`](crate::harness::Colocation::transport)).
-#[derive(Clone, Debug, Default)]
+/// Every other tuning value is a constant of the module that reads it:
+/// the paper sweeps only the turnaround bound (Figure 7c).
+#[derive(Clone, Debug)]
 pub struct TallyConfig {
-    /// Profiler / turnaround-threshold settings.
-    pub profiler: ProfilerConfig,
-    /// Kernel transformer settings.
-    pub transform: TransformConfig,
+    /// The turnaround-latency threshold the profiler keeps best-effort
+    /// launches within (paper default 0.0316 ms).
+    pub turnaround_bound: SimSpan,
+}
+
+impl Default for TallyConfig {
+    fn default() -> Self {
+        TallyConfig {
+            turnaround_bound: SimSpan::from_nanos(31_600),
+        }
+    }
 }
 
 impl TallyConfig {
@@ -51,7 +58,7 @@ impl TallyConfig {
 
     /// Sets the turnaround-latency threshold (the Figure 7c sweep knob).
     pub fn with_turnaround_bound(mut self, bound: SimSpan) -> Self {
-        self.profiler.turnaround_bound = bound;
+        self.turnaround_bound = bound;
         self
     }
 }
@@ -80,7 +87,7 @@ struct BeTask {
 /// use tally_core::scheduler::{TallyConfig, TallySystem};
 ///
 /// let tally = TallySystem::new(TallyConfig::paper_default());
-/// assert_eq!(tally.config().profiler.turnaround_bound.as_micros_f64(), 31.6);
+/// assert_eq!(tally.config().turnaround_bound.as_micros_f64(), 31.6);
 /// ```
 #[derive(Debug)]
 pub struct TallySystem {
@@ -99,10 +106,9 @@ pub struct TallySystem {
 impl TallySystem {
     /// A Tally instance with the given configuration.
     pub fn new(cfg: TallyConfig) -> Self {
-        let transformer = KernelTransformer::new(cfg.transform.clone());
         TallySystem {
             cfg,
-            transformer,
+            transformer: KernelTransformer::new(),
             profiler: TransparentProfiler::new(),
             hp_inflight: BTreeMap::new(),
             hp_active: 0,
@@ -158,22 +164,17 @@ impl TallySystem {
                 // Cooperative kernels: whole-kernel launches only (§6).
                 (LaunchShape::Full, None, remaining)
             }
-            TransformPlan::BlockLevel {
-                ptb_overhead_ppm, ..
-            } => {
-                let candidates = candidate_configs(&self.cfg.profiler, ctx.engine.spec(), &kernel);
+            TransformPlan::BlockLevel { .. } => {
+                let candidates = candidate_configs(ctx.engine.spec(), &kernel);
                 let chosen = self.profiler.chosen(&kernel).or_else(|| {
                     self.profiler
-                        .finalize(&self.cfg.profiler, &candidates, &kernel)
+                        .finalize(self.cfg.turnaround_bound, &candidates, &kernel)
                 });
                 // Use the locked-in configuration when available; otherwise
                 // this launch doubles as a profiling run of the next
                 // unmeasured candidate.
                 let cfg = chosen
-                    .or_else(|| {
-                        self.profiler
-                            .next_unmeasured(&self.cfg.profiler, &candidates, &kernel)
-                    })
+                    .or_else(|| self.profiler.next_unmeasured(&candidates, &kernel))
                     .unwrap_or(candidates[0]);
                 match cfg {
                     LaunchCfg::Slice { blocks } => {
@@ -191,7 +192,7 @@ impl TallySystem {
                         LaunchShape::Ptb {
                             workers: (workers as u64).min(remaining) as u32,
                             offset: task.progress,
-                            overhead_ppm: *ptb_overhead_ppm,
+                            overhead_ppm: PTB_OVERHEAD_PPM,
                         },
                         Some(cfg),
                         remaining,
@@ -499,6 +500,6 @@ mod tests {
     #[test]
     fn turnaround_bound_is_configurable() {
         let cfg = TallyConfig::paper_default().with_turnaround_bound(SimSpan::from_millis(10));
-        assert_eq!(cfg.profiler.turnaround_bound, SimSpan::from_millis(10));
+        assert_eq!(cfg.turnaround_bound, SimSpan::from_millis(10));
     }
 }

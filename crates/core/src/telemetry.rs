@@ -26,6 +26,7 @@
 //! events stream past its boundary; the resulting series is a pure
 //! function of the (deterministic) per-device event stream.
 
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::sync::{Arc, Mutex};
@@ -468,14 +469,22 @@ impl MetricsHub {
     }
 
     /// The metrics of the client `id` names on `device`, keyed by its
-    /// stable key (`client-{id}` while the stream never named it).
+    /// stable key (`client-{id}` while the stream never named it). Looks
+    /// the key up borrowed and allocates it only on first sight.
     fn client_mut(&mut self, device: usize, id: ClientId) -> &mut ClientMetrics {
-        let key = self
+        let key: Cow<'_, str> = match self
             .devices
             .get(&device)
             .and_then(|d| d.state.client(id)?.key.as_deref())
-            .map_or_else(|| format!("client-{}", id.0), str::to_owned);
-        self.clients.entry(key).or_default()
+        {
+            Some(key) => Cow::Borrowed(key),
+            None => Cow::Owned(format!("client-{}", id.0)),
+        };
+        if !self.clients.contains_key(&*key) {
+            self.clients
+                .insert(key.to_string(), ClientMetrics::default());
+        }
+        self.clients.get_mut(&*key).expect("inserted above")
     }
 }
 
@@ -733,11 +742,6 @@ impl Timeline {
         Arc::new(Mutex::new(Timeline::new(cadence, duration)))
     }
 
-    /// The sampling cadence.
-    pub fn cadence(&self) -> SimSpan {
-        self.cadence
-    }
-
     /// Closes every remaining window up to the run duration. Idempotent;
     /// called automatically by the export methods.
     pub fn finish(&mut self) {
@@ -758,11 +762,6 @@ impl Timeline {
     /// to include trailing quiet windows).
     pub fn windows(&self, device: usize) -> &[TimelineWindow] {
         self.devices.get(&device).map_or(&[], |d| &d.windows)
-    }
-
-    /// Devices with a series, in index order.
-    pub fn device_indices(&self) -> Vec<usize> {
-        self.devices.keys().copied().collect()
     }
 
     /// Versioned JSON export: `{"version": 2, "cadence_ns": …,

@@ -178,11 +178,6 @@ impl Topology {
         self.devices
     }
 
-    /// Whether this is the free [`Topology::flat`] preset.
-    pub fn is_flat(&self) -> bool {
-        self.flat
-    }
-
     /// Adds (or replaces) the undirected link between `a` and `b`.
     ///
     /// # Panics

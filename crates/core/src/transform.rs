@@ -18,25 +18,13 @@ use std::sync::Arc;
 
 use tally_gpu::{KernelDesc, KernelId, KernelOrigin};
 
-/// Transformer parameters.
-#[derive(Clone, Debug)]
-pub struct TransformConfig {
-    /// Per-task overhead of the PTB (preemptive) form, in parts-per-
-    /// thousand (250 = +25%, the paper's measured average).
-    pub ptb_overhead_ppm: u32,
-    /// Cost delta of CUTLASS replacements for opaque-library kernels, in
-    /// parts-per-thousand (the paper reports "similar performance").
-    pub opaque_replacement_ppm: u32,
-}
+/// Per-task overhead of the PTB (preemptive) form, in parts per thousand:
+/// 250 is the +25% average the paper measures (§5.7).
+pub(crate) const PTB_OVERHEAD_PPM: u32 = 250;
 
-impl Default for TransformConfig {
-    fn default() -> Self {
-        TransformConfig {
-            ptb_overhead_ppm: 250,
-            opaque_replacement_ppm: 50,
-        }
-    }
-}
+/// Block-cost delta of a CUTLASS replacement for an opaque-library kernel,
+/// in parts per thousand: +5%, the paper's "similar performance" (§5.1).
+const OPAQUE_REPLACEMENT_PPM: u32 = 50;
 
 /// How a kernel may be scheduled.
 #[derive(Clone, Debug)]
@@ -46,8 +34,6 @@ pub enum TransformPlan {
     BlockLevel {
         /// The kernel to launch (original or replacement).
         kernel: Arc<KernelDesc>,
-        /// PTB per-task overhead to pass at launch.
-        ptb_overhead_ppm: u32,
     },
     /// Only whole-kernel launches are safe (cooperative kernels).
     KernelLevelOnly {
@@ -60,8 +46,9 @@ impl TransformPlan {
     /// The kernel that will actually be launched.
     pub fn kernel(&self) -> &Arc<KernelDesc> {
         match self {
-            TransformPlan::BlockLevel { kernel, .. }
-            | TransformPlan::KernelLevelOnly { kernel } => kernel,
+            TransformPlan::BlockLevel { kernel } | TransformPlan::KernelLevelOnly { kernel } => {
+                kernel
+            }
         }
     }
 
@@ -87,19 +74,14 @@ pub struct TransformStats {
 /// Caches one [`TransformPlan`] per kernel function.
 #[derive(Debug, Default)]
 pub struct KernelTransformer {
-    cfg: TransformConfig,
     plans: BTreeMap<KernelId, TransformPlan>,
     stats: TransformStats,
 }
 
 impl KernelTransformer {
-    /// A transformer with the given parameters.
-    pub fn new(cfg: TransformConfig) -> Self {
-        KernelTransformer {
-            cfg,
-            plans: BTreeMap::new(),
-            stats: TransformStats::default(),
-        }
+    /// An empty transformer.
+    pub fn new() -> Self {
+        Self::default()
     }
 
     /// Activity counters.
@@ -118,7 +100,6 @@ impl KernelTransformer {
                 self.stats.transformed += 1;
                 TransformPlan::BlockLevel {
                     kernel: Arc::clone(kernel),
-                    ptb_overhead_ppm: self.cfg.ptb_overhead_ppm,
                 }
             }
             KernelOrigin::Opaque => {
@@ -130,7 +111,7 @@ impl KernelTransformer {
                     .block_cost(
                         kernel
                             .block_cost
-                            .mul_f64(1.0 + self.cfg.opaque_replacement_ppm as f64 / 1000.0),
+                            .mul_f64(1.0 + OPAQUE_REPLACEMENT_PPM as f64 / 1000.0),
                     )
                     .mem_intensity(kernel.mem_intensity)
                     .smem_bytes(kernel.smem_bytes)
@@ -138,7 +119,6 @@ impl KernelTransformer {
                     .build_arc();
                 TransformPlan::BlockLevel {
                     kernel: replacement,
-                    ptb_overhead_ppm: self.cfg.ptb_overhead_ppm,
                 }
             }
             KernelOrigin::Cooperative => {

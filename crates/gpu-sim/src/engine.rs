@@ -42,7 +42,6 @@ use std::collections::{BinaryHeap, VecDeque};
 
 use crate::rng::SmallRng;
 
-use crate::kernel::KernelDesc;
 use crate::launch::{LaunchId, LaunchRequest, LaunchShape, Notification, Priority};
 use crate::spec::GpuSpec;
 use crate::time::{SimSpan, SimTime};
@@ -277,15 +276,6 @@ impl Engine {
     /// Free resident-block capacity right now.
     pub fn free_block_slots(&self) -> u64 {
         self.free.blocks
-    }
-
-    /// How many more blocks of `kernel` could become resident right now.
-    pub fn fit_blocks(&self, kernel: &KernelDesc) -> u64 {
-        self.fit(
-            u64::MAX,
-            kernel.threads_per_block() as u64,
-            kernel.smem_bytes as u64,
-        )
     }
 
     /// Whether any launch is resident or pending.

@@ -12,11 +12,6 @@ use tally_gpu::{GpuSpec, KernelDesc, KernelOrigin, SimSpan};
 pub struct Segment {
     /// How many kernel *launches* this segment contributes.
     pub count: usize,
-    /// How many **distinct** kernel functions back those launches. Real DL
-    /// models launch a few dozen distinct kernels thousands of times per
-    /// iteration; recurrence is what lets Tally's transparent profiler
-    /// converge. Defaults to `min(count, 48)`.
-    pub distinct: usize,
     /// Solo duration range in microseconds (log-uniform).
     pub dur_us: (f64, f64),
     /// Memory-intensity range (uniform).
@@ -36,7 +31,6 @@ impl Segment {
     pub fn new(count: usize, dur_us: (f64, f64), mem: (f64, f64)) -> Self {
         Segment {
             count,
-            distinct: count.min(48),
             dur_us,
             mem,
             opaque_frac: 0.0,
@@ -50,12 +44,6 @@ impl Segment {
         self
     }
 
-    /// Overrides the distinct-kernel pool size.
-    pub fn with_distinct(mut self, distinct: usize) -> Self {
-        self.distinct = distinct;
-        self
-    }
-
     /// Overrides the single-wave grid occupancy range.
     pub fn with_grid_fill(mut self, lo: f64, hi: f64) -> Self {
         assert!(
@@ -66,6 +54,12 @@ impl Segment {
         self
     }
 }
+
+/// Most distinct kernel functions behind one segment's launches. Real DL
+/// models launch a few dozen distinct kernels thousands of times per
+/// iteration (paper §4.2); recurrence is what lets Tally's transparent
+/// profiler converge.
+const MAX_DISTINCT: usize = 48;
 
 /// Per-block cost ceiling used when decomposing long kernels into waves.
 /// Long DL kernels (large matmuls, attention) run hundreds of microseconds
@@ -178,7 +172,7 @@ pub fn calibrated_mix(
     let mut seq: Vec<(usize, usize)> = Vec::new(); // (segment, pool index)
     for (si, seg) in segments.iter().enumerate() {
         let count = ((seg.count as f64 * count_scale).round() as usize).max(1);
-        let distinct = seg.distinct.clamp(1, count);
+        let distinct = seg.count.min(MAX_DISTINCT).clamp(1, count);
         let mut pool = Vec::with_capacity(distinct);
         for _ in 0..distinct {
             let log = rng.gen_range(seg.dur_us.0.ln()..=seg.dur_us.1.ln());

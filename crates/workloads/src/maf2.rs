@@ -28,11 +28,15 @@ pub struct Maf2Config {
     pub burstiness: f64,
     /// Probability that a window is a demand spike.
     pub spike_prob: f64,
-    /// Spike magnitude range, as a multiple of the mean rate.
-    pub spike_mult: (f64, f64),
-    /// Width of an intensity window.
-    pub window: SimSpan,
 }
+
+/// Spike magnitude range, as a multiple of the mean rate: this module's
+/// MAF2 calibration, used by every experiment.
+const SPIKE_MULT: (f64, f64) = (1.6, 2.4);
+
+/// Width of an intensity window: the MAF2 calibration's 500 ms modulation
+/// period (see [`arrivals`]).
+const WINDOW: SimSpan = SimSpan::from_millis(500);
 
 impl Maf2Config {
     /// A trace at the given load for a service with the given solo latency
@@ -49,8 +53,6 @@ impl Maf2Config {
             seed: 42,
             burstiness: 0.3,
             spike_prob: 0.002,
-            spike_mult: (1.6, 2.4),
-            window: SimSpan::from_millis(500),
         }
     }
 
@@ -79,7 +81,7 @@ impl Maf2Config {
 pub fn arrivals(cfg: &Maf2Config) -> Vec<SimTime> {
     let mut rng = SmallRng::seed_from_u64(cfg.seed);
     let mean_rate = cfg.load / cfg.service_time.as_secs_f64(); // req/s
-    let window_s = cfg.window.as_secs_f64();
+    let window_s = WINDOW.as_secs_f64();
     let num_windows = (cfg.duration.as_secs_f64() / window_s).ceil() as usize;
     // Mean-one lognormal: exp(N(-sigma^2/2, sigma)).
     let sigma = cfg.burstiness;
@@ -95,7 +97,7 @@ pub fn arrivals(cfg: &Maf2Config) -> Vec<SimTime> {
         };
         let mut factor = (mu + sigma * normal).exp();
         if rng.gen_bool(cfg.spike_prob) {
-            factor = rng.gen_range(cfg.spike_mult.0..=cfg.spike_mult.1);
+            factor = rng.gen_range(SPIKE_MULT.0..=SPIKE_MULT.1);
         }
         let rate = mean_rate * factor;
         if rate <= 0.0 {

@@ -67,8 +67,8 @@ pub mod prelude {
         Observation, SessionObserver, SharedSyncObserver, TraceError, FLEET_DEVICE,
     };
     pub use tally_core::harness::{
-        run_solo, ActivityWindow, Colocation, HarnessConfig, InterceptMode, JobKind, JobSpec,
-        Session, SessionEvent, WorkloadOp,
+        run_solo, ActivityWindow, Colocation, HarnessConfig, JobKind, JobSpec, Session,
+        SessionEvent, WorkloadOp,
     };
     pub use tally_core::metrics::{ClientReport, LatencyRecorder, RunReport, Windowed};
     pub use tally_core::scheduler::{TallyConfig, TallySystem};
