@@ -61,9 +61,7 @@ impl SharingSystem for KernelLevelPriority {
         if self.hp_active > 0 {
             return;
         }
-        let ready: Vec<ClientId> = self.be_pending.keys().copied().collect();
-        for client in ready {
-            let kernel = self.be_pending.remove(&client).expect("key present");
+        for (client, kernel) in std::mem::take(&mut self.be_pending) {
             let id = ctx
                 .engine
                 .submit(LaunchRequest::full(kernel, client, Priority::BestEffort));

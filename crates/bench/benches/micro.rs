@@ -1,24 +1,32 @@
 //! Micro-benchmarks of the substrate components: engine event throughput
 //! and launch-storage high-water mark, kernel transformation passes,
-//! interpreter speed, and scheduler decision latency.
+//! interpreter speed, scheduler decision latency, and the calls a session
+//! makes into its sharing system.
 //!
 //! Like every harness in this crate these are standalone (no Criterion —
 //! the build environment is offline): each case is warmed up, then timed
 //! over enough iterations for a stable median, reported as ns/iter.
 
+use std::cell::Cell;
+use std::sync::Arc;
 use std::time::Instant;
 
 use tally_bench::{banner, bench_threads, JsonSink};
+use tally_core::api::Transport;
 use tally_core::cluster::Cluster;
 use tally_core::events::{Observation, SessionObserver};
 use tally_core::harness::{Colocation, HarnessConfig, JobSpec, WorkloadOp};
 use tally_core::scheduler::{TallyConfig, TallySystem};
+use tally_core::system::{Ctx, SharingSystem};
 use tally_core::telemetry::MetricsHub;
 use tally_gpu::{
-    ClientId, Engine, GpuSpec, KernelDesc, LaunchRequest, Priority, SimSpan, SimTime, Step,
+    ClientId, Engine, GpuSpec, KernelDesc, LaunchRequest, Notification, Priority, SimSpan, SimTime,
+    Step,
 };
 use tally_ptx::interp::{run_kernel, Launch};
 use tally_ptx::{passes, samples};
+use tally_workloads::maf2::{arrivals, Maf2Config};
+use tally_workloads::{InferModel, TrainModel};
 
 /// Host wall-clock sample for the bench timers below — `host_` scope per
 /// the determinism contract (ARCHITECTURE rule D3): wall time here feeds
@@ -108,6 +116,93 @@ fn engine_launch_storage(sink: &mut JsonSink) {
         "engine: peak live launches over 100k serial", stats.peak_live
     );
     sink.record("peak_live_launches", stats.peak_live as f64, &[]);
+}
+
+/// Forwards to a sharing system and counts the session's polls and timer
+/// queries.
+struct CallCounter<S> {
+    inner: S,
+    polls: u64,
+    timer_queries: Cell<u64>,
+}
+
+impl<S: SharingSystem> SharingSystem for CallCounter<S> {
+    fn name(&self) -> &str {
+        self.inner.name()
+    }
+
+    fn on_kernel_ready(&mut self, ctx: &mut Ctx<'_>, client: ClientId, kernel: Arc<KernelDesc>) {
+        self.inner.on_kernel_ready(ctx, client, kernel);
+    }
+
+    fn on_notification(&mut self, ctx: &mut Ctx<'_>, note: &Notification) {
+        self.inner.on_notification(ctx, note);
+    }
+
+    fn poll(&mut self, ctx: &mut Ctx<'_>) {
+        self.polls += 1;
+        self.inner.poll(ctx);
+    }
+
+    fn next_timer(&self) -> Option<SimTime> {
+        self.timer_queries.set(self.timer_queries.get() + 1);
+        self.inner.next_timer()
+    }
+
+    fn on_client_attach(&mut self, ctx: &mut Ctx<'_>, client: ClientId) {
+        self.inner.on_client_attach(ctx, client);
+    }
+
+    fn on_client_detach(&mut self, ctx: &mut Ctx<'_>, client: ClientId) {
+        self.inner.on_client_detach(ctx, client);
+    }
+}
+
+/// The session's work per simulated run: system polls and timer queries
+/// over a 2 s Tally co-location of a BERT service (MAF2 arrivals at 50%
+/// load) and a Whisper-v3 trainer behind shared-memory stubs. Untimed and
+/// deterministic, so the rows are gated: a session that polls at
+/// engine-internal instants, or twice per settle, raises them.
+fn session_work(sink: &mut JsonSink) {
+    let spec = GpuSpec::a100();
+    let duration = SimSpan::from_secs(2);
+    let service = InferModel::Bert.job(
+        &spec,
+        arrivals(&Maf2Config::new(
+            0.5,
+            InferModel::Bert.paper_latency(),
+            duration,
+        )),
+    );
+    let mut tally = CallCounter {
+        inner: TallySystem::new(TallyConfig::paper_default()),
+        polls: 0,
+        timer_queries: Cell::new(0),
+    };
+    Colocation::on(spec.clone())
+        .client(service)
+        .client(TrainModel::WhisperV3.job(&spec))
+        .system(&mut tally)
+        .config(HarnessConfig {
+            duration,
+            warmup: SimSpan::ZERO,
+            seed: 1,
+            jitter: 0.02,
+            record_timelines: false,
+        })
+        .transport(Transport::SharedMemory)
+        .run();
+    let timer_queries = tally.timer_queries.get();
+    println!(
+        "{:<44} {:>16}",
+        "session: system polls, 2s tally pairing", tally.polls
+    );
+    println!(
+        "{:<44} {:>16}",
+        "session: timer queries, 2s tally pairing", timer_queries
+    );
+    sink.record("work_system_polls", tally.polls as f64, &[]);
+    sink.record("work_timer_queries", timer_queries as f64, &[]);
 }
 
 fn transformation_passes(sink: &mut JsonSink) {
@@ -324,6 +419,7 @@ fn main() {
     banner("Micro-benchmarks (best-of-3 batches)");
     engine_throughput(&mut sink);
     engine_launch_storage(&mut sink);
+    session_work(&mut sink);
     transformation_passes(&mut sink);
     interpreter(&mut sink);
     scheduler_colocation(&mut sink);

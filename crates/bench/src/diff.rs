@@ -337,8 +337,9 @@ impl fmt::Display for Direction {
 /// A `host_` prefix marks wall-clock measured on whatever machine ran the
 /// bench: tracked, never gated (CI runners and dev boxes differ by far
 /// more than any sane threshold). A `peak_` prefix marks a deterministic
-/// high-water mark of retained state (e.g. `peak_live_launches`) and is
-/// lower-is-better. Otherwise, latency-flavored names
+/// high-water mark of retained state (e.g. `peak_live_launches`) and a
+/// `work_` prefix a deterministic count of simulator work (e.g.
+/// `work_system_polls`); both are lower-is-better. Otherwise, latency-flavored names
 /// (`p99`, `latency`, `overhead`, `turnaround`, `ns_per`, and
 /// `_ms`/`_us`/`_ns` suffixes) are lower-is-better; throughput-flavored
 /// names (`throughput`, `req_per`, `iterations`, `speedup`, `fraction`,
@@ -350,6 +351,7 @@ pub fn metric_direction(name: &str) -> Direction {
         return Direction::Informational;
     }
     let lower = n.starts_with("peak_")
+        || n.starts_with("work_")
         || ["p99", "p50", "latency", "overhead", "turnaround", "ns_per"]
             .iter()
             .any(|p| n.contains(p))
@@ -614,6 +616,8 @@ mod tests {
             ("virtualization_overhead", L),
             ("virtualization_overhead_avg", L),
             ("whole_run_p99_ms", L),
+            ("work_system_polls", L),
+            ("work_timer_queries", L),
             ("worst_client_norm", H),
         ]
         .into_iter()
@@ -672,6 +676,15 @@ mod tests {
         assert_eq!(
             metric_direction("trainer_attachments"),
             Direction::Informational
+        );
+        assert_eq!(
+            metric_direction("work_system_polls"),
+            Direction::LowerIsBetter
+        );
+        assert_eq!(
+            metric_direction("work_iterations"),
+            Direction::LowerIsBetter,
+            "the work_ prefix wins over a throughput-flavoured name"
         );
     }
 

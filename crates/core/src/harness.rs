@@ -33,11 +33,19 @@
 //! earlier revisions wired into individual systems.
 //!
 //! The harness settles each simulated instant to a fixed point: apply
-//! completions → advance client programs (delivering newly-ready kernels)
-//! → let the system poll — repeating until quiescent — so that, e.g., a
+//! completions → process lifecycle edges → advance client programs
+//! (delivering newly-ready kernels) → let the system poll. So, e.g., a
 //! high-priority client's next kernel always reaches the system *before*
 //! the system decides whether the GPU is idle enough to resume best-effort
-//! work.
+//! work. A pass consumes what it produces, so another pass runs only when
+//! the poll signalled completions, a lifecycle edge fired, or something
+//! became due at this very instant (a zero-cost launch, a zero-length CPU
+//! gap).
+//!
+//! The session wakes only when it or its system has work: a client edge,
+//! an interception cost expiring, an engine notification or the system's
+//! timer. Engine-internal events (launch arrivals, waves, PTB rounds) run
+//! inside [`Session::advance_to`] without a settle or a poll.
 
 use std::cell::Cell;
 use std::collections::VecDeque;
@@ -906,10 +914,12 @@ impl<'s> Colocation<'s> {
 /// 1. [`Session::settle`] — bring the current instant to a fixed point
 ///    (deliver completions, process lifecycle edges, advance client
 ///    programs, let the system poll);
-/// 2. [`Session::next_wake`] — the next instant anything interesting
-///    happens (never earlier than now);
-/// 3. [`Session::advance_to`] — move simulated time forward, delivering
-///    engine notifications to the system.
+/// 2. [`Session::next_wake`] — the next instant the session or its system
+///    has work (never earlier than now); engine-internal events do not
+///    count;
+/// 3. [`Session::advance_to`] — move simulated time forward through the
+///    engine's events, stopping early at the first notification, which
+///    it hands to the system.
 ///
 /// Keeping several sessions in lockstep means settling all of them,
 /// advancing every engine to the *minimum* of their wake instants, and
@@ -1160,7 +1170,8 @@ impl<'s> Session<'s> {
     /// for the settling discipline). Observations produced while settling
     /// (lifecycle edges, kernel dispatch/finish, request completions, an
     /// engine counter sample when time advanced) are delivered to the
-    /// registered observers before this returns.
+    /// registered observers before this returns, after the engine samples
+    /// the preceding [`Session::advance_to`] emitted.
     pub fn settle(&mut self) {
         self.settle_buffered();
         self.sinks.deliver();
@@ -1173,7 +1184,12 @@ impl<'s> Session<'s> {
         let system = self.system.get_mut();
         loop {
             let now = self.engine.now();
-            let mut progressed = false;
+            // Whether this pass left work due at this instant: a lifecycle
+            // edge (another may follow at once), a zero-cost launch or a
+            // zero-length CPU gap. Completions, dispatches and issued
+            // kernels are consumed later in the same pass, so they need
+            // no second one.
+            let mut again = false;
             for c in self.pending_completions.drain(..) {
                 let client = &mut self.clients[c.0 as usize];
                 if !client.attached {
@@ -1183,7 +1199,6 @@ impl<'s> Session<'s> {
                 client.kernels += 1;
                 client.finish_op(now, self.warmup);
                 sinks.emit(now, || Observation::KernelFinished { client: c });
-                progressed = true;
             }
             let mut ctx = Ctx::new(&mut self.engine, &self.metas);
 
@@ -1217,7 +1232,7 @@ impl<'s> Session<'s> {
                         }
                     }
                     self.lifecycle_epoch += 1;
-                    progressed = true;
+                    again = true;
                 }
                 if client.attached
                     && client
@@ -1236,7 +1251,7 @@ impl<'s> Session<'s> {
                     });
                     self.departures += 1;
                     self.lifecycle_epoch += 1;
-                    progressed = true;
+                    again = true;
                 }
             }
             // Launches of detached clients are dropped; those whose
@@ -1259,7 +1274,6 @@ impl<'s> Session<'s> {
                     kernel: Arc::clone(&k),
                 });
                 system.on_kernel_ready(&mut ctx, c, k);
-                progressed = true;
             }
 
             for (i, client) in self.clients.iter_mut().enumerate() {
@@ -1289,11 +1303,15 @@ impl<'s> Session<'s> {
                         pause,
                     });
                 }
+                // A zero-length CPU gap is due at once.
+                again |= client.gap_until.is_some_and(|t| t <= now);
                 if let Some(kernel) = kernel {
-                    progressed = true;
                     match client.stub.as_mut() {
                         Some(stub) => {
                             let cost = stub.launch_burst();
+                            // A zero-cost launch reaches the system in the
+                            // next pass.
+                            again |= cost.is_zero();
                             self.in_transit.push((now + cost, id, kernel));
                         }
                         None => {
@@ -1308,26 +1326,33 @@ impl<'s> Session<'s> {
             }
             system.poll(&mut ctx);
             self.pending_completions = ctx.take_completions();
-            if !progressed && self.pending_completions.is_empty() {
+            if !again && self.pending_completions.is_empty() {
                 break;
             }
         }
+        self.sample();
+    }
+
+    /// Emits an engine counter sample for the current instant: at most one
+    /// per instant, and only when someone listens.
+    fn sample(&mut self) {
         let now = self.engine.now();
-        if sinks.active() && self.last_sample != Some(now) {
-            self.last_sample = Some(now);
-            let engine = &self.engine;
-            sinks.emit(now, || {
-                let stats = engine.stats();
-                Observation::EngineSample {
-                    busy_thread_ns: engine.busy_thread_ns(),
-                    total_thread_slots: engine.spec().total_thread_slots(),
-                    events_processed: stats.submitted
-                        + stats.completed
-                        + stats.preempted
-                        + stats.groups,
-                }
-            });
+        if !self.sinks.active() || self.last_sample == Some(now) {
+            return;
         }
+        self.last_sample = Some(now);
+        let engine = &self.engine;
+        self.sinks.emit(now, || {
+            let stats = engine.stats();
+            Observation::EngineSample {
+                busy_thread_ns: engine.busy_thread_ns(),
+                total_thread_slots: engine.spec().total_thread_slots(),
+                events_processed: stats.submitted
+                    + stats.completed
+                    + stats.preempted
+                    + stats.groups,
+            }
+        });
     }
 
     /// Delivers the queued observations to the observers, in order. A
@@ -1339,9 +1364,13 @@ impl<'s> Session<'s> {
         self.sinks.deliver();
     }
 
-    /// The next instant anything interesting happens: an engine event, a
-    /// client lifecycle edge, a request arrival, a CPU gap or interception
-    /// cost expiring, or a system timer — capped at the end of the run.
+    /// The next instant the session or its system has work: a client
+    /// lifecycle edge, a request arrival, a CPU gap or interception cost
+    /// expiring, or a system timer — capped at the end of the run.
+    ///
+    /// Engine events are not wake-ups: [`Session::advance_to`] runs them
+    /// and stops early at the first notification, the only engine output
+    /// a system acts on.
     ///
     /// A scan over the session's clients (retired ones and migration
     /// tombstones contribute nothing) and in-transit launches. Sessions
@@ -1350,9 +1379,6 @@ impl<'s> Session<'s> {
     /// timer exactly once.
     pub fn next_wake(&self) -> SimTime {
         let mut wake = self.end;
-        if let Some(t) = self.engine.next_event_time() {
-            wake = wake.min(t);
-        }
         for client in &self.clients {
             if client.retired() {
                 continue;
@@ -1382,12 +1408,21 @@ impl<'s> Session<'s> {
         wake
     }
 
-    /// Advances simulated time to at most `limit`, delivering any engine
-    /// notifications that fire to the system. Follow with
-    /// [`Session::settle`].
+    /// Advances simulated time to at most `limit`, one engine event
+    /// instant at a time. It stops early at the first instant a
+    /// notification fires and hands the notifications to the system.
+    /// Every earlier instant holds only engine-internal events (launch
+    /// arrivals, waves, PTB rounds): the session emits that instant's
+    /// engine counter sample and moves on. Samples emitted here reach the
+    /// observers with the next settle. Follow with [`Session::settle`],
+    /// which samples the instant it stops at.
     pub fn advance_to(&mut self, limit: SimTime) {
-        match self.engine.advance(limit) {
-            Step::Notified(notes) => {
+        loop {
+            let to = match self.engine.next_event_time() {
+                Some(t) if t < limit => t,
+                _ => limit,
+            };
+            if let Step::Notified(notes) = self.engine.advance(to) {
                 self.notifications += notes.len() as u64;
                 let system = self.system.get_mut();
                 let mut ctx = Ctx::new(&mut self.engine, &self.metas);
@@ -1395,8 +1430,12 @@ impl<'s> Session<'s> {
                     system.on_notification(&mut ctx, n);
                 }
                 self.pending_completions.extend(ctx.take_completions());
+                return;
             }
-            Step::ReachedLimit | Step::Idle => {}
+            if to == limit {
+                return;
+            }
+            self.sample();
         }
     }
 
@@ -2340,5 +2379,92 @@ mod tests {
         s.advance_to(ms(3));
         s.settle();
         assert_eq!(s.next_wake(), ms(3), "a past timer reads as now");
+    }
+
+    // ---- engine-internal events: run inside advance_to -----------------
+
+    /// Three waves of 100us blocks on the tiny GPU (16 blocks per wave).
+    fn three_waves() -> Arc<KernelDesc> {
+        KernelDesc::builder("k3")
+            .grid(48)
+            .block(512)
+            .block_cost(SimSpan::from_micros(100))
+            .build_arc()
+    }
+
+    fn three_wave_trainer() -> JobSpec {
+        JobSpec::training("t", vec![WorkloadOp::Kernel(three_waves()), gap(10)])
+    }
+
+    #[test]
+    fn next_wake_is_not_a_wave_boundary() {
+        let mut s = Colocation::on(GpuSpec::tiny())
+            .client(three_wave_trainer())
+            .config(cfg(1))
+            .into_session();
+        s.settle();
+        let engine_next = s.engine.next_event_time().expect("the launch is queued");
+        assert!(engine_next < ms(1));
+        assert_eq!(
+            s.next_wake(),
+            s.end,
+            "the launch's arrival and waves are engine-internal"
+        );
+    }
+
+    #[test]
+    fn advance_to_stops_at_the_kernels_completion() {
+        let spec = GpuSpec::tiny();
+        let mut s = Colocation::on(spec.clone())
+            .client(three_wave_trainer())
+            .config(cfg(1))
+            .into_session();
+        s.settle();
+        s.advance_to(s.end);
+        let done = SimTime::ZERO + spec.launch_overhead + three_waves().solo_latency(&spec);
+        assert_eq!(s.now(), done);
+        assert_eq!(s.pending_completions, vec![ClientId(0)]);
+    }
+
+    #[test]
+    fn one_engine_sample_per_distinct_engine_instant() {
+        use std::sync::Mutex;
+        // Drives a session to the end; with `wake_at_engine_events` it
+        // also settles at every engine event, as a reference.
+        let sample_times = |wake_at_engine_events: bool| {
+            let collector = Arc::new(Mutex::new(Collector::default()));
+            let mut s = Colocation::on(GpuSpec::tiny())
+                .client(three_wave_trainer())
+                .sync_observer(collector.clone())
+                .config(cfg(1))
+                .into_session();
+            loop {
+                s.settle();
+                if s.is_done() {
+                    break;
+                }
+                let mut wake = s.next_wake();
+                if wake_at_engine_events {
+                    wake = wake.min(s.engine.next_event_time().unwrap_or(SimTime::MAX));
+                }
+                s.advance_to(wake);
+            }
+            let events = &collector.lock().unwrap().0;
+            events
+                .iter()
+                .filter(|(_, _, e)| matches!(e, Observation::EngineSample { .. }))
+                .map(|&(at, _, _)| at)
+                .collect::<Vec<_>>()
+        };
+        let samples = sample_times(false);
+        assert!(
+            samples.windows(2).all(|w| w[0] < w[1]),
+            "no instant sampled twice"
+        );
+        let us = |n| SimTime::ZERO + SimSpan::from_micros(n);
+        for wave_end in [us(104), us(204)] {
+            assert!(samples.contains(&wave_end), "wave boundary {wave_end}");
+        }
+        assert_eq!(samples, sample_times(true));
     }
 }

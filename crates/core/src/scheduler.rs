@@ -149,10 +149,16 @@ impl TallySystem {
         }
     }
 
-    fn launch_be(&mut self, ctx: &mut Ctx<'_>, client: ClientId) {
-        let Some(task) = self.be.get_mut(&client) else {
-            return;
-        };
+    /// Puts `client`'s best-effort task on the GPU in its controlled shape,
+    /// unless a launch of it is running or it has finished. Takes the
+    /// profiler apart from `self` so `poll` can walk `self.be` in place.
+    fn launch_be(
+        profiler: &mut TransparentProfiler,
+        bound: SimSpan,
+        ctx: &mut Ctx<'_>,
+        client: ClientId,
+        task: &mut BeTask,
+    ) {
         if task.running.is_some() || task.progress >= task.total {
             return;
         }
@@ -165,17 +171,19 @@ impl TallySystem {
                 (LaunchShape::Full, None, remaining)
             }
             TransformPlan::BlockLevel { .. } => {
-                let candidates = candidate_configs(ctx.engine.spec(), &kernel);
-                let chosen = self.profiler.chosen(&kernel).or_else(|| {
-                    self.profiler
-                        .finalize(self.cfg.turnaround_bound, &candidates, &kernel)
-                });
                 // Use the locked-in configuration when available; otherwise
                 // this launch doubles as a profiling run of the next
-                // unmeasured candidate.
-                let cfg = chosen
-                    .or_else(|| self.profiler.next_unmeasured(&candidates, &kernel))
-                    .unwrap_or(candidates[0]);
+                // unmeasured candidate. Only a miss builds the candidates.
+                let cfg = match profiler.chosen(&kernel) {
+                    Some(cfg) => cfg,
+                    None => {
+                        let candidates = candidate_configs(ctx.engine.spec(), &kernel);
+                        profiler
+                            .finalize(bound, &candidates, &kernel)
+                            .or_else(|| profiler.next_unmeasured(&candidates, &kernel))
+                            .unwrap_or(candidates[0])
+                    }
+                };
                 match cfg {
                     LaunchCfg::Slice { blocks } => {
                         let count = blocks.min(remaining);
@@ -331,9 +339,9 @@ impl SharingSystem for TallySystem {
         if self.hp_active > 0 {
             return;
         }
-        let clients: Vec<ClientId> = self.be.keys().copied().collect();
-        for client in clients {
-            self.launch_be(ctx, client);
+        let bound = self.cfg.turnaround_bound;
+        for (&client, task) in self.be.iter_mut() {
+            Self::launch_be(&mut self.profiler, bound, ctx, client, task);
         }
     }
 

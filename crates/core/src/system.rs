@@ -97,7 +97,17 @@ impl<'a> Ctx<'a> {
 ///   order, via [`SharingSystem::on_notification`];
 /// * [`SharingSystem::poll`] runs after each batch of deliveries and
 ///   client-program advances, and at every [`SharingSystem::next_timer`]
-///   expiry — all scheduling decisions can be confined there.
+///   expiry — all scheduling decisions can be confined there;
+/// * `poll` is not called at instants where only engine-internal events
+///   happen (a launch arriving on the GPU, a wave or PTB round ending):
+///   those change nothing a system is told about. A system that must act
+///   at such an instant asks for it through `next_timer`.
+///
+/// In return, a system's `poll` must be a no-op when nothing reached the
+/// system since its previous poll at the same instant. The harness may
+/// or may not repeat a poll at an instant, and outputs must not depend on
+/// which. `tests/wake_schedule.rs` checks both halves for every in-tree
+/// system.
 ///
 /// Systems must be [`Send`]: a multi-GPU
 /// [`Cluster`](crate::cluster::Cluster) advances each device's session on
@@ -114,7 +124,9 @@ pub trait SharingSystem: Send {
     /// An engine notification (launch completed / preempted) fired.
     fn on_notification(&mut self, ctx: &mut Ctx<'_>, note: &Notification);
 
-    /// Make scheduling decisions (called after deliveries and timer fires).
+    /// Make scheduling decisions (called after deliveries, client advances
+    /// and timer fires). Must be a no-op when nothing reached the system
+    /// since its previous poll at the same instant.
     fn poll(&mut self, ctx: &mut Ctx<'_>);
 
     /// The next instant the system wants `poll` to run even with no other
