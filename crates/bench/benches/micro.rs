@@ -85,11 +85,9 @@ fn engine_throughput(sink: &mut JsonSink) {
         for _ in 0..1000 {
             engine.submit(LaunchRequest::full(k.clone(), ClientId(0), Priority::High));
         }
-        let mut done = 0;
-        while let Step::Notified(n) = engine.advance(SimTime::MAX) {
-            done += n.len();
-        }
-        assert_eq!(done, 1000);
+        let mut notes = Vec::new();
+        while let Step::Notified = engine.advance(SimTime::MAX, &mut notes) {}
+        assert_eq!(notes.len(), 1000);
     });
 }
 
@@ -105,9 +103,12 @@ fn engine_launch_storage(sink: &mut JsonSink) {
         .block_cost(SimSpan::from_micros(5))
         .build_arc();
     let mut engine = Engine::new(GpuSpec::a100());
+    let mut notes = Vec::new();
     for _ in 0..LAUNCHES {
         engine.submit(LaunchRequest::full(k.clone(), ClientId(0), Priority::High));
-        while let Step::Notified(_) = engine.advance(SimTime::MAX) {}
+        while let Step::Notified = engine.advance(SimTime::MAX, &mut notes) {
+            notes.clear();
+        }
     }
     let stats = engine.stats();
     assert_eq!(stats.completed, LAUNCHES);
@@ -158,11 +159,13 @@ impl<S: SharingSystem> SharingSystem for CallCounter<S> {
     }
 }
 
-/// The session's work per simulated run: system polls and timer queries
-/// over a 2 s Tally co-location of a BERT service (MAF2 arrivals at 50%
-/// load) and a Whisper-v3 trainer behind shared-memory stubs. Untimed and
-/// deterministic, so the rows are gated: a session that polls at
-/// engine-internal instants, or twice per settle, raises them.
+/// The session's work per simulated run: system polls, timer queries,
+/// settle passes and engine-advance calls over a 2 s Tally co-location of
+/// a BERT service (MAF2 arrivals at 50% load) and a Whisper-v3 trainer
+/// behind shared-memory stubs. Untimed and deterministic, so the rows are
+/// gated: a session that polls at engine-internal instants, runs an extra
+/// settle pass, or steps the engine one instant at a time with nobody
+/// listening raises them.
 fn session_work(sink: &mut JsonSink) {
     let spec = GpuSpec::a100();
     let duration = SimSpan::from_secs(2);
@@ -179,7 +182,7 @@ fn session_work(sink: &mut JsonSink) {
         polls: 0,
         timer_queries: Cell::new(0),
     };
-    Colocation::on(spec.clone())
+    let mut session = Colocation::on(spec.clone())
         .client(service)
         .client(TrainModel::WhisperV3.job(&spec))
         .system(&mut tally)
@@ -191,7 +194,10 @@ fn session_work(sink: &mut JsonSink) {
             record_timelines: false,
         })
         .transport(Transport::SharedMemory)
-        .run();
+        .into_session();
+    session.run_to_end();
+    let work = session.work();
+    drop(session);
     let timer_queries = tally.timer_queries.get();
     println!(
         "{:<44} {:>16}",
@@ -201,8 +207,18 @@ fn session_work(sink: &mut JsonSink) {
         "{:<44} {:>16}",
         "session: timer queries, 2s tally pairing", timer_queries
     );
+    println!(
+        "{:<44} {:>16}",
+        "session: settle passes, 2s tally pairing", work.settle_passes
+    );
+    println!(
+        "{:<44} {:>16}",
+        "session: engine advances, 2s tally pairing", work.engine_advances
+    );
     sink.record("work_system_polls", tally.polls as f64, &[]);
     sink.record("work_timer_queries", timer_queries as f64, &[]);
+    sink.record("work_settle_passes", work.settle_passes as f64, &[]);
+    sink.record("work_engine_advances", work.engine_advances as f64, &[]);
 }
 
 fn transformation_passes(sink: &mut JsonSink) {

@@ -195,8 +195,9 @@ fn transformation_overhead(spec: &GpuSpec, sink: &mut JsonSink) {
 fn run_once(spec: &GpuSpec, req: LaunchRequest) -> SimSpan {
     let mut engine = Engine::new(spec.clone());
     engine.submit(req);
-    match engine.advance(SimTime::MAX) {
-        Step::Notified(notes) => notes[0].at().saturating_since(SimTime::ZERO),
+    let mut notes = Vec::new();
+    match engine.advance(SimTime::MAX, &mut notes) {
+        Step::Notified => notes[0].at().saturating_since(SimTime::ZERO),
         other => panic!("expected completion, got {other:?}"),
     }
 }

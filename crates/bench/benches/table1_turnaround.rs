@@ -143,11 +143,12 @@ fn measure_block_turnaround(
         // Preempt somewhere in the middle (deterministic pseudo-random).
         let frac = 0.15 + 0.7 * ((i * 2654435761) % 1000) as f64 / 1000.0;
         let t_preempt = SimTime::ZERO + latency.mul_f64(frac);
-        engine.advance(t_preempt);
+        engine.advance(t_preempt, &mut Vec::new());
         let issued_at = engine.now();
         engine.preempt(id);
-        match engine.advance(SimTime::MAX) {
-            Step::Notified(notes) => {
+        let mut notes = Vec::new();
+        match engine.advance(SimTime::MAX, &mut notes) {
+            Step::Notified => {
                 total += notes[0].at().saturating_since(issued_at);
                 n += 1;
             }

@@ -8,17 +8,14 @@
 //! enough to reproduce the paper's ~1% virtualization-overhead result and
 //! to let the overhead bench show *why* local-state caching matters.
 
-use std::collections::BTreeSet;
-
 use tally_gpu::SimSpan;
 
 /// A device API call, classified the way the interception layer cares
 /// about: does it mutate device state (must forward) or only read
 /// execution-context state (cacheable client-side)?
 ///
-/// `Ord` exists so calls can key ordered containers (the client-side
-/// cache must never expose hash order); the derived variant ordering
-/// carries no semantic meaning.
+/// `Ord` exists so calls can key ordered containers, which never expose
+/// hash order; the derived variant ordering carries no semantic meaning.
 #[derive(Clone, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum ApiCall {
     /// `cuLaunchKernel` — always forwarded.
@@ -48,13 +45,20 @@ impl ApiCall {
     /// Whether the call can be answered from client-side cached state after
     /// first being observed.
     pub fn cacheable(&self) -> bool {
-        matches!(
-            self,
-            ApiCall::GetDevice
-                | ApiCall::GetDeviceProperties
-                | ApiCall::GetLastError
-                | ApiCall::ContextQuery
-        )
+        self.cache_bit().is_some()
+    }
+
+    /// The call's bit in a [`ClientStub`]'s cache mask; `None` for calls
+    /// that must always forward. Payloads never matter: only payload-free
+    /// context reads are cacheable.
+    fn cache_bit(&self) -> Option<u8> {
+        match self {
+            ApiCall::GetDevice => Some(1),
+            ApiCall::GetDeviceProperties => Some(1 << 1),
+            ApiCall::GetLastError => Some(1 << 2),
+            ApiCall::ContextQuery => Some(1 << 3),
+            _ => None,
+        }
     }
 
     /// Whether the call has asynchronous semantics: the client posts it
@@ -137,7 +141,9 @@ impl InterceptStats {
 #[derive(Debug)]
 pub struct ClientStub {
     transport: Transport,
-    cache: BTreeSet<ApiCall>,
+    /// The cacheable calls seen so far, one bit each (see
+    /// `ApiCall::cache_bit`).
+    cache: u8,
     caching_enabled: bool,
     stats: InterceptStats,
 }
@@ -180,7 +186,7 @@ impl ClientStub {
     pub fn new(transport: Transport) -> Self {
         ClientStub {
             transport,
-            cache: BTreeSet::new(),
+            cache: 0,
             caching_enabled: true,
             stats: InterceptStats::default(),
         }
@@ -201,14 +207,14 @@ impl ClientStub {
     /// asynchronous calls ([`ApiCall::asynchronous`]) only pay the one-way
     /// [`Transport::enqueue`] cost — the client does not wait for them.
     pub fn call(&mut self, api: &ApiCall) -> SimSpan {
-        let local = self.caching_enabled && api.cacheable() && self.cache.contains(api);
-        let cost = if local {
+        let bit = api.cache_bit().filter(|_| self.caching_enabled);
+        let cost = if bit.is_some_and(|b| self.cache & b != 0) {
             self.stats.served_locally += 1;
             LOCAL_COST
         } else {
             self.stats.forwarded += 1;
-            if self.caching_enabled && api.cacheable() {
-                self.cache.insert(api.clone());
+            if let Some(b) = bit {
+                self.cache |= b;
             }
             if api.asynchronous() {
                 self.transport.enqueue()
@@ -256,6 +262,8 @@ impl ClientStub {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeSet;
+    use tally_gpu::rng::SmallRng;
 
     #[test]
     fn cacheable_calls_go_local_after_first_sight() {
@@ -314,5 +322,101 @@ mod tests {
         // Steady-state burst cost: one async enqueue plus ten cache hits.
         let steady = stub.launch_burst();
         assert_eq!(steady, Transport::SharedMemory.enqueue() + LOCAL_COST * 10);
+    }
+
+    /// The stub's specification, written independently of its cache
+    /// representation: a set of the cacheable calls seen so far.
+    struct ReferenceStub {
+        transport: Transport,
+        caching: bool,
+        seen: BTreeSet<ApiCall>,
+        stats: InterceptStats,
+    }
+
+    impl ReferenceStub {
+        fn call(&mut self, api: &ApiCall) -> SimSpan {
+            let cacheable = matches!(
+                api,
+                ApiCall::GetDevice
+                    | ApiCall::GetDeviceProperties
+                    | ApiCall::GetLastError
+                    | ApiCall::ContextQuery
+            );
+            let cost = if self.caching && cacheable && self.seen.contains(api) {
+                self.stats.served_locally += 1;
+                LOCAL_COST
+            } else {
+                self.stats.forwarded += 1;
+                if self.caching && cacheable {
+                    self.seen.insert(api.clone());
+                }
+                match api {
+                    ApiCall::LaunchKernel | ApiCall::MemcpyHtoD(_) => self.transport.enqueue(),
+                    _ => self.transport.round_trip(),
+                }
+            };
+            self.stats.total_cost += cost;
+            cost
+        }
+
+        fn burst(&mut self, calls: &[ApiCall]) -> SimSpan {
+            calls.iter().map(|c| self.call(c)).sum()
+        }
+    }
+
+    fn random_call(rng: &mut SmallRng) -> ApiCall {
+        let bytes = [0, 1, 4096, 1 << 20][rng.gen_range(0usize..4)];
+        match rng.gen_range(0u32..10) {
+            0 => ApiCall::LaunchKernel,
+            1 => ApiCall::MemcpyHtoD(bytes),
+            2 => ApiCall::MemcpyDtoH(bytes),
+            3 => ApiCall::StreamSynchronize,
+            4 => ApiCall::MemAlloc(bytes),
+            5 => ApiCall::RegisterFatbin,
+            6 => ApiCall::GetDevice,
+            7 => ApiCall::GetDeviceProperties,
+            8 => ApiCall::GetLastError,
+            _ => ApiCall::ContextQuery,
+        }
+    }
+
+    #[test]
+    fn stub_matches_a_reference_set_model() {
+        for case in 0..64u64 {
+            let mut rng = SmallRng::seed_from_u64(0xA91 ^ case);
+            let transport = if case % 2 == 0 {
+                Transport::SharedMemory
+            } else {
+                Transport::Socket
+            };
+            let caching = case % 4 < 2;
+            let mut stub = if caching {
+                ClientStub::new(transport)
+            } else {
+                ClientStub::without_caching(transport)
+            };
+            let mut reference = ReferenceStub {
+                transport,
+                caching,
+                seen: BTreeSet::new(),
+                stats: InterceptStats::default(),
+            };
+            for step in 0..rng.gen_range(1usize..200) {
+                let (got, want) = match rng.gen_range(0u32..20) {
+                    0 => (stub.attach_burst(), reference.burst(&ATTACH_CALLS)),
+                    1 => (stub.launch_burst(), reference.burst(&LAUNCH_CALLS)),
+                    _ => {
+                        let api = random_call(&mut rng);
+                        (stub.call(&api), reference.call(&api))
+                    }
+                };
+                assert_eq!(got, want, "case {case}, step {step}: cost");
+                assert_eq!(
+                    stub.stats(),
+                    reference.stats,
+                    "case {case}, step {step}: stats"
+                );
+            }
+        }
     }
 }

@@ -190,6 +190,11 @@ pub enum Observation {
         pause: SimSpan,
     },
     /// A client's next logical kernel was handed to the sharing system.
+    ///
+    /// The kernel carries its process-global
+    /// [`KernelId`](tally_gpu::KernelId), so streams from two runs match
+    /// byte-for-byte only when the runs share one set of built jobs (or
+    /// the comparison masks the ids).
     KernelDispatched {
         /// Session-local client id.
         client: ClientId,

@@ -46,13 +46,20 @@
 //! an interception cost expiring, an engine notification or the system's
 //! timer. Engine-internal events (launch arrivals, waves, PTB rounds) run
 //! inside [`Session::advance_to`] without a settle or a poll.
+//!
+//! A kernel's round trip through a session allocates nothing: the engine
+//! appends notifications to a buffer the session reuses, systems signal
+//! completions into the session's own completion list (see [`Ctx`]), and
+//! in-transit launches reach the system from the list they wait in.
 
 use std::cell::Cell;
 use std::collections::VecDeque;
 use std::fmt;
 use std::sync::Arc;
 
-use tally_gpu::{ClientId, Engine, GpuSpec, KernelDesc, Priority, SimSpan, SimTime, Step};
+use tally_gpu::{
+    ClientId, Engine, GpuSpec, KernelDesc, Notification, Priority, SimSpan, SimTime, Step,
+};
 
 use crate::admission::{AdmissionPolicy, AdmissionVerdict};
 use crate::api::{ClientStub, Transport};
@@ -919,7 +926,8 @@ impl<'s> Colocation<'s> {
 ///    count;
 /// 3. [`Session::advance_to`] — move simulated time forward through the
 ///    engine's events, stopping early at the first notification, which
-///    it hands to the system.
+///    it hands to the system. With nobody listening this is one engine
+///    call; with a listener it steps one engine instant at a time.
 ///
 /// Keeping several sessions in lockstep means settling all of them,
 /// advancing every engine to the *minimum* of their wake instants, and
@@ -942,7 +950,12 @@ pub struct Session<'s> {
     record_timelines: bool,
     // The interception stub's transport; `None` runs clients natively.
     transport: Option<Transport>,
+    // Completion signals awaiting the next settle pass. Every `Ctx` the
+    // session builds borrows this list, so systems signal straight into it.
     pending_completions: Vec<ClientId>,
+    // The engine's notification buffer, drained into the system by every
+    // `advance_to` and reused.
+    notes: Vec<Notification>,
     // Kernels held in the interception layer until their stub cost
     // elapses, with the instant each reaches the system. `next_wake`
     // scans them along with the clients.
@@ -963,6 +976,19 @@ pub struct Session<'s> {
     // Host-observability counters (see `HostStats`).
     notifications: u64,
     departure_scans: Cell<u64>,
+    work: SessionWork,
+}
+
+/// Deterministic counts of the work a [`Session`]'s stepping loop has
+/// done, read through [`Session::work`]. They measure the simulator, not
+/// the simulated system, so no report carries them.
+#[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
+pub struct SessionWork {
+    /// Fixed-point passes run by [`Session::settle`] (and the cluster's
+    /// per-barrier settles).
+    pub settle_passes: u64,
+    /// [`Engine::advance`] calls made by [`Session::advance_to`].
+    pub engine_advances: u64,
 }
 
 /// Where a session's observations go. The admission policy and the
@@ -1088,6 +1114,7 @@ impl<'s> Session<'s> {
             record_timelines: cfg.record_timelines,
             transport,
             pending_completions: Vec::new(),
+            notes: Vec::new(),
             in_transit: Vec::new(),
             departures: 0,
             migrations_in: 0,
@@ -1097,6 +1124,7 @@ impl<'s> Session<'s> {
             lifecycle_epoch: 0,
             notifications: 0,
             departure_scans: Cell::new(0),
+            work: SessionWork::default(),
         }
     }
 
@@ -1183,6 +1211,7 @@ impl<'s> Session<'s> {
         let sinks = &mut self.sinks;
         let system = self.system.get_mut();
         loop {
+            self.work.settle_passes += 1;
             let now = self.engine.now();
             // Whether this pass left work due at this instant: a lifecycle
             // edge (another may follow at once), a zero-cost launch or a
@@ -1200,7 +1229,7 @@ impl<'s> Session<'s> {
                 client.finish_op(now, self.warmup);
                 sinks.emit(now, || Observation::KernelFinished { client: c });
             }
-            let mut ctx = Ctx::new(&mut self.engine, &self.metas);
+            let mut ctx = Ctx::new(&mut self.engine, &self.metas, &mut self.pending_completions);
 
             // Client lifecycle edges: attach windows that opened, detach
             // windows that closed. A client with several scheduled windows
@@ -1255,26 +1284,24 @@ impl<'s> Session<'s> {
                 }
             }
             // Launches of detached clients are dropped; those whose
-            // interception cost has elapsed reach the system.
+            // interception cost has elapsed reach the system, in list
+            // order. A system never changes which clients are attached,
+            // so handing launches over mid-walk drops the same ones.
             let clients = &self.clients;
-            let mut due = Vec::new();
             self.in_transit.retain(|&(t, c, ref k)| {
                 if !clients[c.0 as usize].attached {
-                    false
-                } else if t <= now {
-                    due.push((c, Arc::clone(k)));
-                    false
-                } else {
-                    true
+                    return false;
                 }
-            });
-            for (c, k) in due {
+                if t > now {
+                    return true;
+                }
                 sinks.emit(now, || Observation::KernelDispatched {
                     client: c,
-                    kernel: Arc::clone(&k),
+                    kernel: Arc::clone(k),
                 });
-                system.on_kernel_ready(&mut ctx, c, k);
-            }
+                system.on_kernel_ready(&mut ctx, c, Arc::clone(k));
+                false
+            });
 
             for (i, client) in self.clients.iter_mut().enumerate() {
                 if !client.attached {
@@ -1325,7 +1352,6 @@ impl<'s> Session<'s> {
                 }
             }
             system.poll(&mut ctx);
-            self.pending_completions = ctx.take_completions();
             if !again && self.pending_completions.is_empty() {
                 break;
             }
@@ -1408,28 +1434,38 @@ impl<'s> Session<'s> {
         wake
     }
 
-    /// Advances simulated time to at most `limit`, one engine event
-    /// instant at a time. It stops early at the first instant a
-    /// notification fires and hands the notifications to the system.
-    /// Every earlier instant holds only engine-internal events (launch
-    /// arrivals, waves, PTB rounds): the session emits that instant's
-    /// engine counter sample and moves on. Samples emitted here reach the
-    /// observers with the next settle. Follow with [`Session::settle`],
-    /// which samples the instant it stops at.
+    /// Advances simulated time to at most `limit`. It stops early at the
+    /// first instant a notification fires and hands the notifications to
+    /// the system. Every earlier instant holds only engine-internal events
+    /// (launch arrivals, waves, PTB rounds).
+    ///
+    /// With nobody listening (no observer, admission policy or load
+    /// monitor), this is one engine call straight to the first
+    /// notification or `limit`. With a listener, it steps one engine
+    /// instant at a time and emits each earlier instant's engine counter
+    /// sample. Samples emitted here reach the observers with the next
+    /// settle. Follow with [`Session::settle`], which samples the instant
+    /// it stops at.
     pub fn advance_to(&mut self, limit: SimTime) {
         loop {
-            let to = match self.engine.next_event_time() {
-                Some(t) if t < limit => t,
-                _ => limit,
+            // Without a listener there is no sample to emit at the
+            // instants in between, so run to `limit` in one call.
+            let to = if self.sinks.active() {
+                self.engine
+                    .next_event_time()
+                    .map_or(limit, |t| t.min(limit))
+            } else {
+                limit
             };
-            if let Step::Notified(notes) = self.engine.advance(to) {
-                self.notifications += notes.len() as u64;
+            self.work.engine_advances += 1;
+            if let Step::Notified = self.engine.advance(to, &mut self.notes) {
+                self.notifications += self.notes.len() as u64;
                 let system = self.system.get_mut();
-                let mut ctx = Ctx::new(&mut self.engine, &self.metas);
-                for n in &notes {
-                    system.on_notification(&mut ctx, n);
+                let mut ctx =
+                    Ctx::new(&mut self.engine, &self.metas, &mut self.pending_completions);
+                for n in self.notes.drain(..) {
+                    system.on_notification(&mut ctx, &n);
                 }
-                self.pending_completions.extend(ctx.take_completions());
                 return;
             }
             if to == limit {
@@ -1490,6 +1526,11 @@ impl<'s> Session<'s> {
     /// Window-close detaches seen so far (migrations excluded).
     pub fn departures(&self) -> u64 {
         self.departures
+    }
+
+    /// The stepping work this session has done so far.
+    pub fn work(&self) -> SessionWork {
+        self.work
     }
 
     // ---- cluster-internal surface (crate-private) --------------------
@@ -1558,9 +1599,8 @@ impl<'s> Session<'s> {
     pub(crate) fn extract_client(&mut self, i: usize) -> (ClientMeta, Client) {
         let id = ClientId(i as u32);
         if self.clients[i].attached {
-            let mut ctx = Ctx::new(&mut self.engine, &self.metas);
+            let mut ctx = Ctx::new(&mut self.engine, &self.metas, &mut self.pending_completions);
             self.system.get_mut().on_client_detach(&mut ctx, id);
-            self.pending_completions.extend(ctx.take_completions());
         }
         self.pending_completions.retain(|&c| c != id);
         self.in_transit.retain(|&(_, c, _)| c != id);
@@ -1596,10 +1636,9 @@ impl<'s> Session<'s> {
         self.metas.push(meta);
         let now = self.engine.now();
         if client.attached {
-            let mut ctx = Ctx::new(&mut self.engine, &self.metas);
+            let mut ctx = Ctx::new(&mut self.engine, &self.metas, &mut self.pending_completions);
             self.system.get_mut().on_client_attach(&mut ctx, id);
             client.attachments += 1;
-            self.pending_completions.extend(ctx.take_completions());
             if let Some(stub) = client.stub.as_mut() {
                 let cost = stub.attach_burst();
                 if !cost.is_zero() {
@@ -2466,5 +2505,94 @@ mod tests {
             assert!(samples.contains(&wave_end), "wave boundary {wave_end}");
         }
         assert_eq!(samples, sample_times(true));
+    }
+
+    #[test]
+    fn advance_to_without_a_listener_is_one_engine_call() {
+        let spec = GpuSpec::tiny();
+        // With a listener, `advance_to` stops at the launch's arrival and
+        // both wave boundaries before the completion; without one it runs
+        // straight to the completion.
+        for (listening, calls) in [(false, 1), (true, 4)] {
+            let mut colocation = Colocation::on(spec.clone())
+                .client(three_wave_trainer())
+                .config(cfg(1));
+            if listening {
+                colocation =
+                    colocation.sync_observer(Arc::new(std::sync::Mutex::new(Collector::default())));
+            }
+            let mut s = colocation.into_session();
+            s.settle();
+            let before = s.work().engine_advances;
+            s.advance_to(s.end);
+            assert_eq!(s.work().engine_advances - before, calls, "{listening}");
+            let done = SimTime::ZERO + spec.launch_overhead + three_waves().solo_latency(&spec);
+            assert_eq!(s.now(), done, "{listening}");
+            assert_eq!(s.pending_completions, vec![ClientId(0)], "{listening}");
+        }
+    }
+
+    /// Runs client 0's kernels on the engine and holds the other clients'.
+    /// Each completion of client 0 also completes client 2 (first) from the
+    /// same notification, and client 1 from the next poll.
+    #[derive(Default)]
+    struct CompletesThree {
+        held: Vec<ClientId>,
+        owed: Option<ClientId>,
+    }
+
+    impl SharingSystem for CompletesThree {
+        fn name(&self) -> &str {
+            "completes-three"
+        }
+        fn on_kernel_ready(&mut self, ctx: &mut Ctx<'_>, client: ClientId, k: Arc<KernelDesc>) {
+            if client == ClientId(0) {
+                ctx.engine
+                    .submit(tally_gpu::LaunchRequest::full(k, client, Priority::High));
+            } else {
+                self.held.push(client);
+            }
+        }
+        fn on_notification(&mut self, ctx: &mut Ctx<'_>, note: &tally_gpu::Notification) {
+            if self.held.len() == 2 {
+                self.held.clear();
+                ctx.complete_kernel(ClientId(2));
+                self.owed = Some(ClientId(1));
+            }
+            ctx.complete_kernel(note.client());
+        }
+        fn poll(&mut self, ctx: &mut Ctx<'_>) {
+            if let Some(c) = self.owed.take() {
+                ctx.complete_kernel(c);
+            }
+        }
+    }
+
+    #[test]
+    fn completions_advance_in_the_order_they_were_signalled() {
+        use std::sync::Mutex;
+        let collector = Arc::new(Mutex::new(Collector::default()));
+        let trainer = |name: &str| JobSpec::training(name, vec![WorkloadOp::Kernel(kernel(100))]);
+        let mut s = Colocation::on(GpuSpec::tiny())
+            .clients([trainer("a"), trainer("b"), trainer("c")])
+            .system_boxed(Box::new(CompletesThree::default()))
+            .sync_observer(collector.clone())
+            .config(cfg(1))
+            .into_session();
+        s.settle();
+        s.advance_to(s.end);
+        assert_eq!(s.pending_completions, vec![ClientId(2), ClientId(0)]);
+        s.settle();
+        let finished: Vec<ClientId> = collector
+            .lock()
+            .unwrap()
+            .0
+            .iter()
+            .filter_map(|(_, _, e)| match *e {
+                Observation::KernelFinished { client } => Some(client),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(finished, [ClientId(2), ClientId(0), ClientId(1)]);
     }
 }

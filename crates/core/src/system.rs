@@ -32,23 +32,32 @@ pub struct ClientMeta {
 
 /// The interface a sharing system sees while a co-location run executes.
 ///
-/// Wraps the engine plus the client table, and collects the logical
-/// kernel-completion signals the system emits.
+/// Wraps the engine plus the client table, and appends the logical
+/// kernel-completion signals the system emits to a completion list the
+/// harness owns. A `Ctx` borrows that list rather than owning one, so the
+/// signals land where the harness reads them next and a session that
+/// reuses one list signals completions without allocating.
 #[derive(Debug)]
 pub struct Ctx<'a> {
     /// The GPU engine; systems submit and preempt launches through it.
     pub engine: &'a mut Engine,
     clients: &'a [ClientMeta],
-    completions: Vec<ClientId>,
+    completions: &'a mut Vec<ClientId>,
 }
 
 impl<'a> Ctx<'a> {
     /// Creates a context (harness-internal; public for custom harnesses).
-    pub fn new(engine: &'a mut Engine, clients: &'a [ClientMeta]) -> Self {
+    /// [`Ctx::complete_kernel`] appends to `completions`, which the caller
+    /// drains.
+    pub fn new(
+        engine: &'a mut Engine,
+        clients: &'a [ClientMeta],
+        completions: &'a mut Vec<ClientId>,
+    ) -> Self {
         Ctx {
             engine,
             clients,
-            completions: Vec::new(),
+            completions,
         }
     }
 
@@ -78,11 +87,6 @@ impl<'a> Ctx<'a> {
     /// harness will advance that client's program.
     pub fn complete_kernel(&mut self, client: ClientId) {
         self.completions.push(client);
-    }
-
-    /// Drains the completion signals (harness-internal).
-    pub fn take_completions(&mut self) -> Vec<ClientId> {
-        std::mem::take(&mut self.completions)
     }
 }
 
@@ -232,13 +236,14 @@ mod tests {
                 client_key: Some("tenant-b".into()),
             },
         ];
-        let mut ctx = Ctx::new(&mut engine, &clients);
+        let mut completions = vec![ClientId(1)];
+        let mut ctx = Ctx::new(&mut engine, &clients, &mut completions);
         assert_eq!(ctx.priority(ClientId(1)), Priority::BestEffort);
         assert_eq!(ctx.client_key(ClientId(0)), None);
         assert_eq!(ctx.client_key(ClientId(1)), Some("tenant-b"));
         ctx.complete_kernel(ClientId(0));
         ctx.complete_kernel(ClientId(1));
-        assert_eq!(ctx.take_completions(), vec![ClientId(0), ClientId(1)]);
-        assert!(ctx.take_completions().is_empty());
+        // Signals append after what the list already held.
+        assert_eq!(completions, vec![ClientId(1), ClientId(0), ClientId(1)]);
     }
 }

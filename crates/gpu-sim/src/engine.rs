@@ -11,6 +11,10 @@
 //! finishes draining after a preemption, so the engine's memory is bounded
 //! by what is in flight, not by how many launches a run has submitted.
 //!
+//! [`Engine::advance`] appends the notifications it fires to a buffer the
+//! caller owns and passes in, so a driver that reuses one buffer steps the
+//! engine without allocating.
+//!
 //! # Execution model
 //!
 //! * A [`LaunchRequest`] becomes dispatchable after
@@ -47,12 +51,13 @@ use crate::spec::GpuSpec;
 use crate::time::{SimSpan, SimTime};
 
 /// Result of one [`Engine::advance`] call.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub enum Step {
-    /// One or more notifications fired; simulated time is at the instant of
-    /// the first returned notification (or unchanged for notifications
-    /// produced synchronously, e.g. by preempting an idle launch).
-    Notified(Vec<Notification>),
+    /// One or more notifications fired and were appended to the caller's
+    /// buffer; simulated time is at the instant of the first of them (or
+    /// unchanged for notifications produced synchronously, e.g. by
+    /// preempting an idle launch).
+    Notified,
     /// No notification fired before `limit`; `now` has been set to `limit`.
     ReachedLimit,
     /// The engine has no pending events at all; `now` has been set to
@@ -176,8 +181,9 @@ impl Active {
 ///     .block_cost(SimSpan::from_micros(50))
 ///     .build_arc();
 /// engine.submit(LaunchRequest::full(k, ClientId(0), Priority::High));
-/// match engine.advance(SimTime::MAX) {
-///     Step::Notified(notes) => assert_eq!(notes.len(), 1),
+/// let mut notes = Vec::new();
+/// match engine.advance(SimTime::MAX, &mut notes) {
+///     Step::Notified => assert_eq!(notes.len(), 1),
 ///     other => panic!("expected a completion, got {other:?}"),
 /// }
 /// // 4us launch overhead + one 50us wave.
@@ -394,10 +400,15 @@ impl Engine {
 
     /// Advances simulated time, processing events until a notification
     /// fires or `limit` is reached. See [`Step`].
-    pub fn advance(&mut self, limit: SimTime) -> Step {
+    ///
+    /// The notifications that fired are appended to `notes`, which the
+    /// caller owns: the engine never clears it, and a caller that drains
+    /// and reuses one buffer advances without allocating.
+    pub fn advance(&mut self, limit: SimTime, notes: &mut Vec<Notification>) -> Step {
         loop {
             if !self.out.is_empty() {
-                return Step::Notified(self.out.drain(..).collect());
+                notes.extend(self.out.drain(..));
+                return Step::Notified;
             }
             match self.heap.peek() {
                 None => {
@@ -755,8 +766,8 @@ mod tests {
     fn drain(engine: &mut Engine) -> Vec<Notification> {
         let mut all = Vec::new();
         loop {
-            match engine.advance(SimTime::MAX) {
-                Step::Notified(mut n) => all.append(&mut n),
+            match engine.advance(SimTime::MAX, &mut all) {
+                Step::Notified => {}
                 Step::Idle => return all,
                 Step::ReachedLimit => unreachable!("limit is MAX"),
             }
@@ -868,7 +879,10 @@ mod tests {
         };
         let id = e.submit(req);
         // Let the first round start (arrival at 4us), then preempt mid-round.
-        assert_eq!(e.advance(SimTime::from_micros(50)), Step::ReachedLimit);
+        assert_eq!(
+            e.advance(SimTime::from_micros(50), &mut Vec::new()),
+            Step::ReachedLimit
+        );
         assert!(e.preempt(id));
         let notes = drain(&mut e);
         assert_eq!(
@@ -900,7 +914,7 @@ mod tests {
             priority: Priority::BestEffort,
         };
         let id = e.submit(mk(0));
-        e.advance(SimTime::from_micros(50));
+        e.advance(SimTime::from_micros(50), &mut Vec::new());
         e.preempt(id);
         let notes = drain(&mut e);
         let done_upto = match notes[0] {
@@ -974,7 +988,11 @@ mod tests {
             assert_eq!(e.progress(id), None);
             assert!(!e.preempt(id), "a retired launch cannot be preempted");
         }
-        assert_eq!(e.advance(SimTime::MAX), Step::Idle, "no late notification");
+        assert_eq!(
+            e.advance(SimTime::MAX, &mut Vec::new()),
+            Step::Idle,
+            "no late notification"
+        );
     }
 
     #[test]
@@ -1019,7 +1037,7 @@ mod tests {
         let be = kernel(32, 512, 100);
         e.submit(LaunchRequest::full(be, ClientId(0), Priority::BestEffort));
         // Advance past its arrival so the first wave is resident.
-        e.advance(SimTime::from_micros(10));
+        e.advance(SimTime::from_micros(10), &mut Vec::new());
         // High-priority kernel arrives; its blocks must be placed before the
         // best-effort kernel's second wave.
         let hp = kernel(16, 512, 50);
@@ -1075,21 +1093,27 @@ mod tests {
         let mut e = Engine::new(GpuSpec::tiny());
         let k = kernel(16, 512, 100);
         e.submit(LaunchRequest::full(k, ClientId(0), Priority::High));
-        assert_eq!(e.advance(SimTime::from_micros(50)), Step::ReachedLimit);
+        assert_eq!(
+            e.advance(SimTime::from_micros(50), &mut Vec::new()),
+            Step::ReachedLimit
+        );
         assert_eq!(e.now(), SimTime::from_micros(50));
         assert!(matches!(
-            e.advance(SimTime::from_micros(200)),
-            Step::Notified(_)
+            e.advance(SimTime::from_micros(200), &mut Vec::new()),
+            Step::Notified
         ));
     }
 
     #[test]
     fn idle_engine_advances_to_finite_limit() {
         let mut e = Engine::new(GpuSpec::tiny());
-        assert_eq!(e.advance(SimTime::from_millis(5)), Step::Idle);
+        assert_eq!(
+            e.advance(SimTime::from_millis(5), &mut Vec::new()),
+            Step::Idle
+        );
         assert_eq!(e.now(), SimTime::from_millis(5));
         // MAX limit leaves time unchanged.
-        assert_eq!(e.advance(SimTime::MAX), Step::Idle);
+        assert_eq!(e.advance(SimTime::MAX, &mut Vec::new()), Step::Idle);
         assert_eq!(e.now(), SimTime::from_millis(5));
     }
 

@@ -112,6 +112,13 @@ impl From<(u32, u32, u32)> for Dim3 {
 ///
 /// Recurring launches of the same kernel share a `KernelId`, which is what
 /// lets Tally's transparent profiler reuse measurements across iterations.
+///
+/// Ids come from one process-global counter ([`fresh_kernel_id`]), so
+/// building the same workload twice in one process yields different ids.
+/// Reports and Chrome traces never show them, but an observer stream does
+/// (through the kernel of each dispatch): two runs' streams compare
+/// byte-for-byte only when the runs share one set of built jobs, or when
+/// the comparison masks the ids.
 #[derive(Copy, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct KernelId(pub u64);
 

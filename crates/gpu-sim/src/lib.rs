@@ -34,7 +34,8 @@
 //! });
 //!
 //! // A high-priority kernel arrives 1ms in: preempt and take over.
-//! engine.advance(SimTime::from_millis(1));
+//! let mut notes = Vec::new();
+//! engine.advance(SimTime::from_millis(1), &mut notes);
 //! engine.preempt(be);
 //! let infer = KernelDesc::builder("bert::qkv")
 //!     .grid(864)
@@ -43,8 +44,8 @@
 //!     .build_arc();
 //! engine.submit(LaunchRequest::full(infer, ClientId(1), Priority::High));
 //!
-//! while let Step::Notified(notes) = engine.advance(SimTime::MAX) {
-//!     for n in notes {
+//! while let Step::Notified = engine.advance(SimTime::MAX, &mut notes) {
+//!     for n in notes.drain(..) {
 //!         println!("{:?}", n);
 //!     }
 //! }

@@ -62,23 +62,25 @@ fn launches_conserve_and_resolve() {
         let mut resolved = 0u64;
         let mut last_now = engine.now();
 
-        let handle = |notes: Vec<Notification>, live: &mut Vec<LaunchId>, resolved: &mut u64| {
-            for n in notes {
-                if let Some(pos) = live.iter().position(|&l| l == n.launch()) {
-                    live.swap_remove(pos);
-                    *resolved += 1;
+        let mut notes = Vec::new();
+        let handle =
+            |notes: &mut Vec<Notification>, live: &mut Vec<LaunchId>, resolved: &mut u64| {
+                for n in notes.drain(..) {
+                    if let Some(pos) = live.iter().position(|&l| l == n.launch()) {
+                        live.swap_remove(pos);
+                        *resolved += 1;
+                    }
+                    if let Notification::Preempted {
+                        done_upto, total, ..
+                    } = n
+                    {
+                        assert!(
+                            done_upto <= total,
+                            "case {case}: progress cannot exceed total"
+                        );
+                    }
                 }
-                if let Notification::Preempted {
-                    done_upto, total, ..
-                } = n
-                {
-                    assert!(
-                        done_upto <= total,
-                        "case {case}: progress cannot exceed total"
-                    );
-                }
-            }
-        };
+            };
 
         for action in actions {
             match action {
@@ -114,8 +116,8 @@ fn launches_conserve_and_resolve() {
                 }
                 Action::Advance(us) => {
                     let target = engine.now() + SimSpan::from_micros(us);
-                    while let Step::Notified(notes) = engine.advance(target) {
-                        handle(notes, &mut live, &mut resolved);
+                    while let Step::Notified = engine.advance(target, &mut notes) {
+                        handle(&mut notes, &mut live, &mut resolved);
                         assert!(engine.now() >= last_now, "case {case}: time went backwards");
                         last_now = engine.now();
                     }
@@ -129,8 +131,8 @@ fn launches_conserve_and_resolve() {
         }
         // Drain everything.
         loop {
-            match engine.advance(SimTime::MAX) {
-                Step::Notified(notes) => handle(notes, &mut live, &mut resolved),
+            match engine.advance(SimTime::MAX, &mut notes) {
+                Step::Notified => handle(&mut notes, &mut live, &mut resolved),
                 Step::Idle => break,
                 Step::ReachedLimit => unreachable!(),
             }
@@ -173,8 +175,9 @@ fn solo_latency_matches_wave_arithmetic() {
             .build_arc();
         let mut engine = Engine::new(spec.clone());
         engine.submit(LaunchRequest::full(kernel, ClientId(0), Priority::High));
-        let at = match engine.advance(SimTime::MAX) {
-            Step::Notified(notes) => notes[0].at(),
+        let mut notes = Vec::new();
+        let at = match engine.advance(SimTime::MAX, &mut notes) {
+            Step::Notified => notes[0].at(),
             Step::Idle => panic!("case {case}: no completion"),
             Step::ReachedLimit => unreachable!(),
         };
