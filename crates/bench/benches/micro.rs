@@ -358,9 +358,8 @@ impl SessionObserver for EventTape {
 }
 
 /// MetricsHub ingest cost: record a deterministic event stream once (a
-/// 1s co-location under an SLO guard, so completions, sheds, deferrals,
-/// and kernel events all appear), then time replaying it into a fresh
-/// hub. Reported as an ungated `host_hub_events_per_s` row so observer
+/// 1s co-location under an SLO guard, so completions, sheds and kernel
+/// events all appear), then time replaying it into a fresh hub. Reported as an ungated `host_hub_events_per_s` row so observer
 /// overhead shows up in the trajectory.
 fn metrics_hub_overhead(sink: &mut JsonSink) {
     banner("MetricsHub ingest (events/sec)");

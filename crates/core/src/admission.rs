@@ -1,5 +1,5 @@
-//! Observer-driven admission control: shed or defer best-effort load
-//! before it enters the queue.
+//! Observer-driven admission control: shed best-effort load before it
+//! enters the queue.
 //!
 //! Open-loop traffic (see `tally_workloads::openloop`) keeps arriving
 //! whether or not the device keeps up, so past the saturation knee the
@@ -8,8 +8,9 @@
 //! watches the same live [`Observation`] stream every
 //! [`SessionObserver`](crate::events::SessionObserver) sees (p99 of
 //! high-priority completions, kernels in flight on the device) and
-//! decides, per arriving *best-effort* request, whether to admit it,
-//! shed it, or defer the client's intake.
+//! decides, per arriving *best-effort* request, whether to admit or shed
+//! it. The policy is consulted once per arrival, in arrival order, and
+//! sees the client's queue length before the request would join it.
 //! High-priority requests are never gated — the whole point is to
 //! sacrifice best-effort load to protect the latency-critical tenant.
 //!
@@ -18,18 +19,17 @@
 //! * [`RejectNever`] — the open-loop baseline: admit everything and let
 //!   the queue grow. This is what "blows through" the SLO in the
 //!   saturation bench.
-//! * [`QueueCap`] — bound the per-client arrival queue; shed (or defer
-//!   intake, in [`QueueCap::defer_for`] mode) past the cap.
+//! * [`QueueCap`] — bound the per-client arrival queue; shed past the
+//!   cap.
 //! * [`SloGuard`] — AIMD on admitted QPS driven by the live
 //!   high-priority p99: multiplicative decrease on SLO breach, additive
 //!   increase while healthy, enforced by a sim-time token bucket.
 //!
 //! Decisions are pure functions of simulated time and the per-session
 //! event stream, so runs stay deterministic for every worker-thread
-//! count. Verdicts are counted per client
-//! ([`ClientReport::shed`](crate::metrics::ClientReport::shed) /
-//! [`deferred`](crate::metrics::ClientReport::deferred)) and every shed
-//! arrival is announced as [`Observation::RequestShed`].
+//! count. Sheds are counted per client
+//! ([`ClientReport::shed`](crate::metrics::ClientReport::shed)) and every
+//! shed arrival is announced as [`Observation::RequestShed`].
 //!
 //! ```
 //! use tally_core::admission::QueueCap;
@@ -78,12 +78,6 @@ pub enum AdmissionVerdict {
     /// never counts toward latency. Counted in
     /// [`ClientReport::shed`](crate::metrics::ClientReport::shed).
     Shed,
-    /// Pause the client's intake for the given span; the request (and
-    /// any behind it) stays pending and is re-offered once the hold
-    /// expires, with its latency still measured from the *original*
-    /// arrival. Counted in
-    /// [`ClientReport::deferred`](crate::metrics::ClientReport::deferred).
-    Defer(SimSpan),
 }
 
 /// An admission controller for best-effort requests.
@@ -169,49 +163,29 @@ impl AdmissionPolicy for RejectNever {
 }
 
 /// Bounds each best-effort client's arrival queue at `cap` requests:
-/// arrivals that would push past the cap are shed, or — in
-/// [`QueueCap::defer_for`] mode — the client's intake is paused instead,
-/// preserving the requests at the cost of added sojourn.
+/// arrivals that would push past the cap are shed.
 #[derive(Clone, Copy, Debug)]
 pub struct QueueCap {
     cap: usize,
-    defer: Option<SimSpan>,
 }
 
 impl QueueCap {
     /// A cap that sheds past `cap` queued requests.
     pub fn shedding(cap: usize) -> Self {
-        QueueCap { cap, defer: None }
-    }
-
-    /// A cap that defers intake by `pause` whenever the queue is full,
-    /// instead of shedding.
-    pub fn defer_for(cap: usize, pause: SimSpan) -> Self {
-        assert!(!pause.is_zero(), "defer pause must be positive");
-        QueueCap {
-            cap,
-            defer: Some(pause),
-        }
+        QueueCap { cap }
     }
 }
 
 impl AdmissionPolicy for QueueCap {
     fn name(&self) -> &str {
-        if self.defer.is_some() {
-            "queue-cap-defer"
-        } else {
-            "queue-cap"
-        }
+        "queue-cap"
     }
 
     fn admit(&mut self, _now: SimTime, _client: ClientId, depth: usize) -> AdmissionVerdict {
         if depth < self.cap {
             AdmissionVerdict::Admit
         } else {
-            match self.defer {
-                Some(pause) => AdmissionVerdict::Defer(pause),
-                None => AdmissionVerdict::Shed,
-            }
+            AdmissionVerdict::Shed
         }
     }
 }
@@ -398,7 +372,7 @@ mod tests {
     }
 
     #[test]
-    fn queue_cap_sheds_or_defers_past_the_cap() {
+    fn queue_cap_sheds_past_the_cap() {
         let mut shed = QueueCap::shedding(4);
         assert_eq!(
             shed.admit(SimTime::ZERO, ClientId(1), 3),
@@ -407,11 +381,6 @@ mod tests {
         assert_eq!(
             shed.admit(SimTime::ZERO, ClientId(1), 4),
             AdmissionVerdict::Shed
-        );
-        let mut defer = QueueCap::defer_for(4, SimSpan::from_millis(5));
-        assert_eq!(
-            defer.admit(SimTime::ZERO, ClientId(1), 4),
-            AdmissionVerdict::Defer(SimSpan::from_millis(5))
         );
     }
 

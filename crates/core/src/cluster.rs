@@ -591,8 +591,8 @@ impl Cluster {
     /// Installs an admission policy on every device, built from its
     /// device index (see [`AdmissionPolicy`]). Each session feeds its
     /// policy the device-local observation stream and consults it before
-    /// enqueuing each best-effort request; shed/deferred counts surface
-    /// in the per-client reports ([`ClusterReport::shed`]).
+    /// enqueuing each best-effort request; shed counts surface in the
+    /// per-client reports ([`ClusterReport::shed`]).
     pub fn admission_with(
         mut self,
         factory: impl Fn(usize) -> Box<dyn AdmissionPolicy> + 'static,
@@ -1322,11 +1322,6 @@ impl ClusterReport {
     /// [`Cluster::admission_with`]).
     pub fn shed(&self) -> u64 {
         self.clients.iter().map(|c| c.report.shed).sum()
-    }
-
-    /// Total intake pauses imposed by admission policies across the fleet.
-    pub fn deferred(&self) -> u64 {
-        self.clients.iter().map(|c| c.report.deferred).sum()
     }
 }
 

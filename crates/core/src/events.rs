@@ -177,18 +177,6 @@ pub enum Observation {
         /// When the rejected request arrived.
         arrival: SimTime,
     },
-    /// An [admission policy](crate::admission::AdmissionPolicy) paused a
-    /// client's intake instead of rejecting outright: the arrival stays
-    /// queued and retries once the pause elapses. One arrival may defer
-    /// repeatedly before it is finally admitted or shed.
-    RequestDeferred {
-        /// Session-local client id.
-        client: ClientId,
-        /// When the deferred request arrived.
-        arrival: SimTime,
-        /// How long intake is paused.
-        pause: SimSpan,
-    },
     /// A client's next logical kernel was handed to the sharing system.
     ///
     /// The kernel carries its process-global
@@ -397,7 +385,6 @@ impl DeviceState {
             }
             Observation::RequestCompleted { .. }
             | Observation::RequestShed { .. }
-            | Observation::RequestDeferred { .. }
             | Observation::Rebalance { .. } => {}
         }
     }

@@ -342,15 +342,11 @@ pub(crate) fn compile_trace(
         match ev {
             SessionEvent::Arrive { key, job } => match index.get(&key) {
                 Some(&i) => {
-                    let closed = jobs[i].windows.last().expect("window").until;
-                    let Some(closed) = closed else {
+                    // Timestamps are non-decreasing, so a closed window
+                    // ended at or before `at`.
+                    if jobs[i].windows.last().expect("window").until.is_none() {
                         return Err(TraceError::semantic(format!(
                             "client `{key}` arrives while attached"
-                        )));
-                    };
-                    if closed > at {
-                        return Err(TraceError::semantic(format!(
-                            "client `{key}` re-arrives before departing"
                         )));
                     }
                     jobs[i].windows.push(ActivityWindow::new(at, None));
@@ -448,22 +444,15 @@ pub(crate) struct Client {
     op_times: Vec<SimTime>,
     /// Whether the session has observers (or an admission policy): when
     /// set, completed requests are buffered in `fresh_requests` for the
-    /// observation stream, shed arrivals in `fresh_sheds`, and admission
-    /// deferrals in `fresh_deferrals`.
+    /// observation stream and shed arrivals in `fresh_sheds`.
     observe: bool,
     fresh_requests: Vec<(SimTime, SimSpan)>,
     fresh_sheds: Vec<SimTime>,
-    fresh_deferrals: Vec<(SimTime, SimSpan)>,
     /// Shed arrival instants, kept when `record_timelines` is set so
     /// [`ClientReport::timed_sheds`] can drive per-window shed rates.
     timed_sheds: Vec<SimTime>,
     /// Best-effort requests rejected by the admission policy.
     shed: u64,
-    /// Admission verdicts that paused this client's intake.
-    deferred: u64,
-    /// Intake paused until this instant (an [`AdmissionVerdict::Defer`]);
-    /// pending arrivals are re-offered once it expires.
-    intake_hold: Option<SimTime>,
 }
 
 impl Client {
@@ -493,11 +482,8 @@ impl Client {
             observe: false,
             fresh_requests: Vec::new(),
             fresh_sheds: Vec::new(),
-            fresh_deferrals: Vec::new(),
             timed_sheds: Vec::new(),
             shed: 0,
-            deferred: 0,
-            intake_hold: None,
         }
     }
 
@@ -508,65 +494,40 @@ impl Client {
         }
     }
 
-    /// When the next request can enter the queue: its arrival instant, or
-    /// the intake-hold expiry when an admission deferral pushed it later.
+    /// The arrival instant of the next request, if any remain.
     fn next_arrival_time(&self) -> Option<SimTime> {
         match &self.spec.kind {
             JobKind::Training { .. } => None,
-            JobKind::Inference { arrivals, .. } => arrivals
-                .get(self.next_arrival)
-                .map(|&t| self.intake_hold.map_or(t, |h| t.max(h))),
+            JobKind::Inference { arrivals, .. } => arrivals.get(self.next_arrival).copied(),
         }
     }
 
     /// Accepts due arrivals (consulting the admission policy for
-    /// best-effort requests) and releases an expired CPU gap or intake
-    /// hold.
+    /// best-effort requests) and releases an expired CPU gap.
     fn tick(
         &mut self,
         now: SimTime,
         mut admission: Option<&mut (dyn AdmissionPolicy + 'static)>,
         id: ClientId,
     ) {
-        if self.intake_hold.is_some_and(|h| h <= now) {
-            self.intake_hold = None;
-        }
         let gate = !self.spec.priority.is_high();
-        if self.intake_hold.is_none() {
-            if let JobKind::Inference { arrivals, .. } = &self.spec.kind {
-                while arrivals.get(self.next_arrival).is_some_and(|&t| t <= now) {
-                    let arrival = arrivals[self.next_arrival];
-                    if gate {
-                        if let Some(policy) = admission.as_deref_mut() {
-                            match policy.admit(now, id, self.queue.len()) {
-                                AdmissionVerdict::Admit => {}
-                                AdmissionVerdict::Shed => {
-                                    self.shed += 1;
-                                    if self.observe {
-                                        self.fresh_sheds.push(arrival);
-                                    }
-                                    if self.record_timelines {
-                                        self.timed_sheds.push(arrival);
-                                    }
-                                    self.next_arrival += 1;
-                                    continue;
-                                }
-                                AdmissionVerdict::Defer(pause) => {
-                                    self.deferred += 1;
-                                    if self.observe {
-                                        self.fresh_deferrals.push((arrival, pause));
-                                    }
-                                    // A zero pause would re-offer at this
-                                    // same instant forever.
-                                    self.intake_hold =
-                                        Some(now + pause.max(SimSpan::from_nanos(1)));
-                                    break;
-                                }
-                            }
-                        }
-                    }
+        if let JobKind::Inference { arrivals, .. } = &self.spec.kind {
+            while let Some(&arrival) = arrivals.get(self.next_arrival).filter(|&&t| t <= now) {
+                self.next_arrival += 1;
+                let verdict = match admission.as_deref_mut() {
+                    Some(policy) if gate => policy.admit(now, id, self.queue.len()),
+                    _ => AdmissionVerdict::Admit,
+                };
+                if verdict == AdmissionVerdict::Admit {
                     self.queue.push_back(arrival);
-                    self.next_arrival += 1;
+                    continue;
+                }
+                self.shed += 1;
+                if self.observe {
+                    self.fresh_sheds.push(arrival);
+                }
+                if self.record_timelines {
+                    self.timed_sheds.push(arrival);
                 }
             }
         }
@@ -682,7 +643,6 @@ impl Client {
             kernels: self.kernels,
             attachments: self.attachments,
             shed: self.shed,
-            deferred: self.deferred,
             latency: self.latency.clone(),
             throughput,
             intercept: self
@@ -833,9 +793,9 @@ impl<'s> Colocation<'s> {
 
     /// Installs an [admission policy](crate::admission::AdmissionPolicy)
     /// that gates every *best-effort* request before it enters its
-    /// client's queue: shed requests never run, deferred ones pause the
-    /// client's intake. High-priority requests are never gated. The
-    /// policy receives the session's full observation stream.
+    /// client's queue: shed requests never run. High-priority requests
+    /// are never gated. The policy receives the session's full
+    /// observation stream.
     pub fn admission(mut self, policy: Box<dyn AdmissionPolicy>) -> Self {
         self.admission = Some(policy);
         self
@@ -1050,16 +1010,13 @@ impl Sinks {
         if self.buf.is_empty() {
             return;
         }
-        let mut sinks: Vec<_> = self
-            .observers
-            .iter()
-            .map(|o| o.lock().expect("sync observer poisoned"))
-            .collect();
-        for (at, ev) in self.buf.drain(..) {
-            for sink in &mut sinks {
-                sink.on_event(at, self.device, &ev);
+        for observer in &self.observers {
+            let mut sink = observer.lock().expect("sync observer poisoned");
+            for (at, ev) in &self.buf {
+                sink.on_event(*at, self.device, ev);
             }
         }
+        self.buf.clear();
     }
 }
 
@@ -1321,13 +1278,6 @@ impl<'s> Session<'s> {
                     sinks.emit(now, || Observation::RequestShed {
                         client: id,
                         arrival,
-                    });
-                }
-                for (arrival, pause) in client.fresh_deferrals.drain(..) {
-                    sinks.emit(now, || Observation::RequestDeferred {
-                        client: id,
-                        arrival,
-                        pause,
                     });
                 }
                 // A zero-length CPU gap is due at once.

@@ -141,10 +141,6 @@ pub struct ClientReport {
     /// [`AdmissionPolicy`](crate::admission::AdmissionPolicy) (never
     /// enqueued; excluded from latency and throughput).
     pub shed: u64,
-    /// Times an admission policy paused this client's intake — each pause
-    /// delays every queued arrival behind it (sojourns still count from
-    /// the original arrival instant).
-    pub deferred: u64,
     /// Request latencies (inference jobs, post-warmup).
     pub latency: LatencyRecorder,
     /// Work units (requests or iterations) per second of simulated time,
@@ -222,7 +218,7 @@ impl ClientReport {
 /// use tally_gpu::{SimSpan, SimTime};
 /// # let report = ClientReport {
 /// #     name: "svc".into(), high_priority: true, requests: 2,
-/// #     iterations: 0, kernels: 2, attachments: 1, shed: 0, deferred: 0,
+/// #     iterations: 0, kernels: 2, attachments: 1, shed: 0,
 /// #     latency: LatencyRecorder::new(),
 /// #     throughput: 0.0, intercept: InterceptStats::default(),
 /// #     timed_latencies: vec![
@@ -416,7 +412,6 @@ mod tests {
             kernels: 3,
             attachments: 1,
             shed: 0,
-            deferred: 0,
             latency: LatencyRecorder::new(),
             throughput: 0.0,
             intercept: InterceptStats::default(),
@@ -461,7 +456,6 @@ mod tests {
             kernels: 8,
             attachments: 1,
             shed: 0,
-            deferred: 0,
             latency: LatencyRecorder::new(),
             throughput: 0.0,
             intercept: InterceptStats::default(),
@@ -489,7 +483,6 @@ mod tests {
                     kernels: 0,
                     attachments: 1,
                     shed: 0,
-                    deferred: 0,
                     latency: LatencyRecorder::new(),
                     throughput: 50.0,
                     intercept: InterceptStats::default(),
@@ -505,7 +498,6 @@ mod tests {
                     kernels: 0,
                     attachments: 1,
                     shed: 0,
-                    deferred: 0,
                     latency: LatencyRecorder::new(),
                     throughput: 5.0,
                     intercept: InterceptStats::default(),

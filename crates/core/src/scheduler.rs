@@ -98,7 +98,6 @@ pub struct TallySystem {
     /// launch id once submitted. Ordered maps keep launch order — and so
     /// the whole simulation — deterministic across runs.
     hp_inflight: BTreeMap<LaunchId, ClientId>,
-    hp_active: u32,
     be: BTreeMap<ClientId, BeTask>,
     preemptions_issued: u64,
 }
@@ -111,7 +110,6 @@ impl TallySystem {
             transformer: KernelTransformer::new(),
             profiler: TransparentProfiler::new(),
             hp_inflight: BTreeMap::new(),
-            hp_active: 0,
             be: BTreeMap::new(),
             preemptions_issued: 0,
         }
@@ -239,7 +237,6 @@ impl SharingSystem for TallySystem {
                 .engine
                 .submit(LaunchRequest::full(kernel, client, Priority::High));
             self.hp_inflight.insert(id, client);
-            self.hp_active += 1;
         } else {
             let plan = self.transformer.plan(&kernel);
             let total = plan.kernel().grid.count();
@@ -262,7 +259,6 @@ impl SharingSystem for TallySystem {
             Notification::Completed { id, client, at } => {
                 if let Some(c) = self.hp_inflight.remove(&id) {
                     debug_assert_eq!(c, client);
-                    self.hp_active -= 1;
                     ctx.complete_kernel(client);
                     return;
                 }
@@ -336,7 +332,7 @@ impl SharingSystem for TallySystem {
     fn poll(&mut self, ctx: &mut Ctx<'_>) {
         // Figure 4, lines 21–33: best-effort work runs only while the
         // high-priority side is inactive.
-        if self.hp_active > 0 {
+        if !self.hp_inflight.is_empty() {
             return;
         }
         let bound = self.cfg.turnaround_bound;
@@ -356,7 +352,6 @@ impl SharingSystem for TallySystem {
         // …and any in-flight high-priority kernels it still had.
         self.hp_inflight.retain(|&id, &mut c| {
             if c == client {
-                self.hp_active -= 1;
                 ctx.engine.preempt(id);
                 false
             } else {

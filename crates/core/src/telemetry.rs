@@ -227,8 +227,6 @@ pub struct DeviceMetrics {
     pub requests: u64,
     /// Arrivals shed by admission control.
     pub shed: u64,
-    /// Admission deferrals (one arrival can defer repeatedly).
-    pub deferred: u64,
     /// Logical kernels handed to the sharing system.
     pub dispatched: u64,
     /// Logical kernels finished.
@@ -279,8 +277,6 @@ pub struct ClientMetrics {
     pub requests: u64,
     /// Arrivals shed by admission control.
     pub shed: u64,
-    /// Admission deferrals.
-    pub deferred: u64,
     /// Logical kernels finished.
     pub kernels: u64,
     /// Request latency distribution.
@@ -302,8 +298,8 @@ pub struct MetricSample {
 
 /// A streaming metrics registry: distills the [`Observation`] stream into
 /// labeled counters, gauges, and [`Histogram`]s per device and per client
-/// key — requests, sheds, deferrals, kernel dispatches, occupancy
-/// integrals, queue depth.
+/// key — requests, sheds, kernel dispatches, occupancy integrals, queue
+/// depth.
 ///
 /// Register via [`MetricsHub::shared_sync`]; state is partitioned per
 /// device, so query-time results are identical for every
@@ -429,7 +425,6 @@ impl MetricsHub {
         for (&d, m) in &self.devices {
             out.push(dev("requests", d, m.requests as f64));
             out.push(dev("shed", d, m.shed as f64));
-            out.push(dev("deferred", d, m.deferred as f64));
             out.push(dev("kernels_dispatched", d, m.dispatched as f64));
             out.push(dev("kernels_finished", d, m.finished as f64));
             out.push(dev("queue_depth", d, m.queue_depth() as f64));
@@ -538,10 +533,6 @@ impl SessionObserver for MetricsHub {
                 d.shed += 1;
                 self.client_mut(device, *client).shed += 1;
             }
-            Observation::RequestDeferred { client, .. } => {
-                d.deferred += 1;
-                self.client_mut(device, *client).deferred += 1;
-            }
             Observation::KernelDispatched { .. } => d.dispatched += 1,
             Observation::KernelFinished { client } => {
                 d.finished += 1;
@@ -569,8 +560,6 @@ pub struct TimelineWindow {
     pub requests: u64,
     /// Arrivals shed inside the window.
     pub shed: u64,
-    /// Admission deferrals inside the window.
-    pub deferred: u64,
     /// Logical kernels finished inside the window.
     pub kernels: u64,
     /// Outstanding kernels at window close (instantaneous gauge).
@@ -612,7 +601,6 @@ impl TimelineWindow {
 struct WindowAccum {
     requests: u64,
     shed: u64,
-    deferred: u64,
     kernels: u64,
     migrations_out: u64,
     migration_stall: SimSpan,
@@ -647,7 +635,6 @@ impl DeviceSeries {
             len,
             requests: accum.requests,
             shed: accum.shed,
-            deferred: accum.deferred,
             kernels: accum.kernels,
             queue_depth: self.state.queue_depth(),
             occupancy,
@@ -707,7 +694,7 @@ impl DeviceSeries {
 ///     .run();
 /// let mut timeline = timeline.lock().unwrap();
 /// let json = timeline.to_json();
-/// assert!(json.starts_with("{\"version\": 2"));
+/// assert!(json.starts_with("{\"version\": 3"));
 /// // 10 windows of 100ms, ~5 completions each.
 /// assert_eq!(timeline.windows(0).len(), 10);
 /// assert!(timeline.windows(0).iter().map(|w| w.requests).sum::<u64>() >= 45);
@@ -764,18 +751,18 @@ impl Timeline {
         self.devices.get(&device).map_or(&[], |d| &d.windows)
     }
 
-    /// Versioned JSON export: `{"version": 2, "cadence_ns": …,
+    /// Versioned JSON export: `{"version": 3, "cadence_ns": …,
     /// "duration_ns": …, "series": [{"device": d, "windows": […]}]}`,
     /// one window object per closed window with `qps`, `shed_rate`,
     /// `occupancy`, `queue_depth`, migration counters, and latency
     /// quantiles in milliseconds. (Version 2 added `migrations_out` and
-    /// `migration_stall_ms` per window.)
+    /// `migration_stall_ms` per window; version 3 dropped `deferred`.)
     pub fn to_json(&mut self) -> String {
         self.finish();
         let mut out = String::new();
         let _ = write!(
             out,
-            "{{\"version\": 2, \"cadence_ns\": {}, \"duration_ns\": {}, \"series\": [",
+            "{{\"version\": 3, \"cadence_ns\": {}, \"duration_ns\": {}, \"series\": [",
             self.cadence.as_nanos(),
             self.duration.as_nanos()
         );
@@ -791,7 +778,7 @@ impl Timeline {
                 let _ = write!(
                     out,
                     "{{\"start_ns\": {}, \"len_ns\": {}, \"requests\": {}, \
-                     \"shed\": {}, \"deferred\": {}, \"kernels\": {}, \
+                     \"shed\": {}, \"kernels\": {}, \
                      \"qps\": {}, \"shed_rate\": {}, \"occupancy\": {}, \
                      \"queue_depth\": {}, \"migrations_out\": {}, \
                      \"migration_stall_ms\": {}",
@@ -799,7 +786,6 @@ impl Timeline {
                     w.len.as_nanos(),
                     w.requests,
                     w.shed,
-                    w.deferred,
                     w.kernels,
                     fmt_f64(w.qps()),
                     fmt_f64(w.shed_rate()),
@@ -827,7 +813,7 @@ impl Timeline {
     pub fn to_csv(&mut self) -> String {
         self.finish();
         let mut out = String::from(
-            "device,start_ms,len_ms,requests,shed,deferred,kernels,\
+            "device,start_ms,len_ms,requests,shed,kernels,\
              qps,shed_rate,occupancy,queue_depth,migrations_out,\
              migration_stall_ms,p99_ms,mean_ms\n",
         );
@@ -835,12 +821,11 @@ impl Timeline {
             for w in &d.windows {
                 let _ = write!(
                     out,
-                    "{device},{},{},{},{},{},{},{},{},{},{},{},{}",
+                    "{device},{},{},{},{},{},{},{},{},{},{},{}",
                     fmt_f64(w.start.as_nanos() as f64 / 1e6),
                     fmt_f64(w.len.as_millis_f64()),
                     w.requests,
                     w.shed,
-                    w.deferred,
                     w.kernels,
                     fmt_f64(w.qps()),
                     fmt_f64(w.shed_rate()),
@@ -883,7 +868,6 @@ impl SessionObserver for Timeline {
                 d.cur.latency.record(*latency);
             }
             Observation::RequestShed { .. } => d.cur.shed += 1,
-            Observation::RequestDeferred { .. } => d.cur.deferred += 1,
             Observation::KernelFinished { .. } => d.cur.kernels += 1,
             // Delivered stamped with the source device.
             Observation::ClientMigrated { stall, .. } => {
@@ -977,10 +961,10 @@ impl DeviceTrack {
 ///
 /// Kernel dispatch/finish become paired `B`/`E` duration events on the
 /// client's row; request completions become async `b`/`e` spans from
-/// arrival to completion (queued requests overlap); sheds, deferrals,
-/// lifecycle edges, migrations, and rebalance passes become instant
-/// markers. Events are buffered per device and emitted in device-index
-/// order, so the export is byte-identical for every cluster thread count.
+/// arrival to completion (queued requests overlap); sheds, lifecycle
+/// edges, migrations, and rebalance passes become instant markers.
+/// Events are buffered per device and emitted in device-index order, so
+/// the export is byte-identical for every cluster thread count.
 ///
 /// ```
 /// use tally_core::harness::{Colocation, HarnessConfig, JobSpec, WorkloadOp};
@@ -1272,14 +1256,6 @@ impl SessionObserver for ChromeTraceWriter {
                     cat: "admission",
                 });
             }
-            Observation::RequestDeferred { client, .. } => {
-                d.push(TraceEvent::Instant {
-                    ts: at,
-                    tid: client.0,
-                    name: "defer",
-                    cat: "admission",
-                });
-            }
             Observation::EngineSample { .. } => {}
             // Handled above.
             Observation::ClientMigrated { .. } | Observation::Rebalance { .. } => {}
@@ -1474,23 +1450,13 @@ mod tests {
                 arrival: SimTime::from_millis(6),
             },
         );
-        ev(
-            &mut hub,
-            7,
-            0,
-            Observation::RequestDeferred {
-                client: ClientId(0),
-                arrival: SimTime::from_millis(7),
-                pause: SimSpan::from_millis(2),
-            },
-        );
         let d = hub.device(0).unwrap();
-        assert_eq!((d.requests, d.shed, d.deferred), (1, 1, 1));
+        assert_eq!((d.requests, d.shed), (1, 1));
         assert_eq!(d.clients_attached(), 1);
         let c = hub.client("svc").unwrap();
         assert!(c.high_priority);
-        assert_eq!((c.requests, c.shed, c.deferred), (1, 1, 1));
-        assert_eq!(hub.events(), 4);
+        assert_eq!((c.requests, c.shed), (1, 1));
+        assert_eq!(hub.events(), 3);
         assert!(hub
             .samples()
             .iter()
@@ -1639,7 +1605,7 @@ mod tests {
             },
         );
         let json = tl.to_json();
-        assert!(json.starts_with("{\"version\": 2, \"cadence_ns\": 10000000"));
+        assert!(json.starts_with("{\"version\": 3, \"cadence_ns\": 10000000"));
         assert!(json.contains("\"qps\": 100"));
         // Export is idempotent: a second call renders the same document.
         assert_eq!(json, tl.to_json());

@@ -18,7 +18,7 @@
 //! # Execution model
 //!
 //! * A [`LaunchRequest`] becomes dispatchable after
-//!   [`GpuSpec::launch_overhead`] (plus any extra API-forwarding delay).
+//!   [`GpuSpec::launch_overhead`].
 //! * `Full` and `Slice` launches execute their blocks in *waves*: as many
 //!   blocks as fit are placed at once and complete together after the
 //!   kernel's per-block cost (scaled by contention). Blocks of one wave are
@@ -48,7 +48,7 @@ use crate::rng::SmallRng;
 
 use crate::launch::{LaunchId, LaunchRequest, LaunchShape, Notification, Priority};
 use crate::spec::GpuSpec;
-use crate::time::{SimSpan, SimTime};
+use crate::time::SimTime;
 
 /// Result of one [`Engine::advance`] call.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
@@ -310,12 +310,6 @@ impl Engine {
     /// Submits a launch request; it becomes dispatchable after the launch
     /// overhead. Returns the launch's id.
     pub fn submit(&mut self, req: LaunchRequest) -> LaunchId {
-        self.submit_after(req, SimSpan::ZERO)
-    }
-
-    /// Submits a launch with an extra pre-launch delay (modelling e.g. the
-    /// client→server API forwarding latency of a virtualization layer).
-    pub fn submit_after(&mut self, req: LaunchRequest, extra: SimSpan) -> LaunchId {
         let base_offset = match req.shape {
             LaunchShape::Full => 0,
             LaunchShape::Slice { offset, .. } => offset,
@@ -348,7 +342,7 @@ impl Engine {
             round_active: false,
         });
         self.stats.peak_live = self.stats.peak_live.max(self.active.len() as u64);
-        let at = self.now + self.spec.launch_overhead + extra;
+        let at = self.now + self.spec.launch_overhead;
         self.push(at, Ev::Arrive(id));
         id
     }
@@ -752,6 +746,7 @@ mod tests {
     use super::*;
     use crate::kernel::KernelDesc;
     use crate::launch::{ClientId, Priority};
+    use crate::time::SimSpan;
     use std::sync::Arc;
 
     fn kernel(blocks: u32, threads: u32, cost_us: u64) -> Arc<KernelDesc> {
@@ -1115,18 +1110,6 @@ mod tests {
         // MAX limit leaves time unchanged.
         assert_eq!(e.advance(SimTime::MAX, &mut Vec::new()), Step::Idle);
         assert_eq!(e.now(), SimTime::from_millis(5));
-    }
-
-    #[test]
-    fn submit_after_adds_delay() {
-        let mut e = Engine::new(GpuSpec::tiny());
-        let k = kernel(16, 512, 100);
-        e.submit_after(
-            LaunchRequest::full(k, ClientId(0), Priority::High),
-            SimSpan::from_micros(2),
-        );
-        let notes = drain(&mut e);
-        assert_eq!(notes[0].at(), SimTime::from_micros(106));
     }
 
     #[test]

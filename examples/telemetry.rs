@@ -150,7 +150,7 @@ fn main() {
         Json::Obj(m) => m,
         other => panic!("timeline root must be an object, got {other:?}"),
     };
-    assert_eq!(obj.get("version"), Some(&Json::Num(2.0)));
+    assert_eq!(obj.get("version"), Some(&Json::Num(3.0)));
     let series = match obj.get("series") {
         Some(Json::Arr(s)) => s,
         other => panic!("series must be an array, got {other:?}"),

@@ -156,7 +156,7 @@ fn observers_leave_reports_unperturbed() {
 }
 
 /// The hub's distilled counters agree exactly with the harness's own
-/// report: requests, sheds, deferrals, kernels, and the per-client split.
+/// report: requests, sheds, kernels, and the per-client split.
 #[test]
 fn hub_totals_match_report_counters() {
     let (report, attached) = run_colocation(false, true);
@@ -167,7 +167,6 @@ fn hub_totals_match_report_counters() {
     let dev = hub.device(0).expect("device 0 metrics");
     assert_eq!(dev.requests, total(|c| c.requests));
     assert_eq!(dev.shed, total(|c| c.shed));
-    assert_eq!(dev.deferred, total(|c| c.deferred));
     assert_eq!(dev.finished, total(|c| c.kernels));
     // Kernels still in flight at the duration cutoff stay dispatched but
     // never finish; the queue-depth gauge is exactly that difference.
@@ -183,7 +182,6 @@ fn hub_totals_match_report_counters() {
             .unwrap_or_else(|| panic!("hub is missing client {key:?}"));
         assert_eq!(m.requests, client.requests, "{key} requests");
         assert_eq!(m.shed, client.shed, "{key} sheds");
-        assert_eq!(m.deferred, client.deferred, "{key} deferrals");
         assert_eq!(m.kernels, client.kernels, "{key} kernels");
         assert_eq!(m.high_priority, client.high_priority);
         assert_eq!(m.latency.count(), client.requests);
@@ -209,7 +207,6 @@ fn timeline_window_totals_match_report() {
     let report_total = |f: fn(&ClientReport) -> u64| -> u64 { report.clients.iter().map(f).sum() };
     assert_eq!(total(|w| w.requests), report_total(|c| c.requests));
     assert_eq!(total(|w| w.shed), report_total(|c| c.shed));
-    assert_eq!(total(|w| w.deferred), report_total(|c| c.deferred));
     assert_eq!(total(|w| w.kernels), report_total(|c| c.kernels));
 
     // The shed wave concentrates in (and just after) the flash crowd.
