@@ -617,6 +617,7 @@ mod tests {
             ("virtualization_overhead_avg", L),
             ("whole_run_p99_ms", L),
             ("work_engine_advances", L),
+            ("work_observations_delivered", L),
             ("work_settle_passes", L),
             ("work_system_polls", L),
             ("work_timer_queries", L),

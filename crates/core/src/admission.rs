@@ -498,6 +498,51 @@ mod tests {
         );
     }
 
+    /// The guard steps its controller at every observation it is shown,
+    /// reading the state at that instant, so an engine sample that
+    /// repeats the last busy value still moves its verdicts. This is why
+    /// a session hands every sample to its admission policy.
+    #[test]
+    fn slo_guard_verdicts_depend_on_repeated_samples() {
+        let run = |tick_at_boundary: bool| {
+            let mut g = SloGuard::new(SimSpan::from_millis(1)).qps_range(1.0, 100.0);
+            let ms = SimTime::from_millis;
+            attach(&mut g, SimTime::ZERO, 1, Priority::High);
+            dispatch(&mut g, SimTime::ZERO, 1);
+            // A breach (5 ms against a 1 ms SLO) while the device is busy.
+            complete(&mut g, ms(1), 1, SimSpan::from_millis(5));
+            if tick_at_boundary {
+                // The control boundary (4 ms) passes while still busy.
+                let sample = Observation::EngineSample {
+                    busy_thread_ns: 7,
+                    total_thread_slots: 64,
+                };
+                g.on_event(ms(4), 0, &sample);
+            }
+            // The device drains before anything else is observed.
+            g.on_event(
+                ms(6),
+                0,
+                &Observation::KernelFinished {
+                    client: ClientId(1),
+                },
+            );
+            let qps = g.admitted_qps();
+            let verdicts: Vec<_> = (0..200u64)
+                .map(|i| g.admit(ms(6) + SimSpan::from_micros(500 * i), ClientId(2), 0))
+                .collect();
+            (qps, verdicts)
+        };
+        let (ticked_qps, ticked) = run(true);
+        let (plain_qps, plain) = run(false);
+        assert_eq!(ticked_qps, 50.0, "the tick saw the breach and halved");
+        assert_eq!(
+            plain_qps, 100.0,
+            "without it the drained device reads healthy"
+        );
+        assert_ne!(ticked, plain);
+    }
+
     #[test]
     fn slo_guard_is_deterministic() {
         let run = || {

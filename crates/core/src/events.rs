@@ -194,20 +194,21 @@ pub enum Observation {
         /// Session-local client id.
         client: ClientId,
     },
-    /// A sample of the engine's aggregate counters, emitted whenever a
-    /// settled instant advanced simulated time. The busy integral is
-    /// cumulative: divide deltas by `elapsed × total_thread_slots` for
-    /// mean occupancy over a window.
+    /// A sample of the engine's busy-thread integral, taken at most once
+    /// per engine instant. The integral is cumulative: divide deltas by
+    /// `elapsed × total_thread_slots` for mean occupancy over a window.
+    ///
+    /// An admission policy receives a sample at every instant the engine
+    /// ran events at or the session settled at. Observers and the
+    /// cluster's load monitor receive one only when `busy_thread_ns`
+    /// moved since the last they received, plus one at the end of the
+    /// run: between two received samples the integral is flat.
     EngineSample {
         /// Engine lifetime busy thread-nanoseconds
         /// ([`Engine::busy_thread_ns`](tally_gpu::Engine::busy_thread_ns)).
         busy_thread_ns: u128,
         /// The device's total resident-thread capacity.
         total_thread_slots: u64,
-        /// Engine lifetime event count (launches submitted + completed +
-        /// preempted + wave rounds) — a deterministic work measure that
-        /// lets observers relate host wall-clock to simulation effort.
-        events_processed: u64,
     },
     /// Cluster only: a best-effort client moved between devices. The
     /// reconnect on the destination is part of the migration, not a
@@ -727,7 +728,6 @@ mod tests {
                 &Observation::EngineSample {
                     busy_thread_ns: busy,
                     total_thread_slots: 64,
-                    events_processed: 0,
                 },
             );
         }
@@ -790,7 +790,6 @@ mod tests {
                 Observation::EngineSample {
                     busy_thread_ns: (10 * i * 1_000_000 / 2) as u128 * 1000,
                     total_thread_slots: 1000,
-                    events_processed: 0,
                 },
             );
         }

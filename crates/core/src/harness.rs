@@ -886,8 +886,7 @@ impl<'s> Colocation<'s> {
 ///    count;
 /// 3. [`Session::advance_to`] — move simulated time forward through the
 ///    engine's events, stopping early at the first notification, which
-///    it hands to the system. With nobody listening this is one engine
-///    call; with a listener it steps one engine instant at a time.
+///    it hands to the system, in one engine call.
 ///
 /// Keeping several sessions in lockstep means settling all of them,
 /// advancing every engine to the *minimum* of their wake instants, and
@@ -916,6 +915,9 @@ pub struct Session<'s> {
     // The engine's notification buffer, drained into the system by every
     // `advance_to` and reused.
     notes: Vec<Notification>,
+    // The `(instant, busy_thread_ns)` records of the engine instants an
+    // `advance_to` ran through, replayed as samples and reused.
+    instants: Vec<(SimTime, u128)>,
     // Kernels held in the interception layer until their stub cost
     // elapses, with the instant each reaches the system. `next_wake`
     // scans them along with the clients.
@@ -926,10 +928,12 @@ pub struct Session<'s> {
     // Cross-device migrations into and out of this session.
     migrations_in: u64,
     migrations_out: u64,
-    // Observation plumbing: the consumers of the event stream, and the
-    // instant of the last engine counter sample.
+    // Observation plumbing: the consumers of the event stream, the
+    // instant of the last engine counter sample, and the busy integral of
+    // the last sample the monitor and observers received.
     sinks: Sinks,
     last_sample: Option<SimTime>,
+    last_busy: Option<u128>,
     // Bumped whenever the set of clients or their attachment changes —
     // the cluster uses it to cache per-session departure forecasts.
     lifecycle_epoch: u64,
@@ -992,6 +996,21 @@ impl Sinks {
         }
         if !self.observers.is_empty() {
             self.buf.push((at, ev));
+        }
+    }
+
+    /// Emits an engine counter sample: to every consumer when `fold` is
+    /// set, otherwise to the admission policy only (see
+    /// [`Session::sample_at`]).
+    fn sample(&mut self, at: SimTime, busy_thread_ns: u128, total_thread_slots: u64, fold: bool) {
+        let ev = Observation::EngineSample {
+            busy_thread_ns,
+            total_thread_slots,
+        };
+        if fold {
+            self.emit(at, || ev);
+        } else if let Some(p) = self.admission.as_deref_mut() {
+            p.on_event(at, self.device, &ev);
         }
     }
 
@@ -1072,12 +1091,14 @@ impl<'s> Session<'s> {
             transport,
             pending_completions: Vec::new(),
             notes: Vec::new(),
+            instants: Vec::new(),
             in_transit: Vec::new(),
             departures: 0,
             migrations_in: 0,
             migrations_out: 0,
             sinks: Sinks::default(),
             last_sample: None,
+            last_busy: None,
             lifecycle_epoch: 0,
             notifications: 0,
             departure_scans: Cell::new(0),
@@ -1154,9 +1175,10 @@ impl<'s> Session<'s> {
     /// Settles the current instant to a fixed point (see the module docs
     /// for the settling discipline). Observations produced while settling
     /// (lifecycle edges, kernel dispatch/finish, request completions, an
-    /// engine counter sample when time advanced) are delivered to the
-    /// registered observers before this returns, after the engine samples
-    /// the preceding [`Session::advance_to`] emitted.
+    /// engine counter sample when time advanced and the busy integral
+    /// moved) are delivered to the registered observers before this
+    /// returns, after the engine samples the preceding
+    /// [`Session::advance_to`] emitted.
     pub fn settle(&mut self) {
         self.settle_buffered();
         self.sinks.deliver();
@@ -1309,26 +1331,32 @@ impl<'s> Session<'s> {
         self.sample();
     }
 
-    /// Emits an engine counter sample for the current instant: at most one
-    /// per instant, and only when someone listens.
+    /// Emits an engine counter sample for the current instant.
     fn sample(&mut self) {
-        let now = self.engine.now();
-        if !self.sinks.active() || self.last_sample == Some(now) {
+        if self.sinks.active() {
+            self.sample_at(self.engine.now(), self.engine.busy_thread_ns());
+        }
+    }
+
+    /// Emits the engine counter sample of instant `at`, at most one per
+    /// instant. The admission policy receives every sample. The monitor
+    /// and the observers receive one only when the busy integral moved
+    /// since the last they received, or at the end of the run: each of
+    /// them keeps only the latest busy value, so a repeat changes none of
+    /// their folds, while [`SloGuard`](crate::admission::SloGuard) steps
+    /// its controller on every observation and the Chrome trace closes
+    /// open spans at a device's last observed instant.
+    fn sample_at(&mut self, at: SimTime, busy: u128) {
+        if self.last_sample == Some(at) {
             return;
         }
-        self.last_sample = Some(now);
-        let engine = &self.engine;
-        self.sinks.emit(now, || {
-            let stats = engine.stats();
-            Observation::EngineSample {
-                busy_thread_ns: engine.busy_thread_ns(),
-                total_thread_slots: engine.spec().total_thread_slots(),
-                events_processed: stats.submitted
-                    + stats.completed
-                    + stats.preempted
-                    + stats.groups,
-            }
-        });
+        self.last_sample = Some(at);
+        let fold = self.last_busy != Some(busy) || at >= self.end;
+        if fold {
+            self.last_busy = Some(busy);
+        }
+        let slots = self.engine.spec().total_thread_slots();
+        self.sinks.sample(at, busy, slots, fold);
     }
 
     /// Delivers the queued observations to the observers, in order. A
@@ -1384,44 +1412,40 @@ impl<'s> Session<'s> {
         wake
     }
 
-    /// Advances simulated time to at most `limit`. It stops early at the
-    /// first instant a notification fires and hands the notifications to
-    /// the system. Every earlier instant holds only engine-internal events
-    /// (launch arrivals, waves, PTB rounds).
+    /// Advances simulated time to at most `limit` in one engine call. It
+    /// stops early at the first instant a notification fires and hands the
+    /// notifications to the system. Every earlier instant holds only
+    /// engine-internal events (launch arrivals, waves, PTB rounds).
     ///
-    /// With nobody listening (no observer, admission policy or load
-    /// monitor), this is one engine call straight to the first
-    /// notification or `limit`. With a listener, it steps one engine
-    /// instant at a time and emits each earlier instant's engine counter
-    /// sample. Samples emitted here reach the observers with the next
-    /// settle. Follow with [`Session::settle`], which samples the instant
-    /// it stops at.
+    /// With a listener (an observer, admission policy or load monitor),
+    /// the engine records the busy integral at each earlier instant it
+    /// ran events at, and this emits the engine counter sample of each.
+    /// Samples emitted here reach the observers with the next settle.
+    /// Follow with [`Session::settle`], which samples the instant it
+    /// stops at.
     pub fn advance_to(&mut self, limit: SimTime) {
-        loop {
-            // Without a listener there is no sample to emit at the
-            // instants in between, so run to `limit` in one call.
-            let to = if self.sinks.active() {
-                self.engine
-                    .next_event_time()
-                    .map_or(limit, |t| t.min(limit))
-            } else {
-                limit
-            };
-            self.work.engine_advances += 1;
-            if let Step::Notified = self.engine.advance(to, &mut self.notes) {
-                self.notifications += self.notes.len() as u64;
-                let system = self.system.get_mut();
-                let mut ctx =
-                    Ctx::new(&mut self.engine, &self.metas, &mut self.pending_completions);
-                for n in self.notes.drain(..) {
-                    system.on_notification(&mut ctx, &n);
-                }
-                return;
+        self.work.engine_advances += 1;
+        let step = if self.sinks.active() {
+            let step = self
+                .engine
+                .advance_sampled(limit, &mut self.notes, &mut self.instants);
+            let mut instants = std::mem::take(&mut self.instants);
+            for &(at, busy) in &instants {
+                self.sample_at(at, busy);
             }
-            if to == limit {
-                return;
+            instants.clear();
+            self.instants = instants;
+            step
+        } else {
+            self.engine.advance(limit, &mut self.notes)
+        };
+        if let Step::Notified = step {
+            self.notifications += self.notes.len() as u64;
+            let system = self.system.get_mut();
+            let mut ctx = Ctx::new(&mut self.engine, &self.metas, &mut self.pending_completions);
+            for n in self.notes.drain(..) {
+                system.on_notification(&mut ctx, &n);
             }
-            self.sample();
         }
     }
 
@@ -2415,15 +2439,37 @@ mod tests {
         assert_eq!(s.pending_completions, vec![ClientId(0)]);
     }
 
+    /// Admits every request and records the engine samples it is shown.
+    struct SampleTap(Arc<std::sync::Mutex<Vec<(SimTime, u128)>>>);
+
+    impl AdmissionPolicy for SampleTap {
+        fn name(&self) -> &str {
+            "sample-tap"
+        }
+        fn on_event(&mut self, at: SimTime, _device: usize, event: &Observation) {
+            if let Observation::EngineSample { busy_thread_ns, .. } = event {
+                self.0.lock().unwrap().push((at, *busy_thread_ns));
+            }
+        }
+        fn admit(&mut self, _: SimTime, _: ClientId, _: usize) -> AdmissionVerdict {
+            AdmissionVerdict::Admit
+        }
+    }
+
     #[test]
     fn one_engine_sample_per_distinct_engine_instant() {
         use std::sync::Mutex;
-        // Drives a session to the end; with `wake_at_engine_events` it
-        // also settles at every engine event, as a reference.
-        let sample_times = |wake_at_engine_events: bool| {
+        type Samples = Vec<(SimTime, u128)>;
+        // Drives a session to the end and returns the samples its
+        // admission policy and its observer received; with
+        // `wake_at_engine_events` it also settles at every engine event,
+        // as a reference.
+        let sample_times = |wake_at_engine_events: bool| -> (Samples, Samples, SimTime) {
+            let tap = Arc::new(Mutex::new(Vec::new()));
             let collector = Arc::new(Mutex::new(Collector::default()));
             let mut s = Colocation::on(GpuSpec::tiny())
                 .client(three_wave_trainer())
+                .admission(Box::new(SampleTap(tap.clone())))
                 .sync_observer(collector.clone())
                 .config(cfg(1))
                 .into_session();
@@ -2438,32 +2484,55 @@ mod tests {
                 }
                 s.advance_to(wake);
             }
-            let events = &collector.lock().unwrap().0;
-            events
+            let observed = collector
+                .lock()
+                .unwrap()
+                .0
                 .iter()
-                .filter(|(_, _, e)| matches!(e, Observation::EngineSample { .. }))
-                .map(|&(at, _, _)| at)
-                .collect::<Vec<_>>()
+                .filter_map(|(at, _, e)| match e {
+                    Observation::EngineSample { busy_thread_ns, .. } => {
+                        Some((*at, *busy_thread_ns))
+                    }
+                    _ => None,
+                })
+                .collect();
+            let admitted = tap.lock().unwrap().clone();
+            (admitted, observed, s.end)
         };
-        let samples = sample_times(false);
+        let (admitted, observed, end) = sample_times(false);
         assert!(
-            samples.windows(2).all(|w| w[0] < w[1]),
+            admitted.windows(2).all(|w| w[0].0 < w[1].0),
             "no instant sampled twice"
         );
         let us = |n| SimTime::ZERO + SimSpan::from_micros(n);
         for wave_end in [us(104), us(204)] {
-            assert!(samples.contains(&wave_end), "wave boundary {wave_end}");
+            assert!(
+                admitted.iter().any(|&(at, _)| at == wave_end),
+                "wave boundary {wave_end}"
+            );
         }
-        assert_eq!(samples, sample_times(true));
+        // Observers receive the samples whose busy integral moved, and the
+        // final instant's.
+        let mut moved = Vec::new();
+        let mut last = None;
+        for &(at, busy) in &admitted {
+            if last != Some(busy) || at >= end {
+                moved.push((at, busy));
+                last = Some(busy);
+            }
+        }
+        assert_eq!(observed, moved);
+        assert!(observed.len() < admitted.len(), "repeats are not delivered");
+        assert_eq!(observed.last().map(|&(at, _)| at), Some(end));
+        assert_eq!((admitted, observed, end), sample_times(true));
     }
 
     #[test]
-    fn advance_to_without_a_listener_is_one_engine_call() {
+    fn advance_to_is_one_engine_call_with_or_without_a_listener() {
         let spec = GpuSpec::tiny();
-        // With a listener, `advance_to` stops at the launch's arrival and
-        // both wave boundaries before the completion; without one it runs
-        // straight to the completion.
-        for (listening, calls) in [(false, 1), (true, 4)] {
+        // Either way `advance_to` runs through the launch's arrival and
+        // both wave boundaries to the completion in one engine call.
+        for listening in [false, true] {
             let mut colocation = Colocation::on(spec.clone())
                 .client(three_wave_trainer())
                 .config(cfg(1));
@@ -2475,7 +2544,7 @@ mod tests {
             s.settle();
             let before = s.work().engine_advances;
             s.advance_to(s.end);
-            assert_eq!(s.work().engine_advances - before, calls, "{listening}");
+            assert_eq!(s.work().engine_advances - before, 1, "{listening}");
             let done = SimTime::ZERO + spec.launch_overhead + three_waves().solo_latency(&spec);
             assert_eq!(s.now(), done, "{listening}");
             assert_eq!(s.pending_completions, vec![ClientId(0)], "{listening}");

@@ -15,10 +15,18 @@
 //! count, so every query-time result and every export is byte-identical
 //! for any number of worker threads.
 //!
-//! A deliberate design note on sampling: [`Timeline`] does **not** add
-//! its cadence instants to the cluster's barriers. An extra barrier
-//! at each cadence instant would force every session to settle there,
-//! emitting extra [`Observation::EngineSample`]s — which feed the
+//! A note on sampling. A session hands these sinks an
+//! [`Observation::EngineSample`] only when the engine's busy integral
+//! moved since the last one they received, plus one at the end of the
+//! run. Their folds keep only the latest busy value, so a repeated value
+//! would change no export or query (`tests::repeated_engine_samples_change_no_fold`
+//! checks this); it would only raise [`MetricsHub::events`]. Admission
+//! policies still receive every sample, since `SloGuard` steps its
+//! controller on each observation.
+//!
+//! [`Timeline`] does **not** add its cadence instants to the cluster's
+//! barriers. An extra barrier at each cadence instant would force every
+//! session to settle there, emitting extra samples — which feed the
 //! cluster's load signals and the admission policies, and could therefore
 //! perturb load-aware placement and admission decisions, violating the
 //! observers-change-nothing contract. Every observation is already
@@ -255,8 +263,11 @@ impl DeviceMetrics {
         self.state.clients_attached()
     }
 
-    /// The engine's cumulative busy-thread integral at the last sample —
-    /// divide deltas by `elapsed × thread_slots` for mean occupancy.
+    /// The engine's cumulative busy-thread integral at the last sample
+    /// received — divide deltas by `elapsed × thread_slots` for mean
+    /// occupancy. Sessions send a sample only when the integral moved
+    /// (and at the end of the run), so the value holds from that
+    /// sample's instant until the next sample's.
     pub fn busy_thread_ns(&self) -> u128 {
         self.state.busy_thread_ns()
     }
@@ -1673,5 +1684,192 @@ mod tests {
     fn json_strings_are_escaped() {
         assert_eq!(escape_json("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
         assert_eq!(fmt_ts(SimTime::from_nanos(1_234_567)), "1234.567");
+    }
+
+    type Stream = Vec<(SimTime, usize, Observation)>;
+
+    #[derive(Default)]
+    struct Tape(Stream);
+
+    impl SessionObserver for Tape {
+        fn on_event(&mut self, at: SimTime, device: usize, event: &Observation) {
+            self.0.push((at, device, event.clone()));
+        }
+    }
+
+    /// The stream of a two-device fleet: anti-phased high-priority
+    /// bursts, best-effort trainers that `LoadAware` migrates, a
+    /// best-effort crowd that `SloGuard` sheds, rebalance passes, and
+    /// trainer kernels still in flight when the run ends.
+    fn fleet_stream(duration: SimSpan) -> Stream {
+        use crate::admission::SloGuard;
+        use crate::cluster::{Cluster, LoadAware};
+        use crate::harness::{HarnessConfig, JobSpec, WorkloadOp};
+        use tally_gpu::{GpuSpec, KernelDesc, Priority};
+
+        let kernel = |grid: u32, us: u64| {
+            KernelDesc::builder("k")
+                .grid(grid)
+                .block(512)
+                .block_cost(SimSpan::from_micros(us))
+                .build_arc()
+        };
+        let bursts = |odd: u64| {
+            let mut arrivals = Vec::new();
+            for phase in (odd..4).step_by(2) {
+                let start = phase * 250_000;
+                arrivals.extend(
+                    (start..start + 250_000)
+                        .step_by(4000)
+                        .map(SimTime::from_micros),
+                );
+            }
+            arrivals
+        };
+        let service = |name, odd| {
+            JobSpec::inference(
+                name,
+                vec![WorkloadOp::Kernel(kernel(16, 2000))],
+                bursts(odd),
+            )
+        };
+        let trainer = |name| {
+            JobSpec::training(
+                name,
+                vec![
+                    WorkloadOp::Kernel(kernel(48, 1500)),
+                    WorkloadOp::CpuGap(SimSpan::from_micros(200)),
+                ],
+            )
+        };
+        let crowd = JobSpec::inference(
+            "crowd",
+            vec![WorkloadOp::Kernel(kernel(16, 300))],
+            (0..1000).map(SimTime::from_millis).collect(),
+        )
+        .with_priority(Priority::BestEffort);
+        let tape = Arc::new(Mutex::new(Tape::default()));
+        Cluster::new()
+            .devices(2, GpuSpec::tiny())
+            .client(service("svc-even", 0))
+            .client(service("svc-odd", 1))
+            .client(trainer("t0"))
+            .client(trainer("t1"))
+            .client(crowd)
+            .policy(LoadAware::default())
+            .migrate_on_detach(false)
+            .monitor_window(SimSpan::from_millis(50))
+            .rebalance_every(SimSpan::from_millis(50))
+            .admission_with(|_| {
+                Box::new(SloGuard::new(SimSpan::from_millis(3)).qps_range(10.0, 1000.0))
+            })
+            .sync_observer(tape.clone())
+            .config(HarnessConfig {
+                duration,
+                warmup: SimSpan::ZERO,
+                seed: 0,
+                jitter: 0.0,
+                record_timelines: false,
+            })
+            .run();
+        let stream = std::mem::take(&mut tape.lock().unwrap().0);
+        stream
+    }
+
+    /// `stream` with repeats of each device's latest engine sample
+    /// inserted before every later observation of that device: one
+    /// halfway since the previous sample, one at the observation's own
+    /// instant. None follows a device's last observation.
+    fn with_repeats(stream: &Stream) -> Stream {
+        let mut last: BTreeMap<usize, (SimTime, Observation)> = BTreeMap::new();
+        let mut out = Vec::new();
+        for (at, device, event) in stream {
+            if let Some((t0, sample)) = last.get(device) {
+                let mid = *t0 + at.saturating_since(*t0) / 2;
+                out.push((mid, *device, sample.clone()));
+                out.push((*at, *device, sample.clone()));
+            }
+            if matches!(event, Observation::EngineSample { .. }) {
+                last.insert(*device, (*at, event.clone()));
+            }
+            out.push((*at, *device, event.clone()));
+        }
+        out
+    }
+
+    /// Everything the stream's folds answer, except `MetricsHub::events`:
+    /// the timeline and Chrome trace exports, every other hub query, and
+    /// each device's load-monitor signals after every observation other
+    /// than a sample.
+    fn folds(stream: &Stream, duration: SimSpan) -> Vec<String> {
+        use crate::events::LoadMonitor;
+        let mut timeline = Timeline::new(SimSpan::from_millis(50), duration);
+        let mut trace = ChromeTraceWriter::new();
+        let mut hub = MetricsHub::new();
+        let mut monitors: BTreeMap<usize, LoadMonitor> = BTreeMap::new();
+        let mut signals = Vec::new();
+        for (at, device, event) in stream {
+            timeline.on_event(*at, *device, event);
+            trace.on_event(*at, *device, event);
+            hub.on_event(*at, *device, event);
+            let mut targets = vec![*device];
+            if let Observation::ClientMigrated { to, .. } = event {
+                targets.push(*to);
+            }
+            for d in targets.into_iter().filter(|&d| d != FLEET_DEVICE) {
+                let m = monitors
+                    .entry(d)
+                    .or_insert_with(|| LoadMonitor::new(SimSpan::from_millis(50)));
+                m.on_event(*at, d, event);
+                if !matches!(event, Observation::EngineSample { .. }) {
+                    signals.push((
+                        d,
+                        m.recent_occupancy(*at).to_bits(),
+                        m.hp_pressure(*at).to_bits(),
+                        m.queue_depth(),
+                    ));
+                }
+            }
+        }
+        vec![
+            timeline.to_json(),
+            timeline.to_csv(),
+            trace.to_json(),
+            format!("{:?}", hub.samples()),
+            format!("{:?}", hub.devices().collect::<Vec<_>>()),
+            format!("{:?}", hub.clients().collect::<Vec<_>>()),
+            format!(
+                "{} {} {:?} {} {:?}",
+                hub.migrations(),
+                hub.migration_bytes(),
+                hub.migration_stall(),
+                hub.rebalances(),
+                hub.fleet_latency()
+            ),
+            format!("{signals:?}"),
+        ]
+    }
+
+    /// A sample that repeats the busy integral changes no fold but the
+    /// hub's event count, so sessions may withhold repeats from
+    /// observers and load monitors (admission policies still see them).
+    #[test]
+    fn repeated_engine_samples_change_no_fold() {
+        let duration = SimSpan::from_secs(1);
+        let stream = fleet_stream(duration);
+        let kinds = |f: fn(&Observation) -> bool| stream.iter().filter(|(_, _, e)| f(e)).count();
+        assert!(kinds(|e| matches!(e, Observation::ClientMigrated { .. })) > 0);
+        assert!(kinds(|e| matches!(e, Observation::RequestShed { .. })) > 0);
+        assert!(kinds(|e| matches!(e, Observation::EngineSample { .. })) > 0);
+        let repeated = with_repeats(&stream);
+        assert!(repeated.len() > 2 * stream.len() - 10);
+        let (plain, padded) = (folds(&stream, duration), folds(&repeated, duration));
+        assert!(
+            plain[2].contains("\"truncated\": true"),
+            "spans open at the end"
+        );
+        for (i, (a, b)) in plain.iter().zip(&padded).enumerate() {
+            assert!(a == b, "fold {i} differs");
+        }
     }
 }

@@ -13,7 +13,10 @@
 //!
 //! [`Engine::advance`] appends the notifications it fires to a buffer the
 //! caller owns and passes in, so a driver that reuses one buffer steps the
-//! engine without allocating.
+//! engine without allocating. [`Engine::advance_sampled`] also appends the
+//! busy integral of every instant it runs through to a second such
+//! buffer, so a caller that samples the device still advances in one
+//! call.
 //!
 //! # Execution model
 //!
@@ -399,6 +402,43 @@ impl Engine {
     /// caller owns: the engine never clears it, and a caller that drains
     /// and reuses one buffer advances without allocating.
     pub fn advance(&mut self, limit: SimTime, notes: &mut Vec<Notification>) -> Step {
+        self.run(limit, notes, None)
+    }
+
+    /// [`Engine::advance`], also appending `(instant, busy_thread_ns)` to
+    /// `instants` for every instant it ran events at and then left before
+    /// stopping: one record per instant, taken after its last event. The
+    /// instant the call stops at (a notification's, or `limit`) is not
+    /// recorded; read it from [`Engine::now`] and
+    /// [`Engine::busy_thread_ns`]. Like `notes`, the buffer is the
+    /// caller's and is never cleared.
+    pub fn advance_sampled(
+        &mut self,
+        limit: SimTime,
+        notes: &mut Vec<Notification>,
+        instants: &mut Vec<(SimTime, u128)>,
+    ) -> Step {
+        self.run(limit, notes, Some(instants))
+    }
+
+    // Inlined into both callers, so `advance` keeps no trace of the
+    // record-keeping.
+    #[inline(always)]
+    fn run(
+        &mut self,
+        limit: SimTime,
+        notes: &mut Vec<Notification>,
+        mut instants: Option<&mut Vec<(SimTime, u128)>>,
+    ) -> Step {
+        // Whether this call ran an event at `self.now`.
+        let mut ran = false;
+        let mut leave = |engine: &Engine, ran: bool| {
+            if let Some(instants) = instants.as_deref_mut() {
+                if ran && engine.now < limit {
+                    instants.push((engine.now, engine.busy_thread_ns));
+                }
+            }
+        };
         loop {
             if !self.out.is_empty() {
                 notes.extend(self.out.drain(..));
@@ -406,19 +446,25 @@ impl Engine {
             }
             match self.heap.peek() {
                 None => {
+                    leave(self, ran);
                     if limit != SimTime::MAX {
                         self.now = self.now.max(limit);
                     }
                     return Step::Idle;
                 }
                 Some(Reverse(entry)) if entry.time > limit => {
+                    leave(self, ran);
                     self.now = self.now.max(limit);
                     return Step::ReachedLimit;
                 }
                 Some(_) => {
                     let Reverse(entry) = self.heap.pop().expect("peeked entry exists");
                     debug_assert!(entry.time >= self.now, "event time must be monotone");
+                    if entry.time > self.now {
+                        leave(self, ran);
+                    }
                     self.now = entry.time;
+                    ran = true;
                     self.process(entry.ev);
                 }
             }
@@ -1133,5 +1179,48 @@ mod tests {
         };
         assert_eq!(run(7), run(7));
         assert_ne!(run(7), run(8));
+    }
+
+    /// `advance_sampled` records exactly the instants a caller stepping
+    /// one event instant at a time would stop at short of the limit, with
+    /// the busy integral it would read there, and otherwise moves like
+    /// `advance`.
+    #[test]
+    fn advance_sampled_records_each_instant_it_runs_through() {
+        let setup = || {
+            let mut e = Engine::new(GpuSpec::tiny());
+            let hp = kernel(48, 512, 100);
+            let be = kernel(24, 256, 70);
+            e.submit(LaunchRequest::full(hp, ClientId(0), Priority::High));
+            e.submit(LaunchRequest::full(be, ClientId(1), Priority::BestEffort));
+            e
+        };
+        let us = SimTime::from_micros;
+        for limit in [us(150), us(1000), SimTime::MAX] {
+            let (mut sampled, mut plain, mut stepped) = (setup(), setup(), setup());
+            let (mut notes, mut instants) = (Vec::new(), Vec::new());
+            let (mut plain_notes, mut stepped_notes, mut expected) =
+                (Vec::new(), Vec::new(), Vec::new());
+            loop {
+                let step = sampled.advance_sampled(limit, &mut notes, &mut instants);
+                assert_eq!(plain.advance(limit, &mut plain_notes), step);
+                let reference = loop {
+                    let to = stepped.next_event_time().map_or(limit, |t| t.min(limit));
+                    match stepped.advance(to, &mut stepped_notes) {
+                        Step::Notified => break Step::Notified,
+                        last if to == limit => break last,
+                        _ => expected.push((stepped.now(), stepped.busy_thread_ns())),
+                    }
+                };
+                assert_eq!(step, reference);
+                assert_eq!(instants, expected);
+                assert_eq!((&notes, sampled.now()), (&plain_notes, plain.now()));
+                assert_eq!((&notes, sampled.now()), (&stepped_notes, stepped.now()));
+                if step != Step::Notified {
+                    break;
+                }
+            }
+            assert!(instants.len() >= 2, "limit {limit}: {instants:?}");
+        }
     }
 }
