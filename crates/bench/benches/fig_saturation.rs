@@ -16,8 +16,7 @@
 //! best-effort arrivals on SLO breach and holds the hp tail within budget.
 
 use tally_bench::{
-    banner, full_or_quick, make_system, ms, run_session, telemetry_dir, windowed_p99, JsonSink,
-    FIG5_SYSTEMS,
+    banner, full_or_quick, make_system, ms, run_session, telemetry_dir, JsonSink, FIG5_SYSTEMS,
 };
 use tally_core::admission::{AdmissionPolicy, RejectNever, SloGuard};
 use tally_core::harness::{Colocation, HarnessConfig};
@@ -258,12 +257,10 @@ fn main() {
         let report = run(name, policy);
         let hp = report.high_priority().expect("hp client");
         let run_p99 = hp.p99().unwrap_or(SimSpan::ZERO);
-        let recovery = windowed_p99(
-            hp,
-            SimTime::ZERO + recovery_from,
-            SimTime::ZERO + cfg.duration,
-        )
-        .unwrap_or(SimSpan::ZERO);
+        let recovery = hp
+            .windowed(SimTime::ZERO + recovery_from, SimTime::ZERO + cfg.duration)
+            .p99()
+            .unwrap_or(SimSpan::ZERO);
         let shed: u64 = report.clients.iter().map(|c| c.shed).sum();
         let be_thr: f64 = report
             .clients

@@ -270,21 +270,6 @@ pub fn outcome_from_report(report: &RunReport, refs: &SoloRefs) -> ComboOutcome 
     }
 }
 
-/// The nearest-rank p99 of a client's request latencies whose arrivals
-/// fall in `[from, until)` — for time-series / phased figures. Requires
-/// the run to have recorded timelines. `None` when the window is empty.
-///
-/// Thin wrapper over
-/// [`ClientReport::windowed`](tally_core::metrics::ClientReport::windowed),
-/// which also exposes per-window mean/throughput.
-pub fn windowed_p99(
-    client: &tally_core::metrics::ClientReport,
-    from: tally_gpu::SimTime,
-    until: tally_gpu::SimTime,
-) -> Option<SimSpan> {
-    client.windowed(from, until).p99()
-}
-
 /// Formats a span as milliseconds with sensible precision.
 pub fn ms(s: SimSpan) -> String {
     let v = s.as_millis_f64();

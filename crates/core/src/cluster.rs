@@ -93,7 +93,7 @@ use crate::admission::AdmissionPolicy;
 use crate::api::Transport;
 use crate::events::{LoadMonitor, Observation, SharedSyncObserver, TraceError};
 use crate::harness::{
-    compile_trace, Colocation, HarnessConfig, JobKind, JobSpec, Session, SessionEvent,
+    trace_jobs, Colocation, HarnessConfig, JobKind, JobSpec, Session, SessionEvent,
 };
 use crate::metrics::{ClientReport, HostStats, LatencyRecorder};
 use crate::system::{Passthrough, SharingSystem};
@@ -561,9 +561,8 @@ impl Cluster {
     /// clock crosses its later events. Explicitly added clients
     /// ([`Cluster::client`]) are still placed up front.
     ///
-    /// Returns a [`TraceError`] if the accumulated stream is invalid (see
-    /// [`SessionEvent`]): timestamps out of order, arrivals while
-    /// attached, or departures while detached.
+    /// Returns a [`TraceError`] if the accumulated stream is invalid, as
+    /// [`compile_trace`](crate::harness::compile_trace) words it.
     pub fn trace(
         mut self,
         events: impl IntoIterator<Item = (SimTime, SessionEvent)>,
@@ -572,7 +571,7 @@ impl Cluster {
         // Compile the whole accumulated stream (chained calls must stay
         // consistent across call boundaries) and keep the result so that
         // `run` does not compile it a second time.
-        self.trace_jobs = compile_trace(self.trace.iter().map(|(t, e)| (*t, e.clone())))?;
+        self.trace_jobs = trace_jobs(&self.trace)?;
         Ok(self)
     }
 
@@ -911,7 +910,7 @@ impl Cluster {
                 // Departures trigger migration passes, so the next one
                 // anywhere in the fleet is an interaction point. A cached
                 // departure at or before `now` has already happened.
-                for (d, s) in sessions.iter().enumerate() {
+                for (d, s) in sessions.iter_mut().enumerate() {
                     let epoch = Some(s.lifecycle_epoch());
                     if next_departures[d].0 != epoch {
                         next_departures[d] = (epoch, s.next_departure());
@@ -998,11 +997,10 @@ impl Cluster {
                 }
             })
             .collect();
-        for s in &sessions {
-            let (events, notifications, departure_scans) = s.host_counters();
-            host.events += events;
-            host.notifications += notifications;
-            host.departure_scans += departure_scans;
+        for work in sessions.iter().map(Session::work) {
+            host.events += work.delivered;
+            host.notifications += work.notifications;
+            host.departure_scans += work.departure_scans;
         }
         ClusterReport {
             policy: policy.name().to_string(),

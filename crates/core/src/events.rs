@@ -11,8 +11,9 @@
 //!   fed to [`Colocation::trace`](crate::harness::Colocation::trace) and
 //!   [`Cluster::trace`](crate::cluster::Cluster::trace)), while
 //!   `tally_workloads::trace` serializes `ClientEvent<TraceJob>` with
-//!   symbolic model references. Malformed streams are reported as a typed
-//!   [`TraceError`] instead of a panic.
+//!   symbolic model references. Both compile through
+//!   [`compile_trace`](crate::harness::compile_trace), which reports a
+//!   malformed stream as a typed [`TraceError`] instead of a panic.
 //!
 //! * **Observations** ([`Observation`]) — the typed, timestamped stream a
 //!   live run *emits*: client lifecycle edges (attach / detach /
@@ -77,10 +78,13 @@ impl<J> ClientEvent<J> {
 
 /// Why an event stream failed to compile, validate, or parse.
 ///
-/// Produced by [`Colocation::trace`](crate::harness::Colocation::trace),
-/// [`Cluster::trace`](crate::cluster::Cluster::trace), and the
-/// `tally_workloads::trace` parser/validator (which reports 1-based line
-/// numbers for text-format errors).
+/// Every fault in a stream's shape (timestamp order, arrive/depart
+/// alternation) comes from the one trace compiler,
+/// [`compile_trace`](crate::harness::compile_trace), so
+/// [`Colocation::trace`](crate::harness::Colocation::trace),
+/// [`Cluster::trace`](crate::cluster::Cluster::trace) and the
+/// `tally_workloads::trace` validator and parser word it identically. The
+/// parser adds 1-based line numbers for text-format errors.
 #[derive(Clone, Debug, PartialEq)]
 pub struct TraceError {
     /// 1-based line number for parse errors, 0 for semantic errors.

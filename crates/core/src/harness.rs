@@ -12,9 +12,9 @@
 //! system through [`SharingSystem::on_client_attach`] /
 //! [`SharingSystem::on_client_detach`] so it can reclaim per-client state.
 //! Metrics accumulate across attachments. Sessions can also be driven from
-//! a timestamped arrive/depart event stream ([`Colocation::trace`]); the
-//! trace generator and its checked-in plain-text format live in
-//! `tally_workloads::trace`.
+//! a timestamped arrive/depart event stream ([`Colocation::trace`]), which
+//! [`compile_trace`] turns into window schedules; the trace generator and
+//! its checked-in plain-text format live in `tally_workloads::trace`.
 //!
 //! A client is either a **training job** (an iteration template of kernels
 //! and CPU gaps, repeated forever) or an **inference service** (a request
@@ -52,7 +52,6 @@
 //! completions into the session's own completion list (see [`Ctx`]), and
 //! in-transit launches reach the system from the list they wait in.
 
-use std::cell::Cell;
 use std::collections::VecDeque;
 use std::fmt;
 use std::sync::Arc;
@@ -319,18 +318,37 @@ impl JobSpec {
 /// references and resolves them into this type for replay.
 pub type SessionEvent = ClientEvent<JobSpec>;
 
-/// Compiles a time-ordered arrive/depart event stream into one [`JobSpec`]
-/// per distinct key (first-arrival order) carrying the key's full window
-/// schedule.
+/// One client of a compiled arrive/depart stream (see [`compile_trace`]).
+#[derive(Debug)]
+pub struct TraceClient<'a, J> {
+    /// The client's key.
+    pub key: &'a str,
+    /// The job its first arrival carries (later arrivals' jobs are
+    /// ignored: the client re-attaches).
+    pub job: &'a J,
+    /// One window per arrival, closed by the matching departure; only the
+    /// last may be open-ended.
+    pub windows: Vec<ActivityWindow>,
+}
+
+/// Compiles a time-ordered arrive/depart event stream into one
+/// [`TraceClient`] per distinct key, in first-arrival order, each carrying
+/// the key's full window schedule.
+///
+/// This is the one place the workspace checks an event stream's shape:
+/// [`Colocation::trace`], [`Cluster::trace`](crate::cluster::Cluster::trace)
+/// and `tally_workloads::trace::ArrivalTrace` (validation, parsing,
+/// recording and replay) all compile through it, so they accept the same
+/// streams and word each fault the same way.
 ///
 /// Returns a [`TraceError`] on an invalid stream: timestamps out of order,
-/// a key arriving while attached, departing while detached, or departing
-/// at/before its arrival instant.
-pub(crate) fn compile_trace(
-    events: impl IntoIterator<Item = (SimTime, SessionEvent)>,
-) -> Result<Vec<JobSpec>, TraceError> {
-    let mut jobs: Vec<JobSpec> = Vec::new();
-    let mut index: std::collections::BTreeMap<String, usize> = std::collections::BTreeMap::new();
+/// a key arriving while attached, a departure for a key that never arrived
+/// or is detached, or a departure at or before its arrival instant.
+pub fn compile_trace<'a, J>(
+    events: impl IntoIterator<Item = (SimTime, &'a ClientEvent<J>)>,
+) -> Result<Vec<TraceClient<'a, J>>, TraceError> {
+    let mut clients: Vec<TraceClient<'a, J>> = Vec::new();
+    let mut index: std::collections::BTreeMap<&str, usize> = std::collections::BTreeMap::new();
     let mut last = SimTime::ZERO;
     for (at, ev) in events {
         if at < last {
@@ -340,32 +358,34 @@ pub(crate) fn compile_trace(
         }
         last = at;
         match ev {
-            SessionEvent::Arrive { key, job } => match index.get(&key) {
+            ClientEvent::Arrive { key, job } => match index.get(key.as_str()) {
                 Some(&i) => {
                     // Timestamps are non-decreasing, so a closed window
                     // ended at or before `at`.
-                    if jobs[i].windows.last().expect("window").until.is_none() {
+                    let windows = &mut clients[i].windows;
+                    if windows.last().expect("window").until.is_none() {
                         return Err(TraceError::semantic(format!(
                             "client `{key}` arrives while attached"
                         )));
                     }
-                    jobs[i].windows.push(ActivityWindow::new(at, None));
+                    windows.push(ActivityWindow::new(at, None));
                 }
                 None => {
-                    let mut job = job;
-                    job.windows = vec![ActivityWindow::new(at, None)];
-                    job.client_key = Some(key.clone());
-                    index.insert(key, jobs.len());
-                    jobs.push(job);
+                    index.insert(key, clients.len());
+                    clients.push(TraceClient {
+                        key,
+                        job,
+                        windows: vec![ActivityWindow::new(at, None)],
+                    });
                 }
             },
-            SessionEvent::Depart { key } => {
-                let Some(&i) = index.get(&key) else {
+            ClientEvent::Depart { key } => {
+                let Some(&i) = index.get(key.as_str()) else {
                     return Err(TraceError::semantic(format!(
                         "depart for unknown client `{key}`"
                     )));
                 };
-                let w = jobs[i].windows.last_mut().expect("window");
+                let w = clients[i].windows.last_mut().expect("window");
                 if w.until.is_some() {
                     return Err(TraceError::semantic(format!(
                         "client `{key}` departs while detached"
@@ -380,7 +400,21 @@ pub(crate) fn compile_trace(
             }
         }
     }
-    Ok(jobs)
+    Ok(clients)
+}
+
+/// The jobs a harness event stream adds: each compiled client's first job
+/// under its key, with the stream's windows as its schedule.
+pub(crate) fn trace_jobs(events: &[(SimTime, SessionEvent)]) -> Result<Vec<JobSpec>, TraceError> {
+    let clients = compile_trace(events.iter().map(|(at, ev)| (*at, ev)))?;
+    Ok(clients
+        .into_iter()
+        .map(|c| JobSpec {
+            windows: c.windows,
+            client_key: Some(c.key.to_string()),
+            ..c.job.clone()
+        })
+        .collect())
 }
 
 /// Harness parameters.
@@ -768,14 +802,14 @@ impl<'s> Colocation<'s> {
     /// each event. Equivalent to adding the same clients with hand-built
     /// window schedules — byte for byte.
     ///
-    /// Returns a [`TraceError`] on an invalid stream (see
-    /// [`SessionEvent`]): timestamps out of order, arrivals while
-    /// attached, or departures while detached.
+    /// Returns a [`TraceError`] on an invalid stream, as
+    /// [`compile_trace`] words it.
     pub fn trace(
         mut self,
         events: impl IntoIterator<Item = (SimTime, SessionEvent)>,
     ) -> Result<Self, TraceError> {
-        self.jobs.extend(compile_trace(events)?);
+        let events: Vec<(SimTime, SessionEvent)> = events.into_iter().collect();
+        self.jobs.extend(trace_jobs(&events)?);
         Ok(self)
     }
 
@@ -928,24 +962,22 @@ pub struct Session<'s> {
     // Cross-device migrations into and out of this session.
     migrations_in: u64,
     migrations_out: u64,
-    // Observation plumbing: the consumers of the event stream, the
-    // instant of the last engine counter sample, and the busy integral of
-    // the last sample the monitor and observers received.
+    // Observation plumbing (which also keeps the work counters): the
+    // consumers of the event stream, the instant of the last engine
+    // counter sample, and the busy integral of the last sample the
+    // monitor and observers received.
     sinks: Sinks,
     last_sample: Option<SimTime>,
     last_busy: Option<u128>,
     // Bumped whenever the set of clients or their attachment changes —
     // the cluster uses it to cache per-session departure forecasts.
     lifecycle_epoch: u64,
-    // Host-observability counters (see `HostStats`).
-    notifications: u64,
-    departure_scans: Cell<u64>,
-    work: SessionWork,
 }
 
 /// Deterministic counts of the work a [`Session`]'s stepping loop has
 /// done, read through [`Session::work`]. They measure the simulator, not
-/// the simulated system, so no report carries them.
+/// the simulated system: only a cluster's
+/// [`HostStats`](crate::metrics::HostStats) sums the last three.
 #[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
 pub struct SessionWork {
     /// Fixed-point passes run by [`Session::settle`] (and the cluster's
@@ -953,6 +985,12 @@ pub struct SessionWork {
     pub settle_passes: u64,
     /// [`Engine::advance`] calls made by [`Session::advance_to`].
     pub engine_advances: u64,
+    /// Engine→system notifications handed to the system.
+    pub notifications: u64,
+    /// Observations handed to the load monitor or the observers.
+    pub delivered: u64,
+    /// Linear next-departure scans the cluster asked for.
+    pub departure_scans: u64,
 }
 
 /// Where a session's observations go. The admission policy and the
@@ -970,9 +1008,9 @@ struct Sinks {
     observers: Vec<SharedSyncObserver>,
     // Observations awaiting delivery to `observers`.
     buf: Vec<(SimTime, Observation)>,
-    // Observations handed to the monitor or the observers (a
-    // deterministic count).
-    delivered: u64,
+    // The session's work counters, kept here because `emit` counts
+    // `delivered`.
+    work: SessionWork,
 }
 
 impl Sinks {
@@ -992,7 +1030,7 @@ impl Sinks {
         let ev = event();
         self.consume(at, &ev);
         if self.monitor.is_some() || !self.observers.is_empty() {
-            self.delivered += 1;
+            self.work.delivered += 1;
         }
         if !self.observers.is_empty() {
             self.buf.push((at, ev));
@@ -1100,9 +1138,6 @@ impl<'s> Session<'s> {
             last_sample: None,
             last_busy: None,
             lifecycle_epoch: 0,
-            notifications: 0,
-            departure_scans: Cell::new(0),
-            work: SessionWork::default(),
         }
     }
 
@@ -1190,7 +1225,7 @@ impl<'s> Session<'s> {
         let sinks = &mut self.sinks;
         let system = self.system.get_mut();
         loop {
-            self.work.settle_passes += 1;
+            sinks.work.settle_passes += 1;
             let now = self.engine.now();
             // Whether this pass left work due at this instant: a lifecycle
             // edge (another may follow at once), a zero-cost launch or a
@@ -1424,7 +1459,7 @@ impl<'s> Session<'s> {
     /// Follow with [`Session::settle`], which samples the instant it
     /// stops at.
     pub fn advance_to(&mut self, limit: SimTime) {
-        self.work.engine_advances += 1;
+        self.sinks.work.engine_advances += 1;
         let step = if self.sinks.active() {
             let step = self
                 .engine
@@ -1440,7 +1475,7 @@ impl<'s> Session<'s> {
             self.engine.advance(limit, &mut self.notes)
         };
         if let Step::Notified = step {
-            self.notifications += self.notes.len() as u64;
+            self.sinks.work.notifications += self.notes.len() as u64;
             let system = self.system.get_mut();
             let mut ctx = Ctx::new(&mut self.engine, &self.metas, &mut self.pending_completions);
             for n in self.notes.drain(..) {
@@ -1451,14 +1486,7 @@ impl<'s> Session<'s> {
 
     /// Drives the session to the end of its configured duration.
     pub fn run_to_end(&mut self) {
-        loop {
-            self.settle();
-            if self.is_done() {
-                break;
-            }
-            let wake = self.next_wake();
-            self.advance_to(wake);
-        }
+        self.run_until(self.end, false);
     }
 
     /// Advances the session to exactly `barrier` (settle → wake → advance,
@@ -1504,7 +1532,7 @@ impl<'s> Session<'s> {
 
     /// The stepping work this session has done so far.
     pub fn work(&self) -> SessionWork {
-        self.work
+        self.sinks.work
     }
 
     // ---- cluster-internal surface (crate-private) --------------------
@@ -1513,8 +1541,8 @@ impl<'s> Session<'s> {
     /// closes), or `SimTime::MAX` if none ever will. A linear scan; the
     /// cluster caches the answer per `lifecycle_epoch` so idle devices are
     /// never re-scanned.
-    pub(crate) fn next_departure(&self) -> SimTime {
-        self.departure_scans.set(self.departure_scans.get() + 1);
+    pub(crate) fn next_departure(&mut self) -> SimTime {
+        self.sinks.work.departure_scans += 1;
         let mut t = SimTime::MAX;
         for c in &self.clients {
             if c.retired() {
@@ -1658,16 +1686,6 @@ impl<'s> Session<'s> {
         self.clients.push(client);
         self.lifecycle_epoch += 1;
         id
-    }
-
-    /// This session's contribution to the fleet's host counters:
-    /// `(events delivered, notifications, departure scans)`.
-    pub(crate) fn host_counters(&self) -> (u64, u64, u64) {
-        (
-            self.sinks.delivered,
-            self.notifications,
-            self.departure_scans.get(),
-        )
     }
 }
 
@@ -2046,7 +2064,7 @@ mod tests {
     #[test]
     fn trace_rejects_double_arrival() {
         let job = JobSpec::training("t", vec![]);
-        let err = compile_trace(vec![
+        let err = trace_jobs(&[
             (
                 SimTime::ZERO,
                 SessionEvent::Arrive {
@@ -2068,7 +2086,7 @@ mod tests {
 
     #[test]
     fn trace_rejects_orphan_departure() {
-        let err = compile_trace(vec![(
+        let err = trace_jobs(&[(
             SimTime::ZERO,
             SessionEvent::Depart {
                 key: "ghost".into(),
@@ -2081,7 +2099,7 @@ mod tests {
     #[test]
     fn trace_rejects_unordered_events() {
         let job = JobSpec::training("t", vec![]);
-        let err = compile_trace(vec![
+        let err = trace_jobs(&[
             (
                 SimTime::from_millis(5),
                 SessionEvent::Arrive {
@@ -2104,7 +2122,7 @@ mod tests {
     #[test]
     fn trace_rejects_depart_at_arrival_instant() {
         let job = JobSpec::training("t", vec![]);
-        let err = compile_trace(vec![
+        let err = trace_jobs(&[
             (
                 SimTime::from_millis(3),
                 SessionEvent::Arrive {

@@ -8,6 +8,8 @@
 //! intensity swings and occasional demand spikes of tens of times the mean
 //! rate (the original study reports spikes up to 50×).
 
+use std::ops::Range;
+
 use tally_gpu::rng::SmallRng;
 use tally_gpu::{SimSpan, SimTime};
 
@@ -82,40 +84,55 @@ pub fn arrivals(cfg: &Maf2Config) -> Vec<SimTime> {
     let mut rng = SmallRng::seed_from_u64(cfg.seed);
     let mean_rate = cfg.load / cfg.service_time.as_secs_f64(); // req/s
     let window_s = WINDOW.as_secs_f64();
-    let num_windows = (cfg.duration.as_secs_f64() / window_s).ceil() as usize;
-    // Mean-one lognormal: exp(N(-sigma^2/2, sigma)).
-    let sigma = cfg.burstiness;
-    let mu = -sigma * sigma / 2.0;
+    let total_s = cfg.duration.as_secs_f64();
+    let num_windows = (total_s / window_s).ceil() as usize;
     let mut out = Vec::new();
     for w in 0..num_windows {
         let start = w as f64 * window_s;
-        let normal: f64 = {
-            // Box-Muller.
-            let u1: f64 = rng.gen_range(f64::EPSILON..1.0);
-            let u2: f64 = rng.gen_range(0.0..1.0);
-            (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos()
-        };
-        let mut factor = (mu + sigma * normal).exp();
+        let mut factor = lognormal_factor(&mut rng, cfg.burstiness);
         if rng.gen_bool(cfg.spike_prob) {
             factor = rng.gen_range(SPIKE_MULT.0..=SPIKE_MULT.1);
         }
-        let rate = mean_rate * factor;
-        if rate <= 0.0 {
-            continue;
-        }
-        // Poisson process within the window.
-        let mut t = start;
-        loop {
-            let u: f64 = rng.gen_range(f64::EPSILON..1.0);
-            t += -u.ln() / rate;
-            if t >= start + window_s || t >= cfg.duration.as_secs_f64() {
-                break;
-            }
-            out.push(SimTime::from_nanos((t * 1e9) as u64));
-        }
+        let span = start..(start + window_s).min(total_s);
+        poisson_window(&mut rng, mean_rate * factor, span, &mut out);
     }
     out.sort_unstable();
     out
+}
+
+/// A mean-one lognormal draw, `exp(N(-sigma^2/2, sigma))`, from one
+/// Box–Muller normal (two uniform draws, taken even when `sigma` is 0).
+pub(crate) fn lognormal_factor(rng: &mut SmallRng, sigma: f64) -> f64 {
+    let u1: f64 = rng.gen_range(f64::EPSILON..1.0);
+    let u2: f64 = rng.gen_range(0.0..1.0);
+    let normal = (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos();
+    let mu = -sigma * sigma / 2.0;
+    (mu + sigma * normal).exp()
+}
+
+/// Appends the instants of a Poisson process at `rate` per second over
+/// `span` (in seconds) to `out` and returns how many it appended. Draws
+/// nothing when `rate <= 0`.
+pub(crate) fn poisson_window(
+    rng: &mut SmallRng,
+    rate: f64,
+    span: Range<f64>,
+    out: &mut Vec<SimTime>,
+) -> u32 {
+    if rate <= 0.0 {
+        return 0;
+    }
+    let mut t = span.start;
+    let mut n = 0;
+    loop {
+        let u: f64 = rng.gen_range(f64::EPSILON..1.0);
+        t += -u.ln() / rate;
+        if t >= span.end {
+            return n;
+        }
+        out.push(SimTime::from_nanos((t * 1e9) as u64));
+        n += 1;
+    }
 }
 
 /// A condensed diurnal trace in the shape of the paper's Figure 6b: a slow
@@ -149,17 +166,8 @@ pub fn condensed_trace(
         };
         let jitterf: f64 = rng.gen_range(0.85..1.15);
         let rate = (capacity_rps * swell * spike * jitterf).max(0.1);
-        let mut t = start;
-        let mut n = 0u32;
-        loop {
-            let u: f64 = rng.gen_range(f64::EPSILON..1.0);
-            t += -u.ln() / rate;
-            if t >= start + window_s || t >= total_s {
-                break;
-            }
-            arrivals_out.push(SimTime::from_nanos((t * 1e9) as u64));
-            n += 1;
-        }
+        let span = start..(start + window_s).min(total_s);
+        let n = poisson_window(&mut rng, rate, span, &mut arrivals_out);
         counts.push((SimTime::from_nanos((start * 1e9) as u64), n));
     }
     arrivals_out.sort_unstable();

@@ -14,8 +14,11 @@
 //! * **serialized** as plain text ([`ArrivalTrace::to_text`] /
 //!   [`ArrivalTrace::parse`]) so traces can be checked into a repository
 //!   and replayed byte-identically later;
-//! * **validated** ([`ArrivalTrace::validate`]): monotonic timestamps,
-//!   well-formed keys, and balanced arrive/depart alternation per key;
+//! * **validated** ([`ArrivalTrace::validate`]): well-formed keys and
+//!   loads, plus the monotonic timestamps and balanced arrive/depart
+//!   alternation per key that [`compile_trace`] checks — the one trace
+//!   compiler, shared with `Colocation::trace` and `Cluster::trace`, so
+//!   all of them reject a stream with the same [`TraceError`];
 //! * **replayed** through a single-GPU session or a whole fleet:
 //!   [`ArrivalTrace::session_events`] resolves the symbolic [`TraceJob`]s
 //!   into concrete [`JobSpec`]s and feeds
@@ -55,11 +58,11 @@
 use std::sync::{Arc, Mutex};
 
 use tally_core::events::{Observation, SessionObserver};
-use tally_core::harness::{ActivityWindow, JobSpec, SessionEvent};
+use tally_core::harness::{compile_trace, ActivityWindow, JobSpec, SessionEvent, TraceClient};
 use tally_gpu::rng::SmallRng;
 use tally_gpu::{GpuSpec, SimSpan, SimTime};
 
-use crate::maf2::{arrivals, Maf2Config};
+use crate::maf2::{arrivals, lognormal_factor, poisson_window, Maf2Config};
 use crate::openloop::LoadProfile;
 use crate::{InferModel, TrainModel};
 
@@ -356,62 +359,44 @@ impl ArrivalTrace {
         seen.into_iter()
     }
 
-    /// Checks the trace invariants: non-decreasing timestamps, well-formed
-    /// keys (non-empty, no whitespace), inference loads in `(0, 1)`, and
-    /// balanced arrive/depart alternation per key — every departure closes
-    /// an open arrival strictly after it, and a key only re-arrives once
-    /// departed. A trailing open arrival (client stays to the end) is
-    /// legal.
+    /// Checks the trace invariants: well-formed keys (non-empty, no
+    /// whitespace), inference loads in `(0, 1)`, valid open-loop profiles,
+    /// and the stream shape [`compile_trace`] checks for every harness
+    /// stream too — non-decreasing timestamps and balanced arrive/depart
+    /// alternation per key (every departure closes an open arrival
+    /// strictly after it, and a key only re-arrives once departed). A
+    /// trailing open arrival (client stays to the end) is legal.
     pub fn validate(&self) -> Result<(), TraceError> {
-        let mut last = SimTime::ZERO;
-        // key -> (open, last event instant)
-        let mut state: std::collections::BTreeMap<&str, (bool, SimTime)> =
-            std::collections::BTreeMap::new();
+        self.compile().map(drop)
+    }
+
+    /// [Validates](ArrivalTrace::validate) the trace and returns its
+    /// compiled clients, in first-arrival order.
+    fn compile(&self) -> Result<Vec<TraceClient<'_, TraceJob>>, TraceError> {
         for e in &self.events {
-            if e.at < last {
-                return Err(err(0, format!("events out of order at {}", e.at)));
-            }
-            last = e.at;
             let key = e.event.key();
             if key.is_empty() || key.chars().any(|c| c.is_whitespace() || c.is_control()) {
                 return Err(err(0, format!("malformed key {key:?}")));
             }
             match &e.event {
-                ClientEvent::Arrive { job, .. } => {
-                    match job {
-                        TraceJob::Infer { load, .. } => {
-                            if !(*load > 0.0 && *load < 1.0) {
-                                return Err(err(0, format!("`{key}` load {load} outside (0, 1)")));
-                            }
-                        }
-                        TraceJob::OpenLoop { profile, .. } => {
-                            if let Err(e) = profile.validate() {
-                                return Err(err(0, format!("`{key}` profile: {e}")));
-                            }
-                        }
-                        TraceJob::Train(_) => {}
-                    }
-                    match state.get(key) {
-                        Some((true, _)) => {
-                            return Err(err(0, format!("`{key}` arrives while attached")))
-                        }
-                        _ => {
-                            state.insert(key, (true, e.at));
-                        }
+                ClientEvent::Arrive {
+                    job: TraceJob::Infer { load, .. },
+                    ..
+                } if !(*load > 0.0 && *load < 1.0) => {
+                    return Err(err(0, format!("`{key}` load {load} outside (0, 1)")));
+                }
+                ClientEvent::Arrive {
+                    job: TraceJob::OpenLoop { profile, .. },
+                    ..
+                } => {
+                    if let Err(e) = profile.validate() {
+                        return Err(err(0, format!("`{key}` profile: {e}")));
                     }
                 }
-                ClientEvent::Depart { .. } => match state.get(key) {
-                    Some((true, since)) if *since < e.at => {
-                        state.insert(key, (false, e.at));
-                    }
-                    Some((true, _)) => {
-                        return Err(err(0, format!("`{key}` departs at/before its arrival")))
-                    }
-                    _ => return Err(err(0, format!("`{key}` departs while detached"))),
-                },
+                _ => {}
             }
         }
-        Ok(())
+        compile_trace(self.events.iter().map(|e| (e.at, &e.event)))
     }
 
     /// Serializes to the canonical plain-text form: a header line (v1,
@@ -518,39 +503,11 @@ impl ArrivalTrace {
         spec: &GpuSpec,
         duration: SimSpan,
     ) -> Vec<(SimTime, SessionEvent)> {
-        if let Err(e) = self.validate() {
-            panic!("{e}");
-        }
-        // First pass: per-key window schedules and symbolic jobs.
-        let mut order: Vec<&str> = Vec::new();
-        let mut windows: std::collections::BTreeMap<&str, Vec<ActivityWindow>> =
-            std::collections::BTreeMap::new();
-        let mut symbolic: std::collections::BTreeMap<&str, &TraceJob> =
-            std::collections::BTreeMap::new();
-        for e in &self.events {
-            match &e.event {
-                ClientEvent::Arrive { key, job } => {
-                    let wins = windows.entry(key).or_default();
-                    if wins.is_empty() {
-                        order.push(key);
-                        symbolic.insert(key, job);
-                    }
-                    wins.push(ActivityWindow::new(e.at, None));
-                }
-                ClientEvent::Depart { key } => {
-                    windows
-                        .get_mut(key.as_str())
-                        .expect("validated")
-                        .last_mut()
-                        .expect("validated")
-                        .until = Some(e.at);
-                }
-            }
-        }
-        // Second pass: resolve each key once, then mirror the event stream.
-        let resolved: std::collections::BTreeMap<&str, JobSpec> = order
+        let clients = self.compile().unwrap_or_else(|e| panic!("{e}"));
+        // Resolve each key once, then mirror the event stream.
+        let resolved: std::collections::BTreeMap<&str, JobSpec> = clients
             .iter()
-            .map(|&k| (k, symbolic[k].resolve(spec, &windows[k], duration)))
+            .map(|c| (c.key, c.job.resolve(spec, &c.windows, duration)))
             .collect();
         self.events
             .iter()
@@ -577,43 +534,28 @@ impl ArrivalTrace {
         let mut rng = SmallRng::seed_from_u64(cfg.seed);
         let total_s = cfg.duration.as_secs_f64();
         let window_s = cfg.window.as_secs_f64();
-        let sigma = cfg.burstiness;
-        let mu = -sigma * sigma / 2.0;
         let end = SimTime::ZERO + cfg.duration;
 
         // Client arrival instants: per-window lognormal-modulated Poisson,
-        // the same construction as `maf2::arrivals`.
-        let mut client_arrivals: Vec<f64> = Vec::new();
+        // as in `maf2::arrivals` but with no spikes and no normal draw
+        // when `burstiness` is 0.
+        let mut client_arrivals: Vec<SimTime> = Vec::new();
         let num_windows = (total_s / window_s).ceil() as usize;
         for w in 0..num_windows {
             let start = w as f64 * window_s;
-            let factor = if sigma > 0.0 {
-                let u1: f64 = rng.gen_range(f64::EPSILON..1.0);
-                let u2: f64 = rng.gen_range(0.0..1.0);
-                let normal = (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos();
-                (mu + sigma * normal).exp()
+            let factor = if cfg.burstiness > 0.0 {
+                lognormal_factor(&mut rng, cfg.burstiness)
             } else {
                 1.0
             };
-            let rate = cfg.rate * factor;
-            if rate <= 0.0 {
-                continue;
-            }
-            let mut t = start;
-            loop {
-                let u: f64 = rng.gen_range(f64::EPSILON..1.0);
-                t += -u.ln() / rate;
-                if t >= start + window_s || t >= total_s {
-                    break;
-                }
-                client_arrivals.push(t);
-            }
+            let span = start..(start + window_s).min(total_s);
+            poisson_window(&mut rng, cfg.rate * factor, span, &mut client_arrivals);
         }
 
         // Per client: pick a mix entry, then emit its windows (service
         // duration, optional geometric re-arrivals after think-time gaps).
         let mut events: Vec<TraceEvent> = Vec::new();
-        for (i, &t0) in client_arrivals.iter().enumerate() {
+        for (i, mut from) in client_arrivals.into_iter().enumerate() {
             let mut pick = rng.gen_range(0.0..total_weight);
             let entry = cfg
                 .mix
@@ -624,7 +566,6 @@ impl ArrivalTrace {
                 })
                 .unwrap_or_else(|| cfg.mix.last().expect("non-empty mix"));
             let key = format!("{}#{i}", entry.job.model_name());
-            let mut from = SimTime::from_nanos((t0 * 1e9) as u64);
             loop {
                 if from >= end {
                     break;

@@ -116,3 +116,63 @@ fn parse_rejects_mutations() {
         );
     }
 }
+
+#[test]
+fn every_entry_point_rejects_a_malformed_stream_alike() {
+    use tally_core::cluster::Cluster;
+    use tally_core::harness::{Colocation, JobSpec, SessionEvent};
+    use tally_gpu::GpuSpec;
+
+    let job = "train gpt2-large-train";
+    let table = [
+        ("@5 arrive a {job}\n@0 arrive b {job}", "timestamp order"),
+        (
+            "@0 arrive a {job}\n@1 arrive a {job}",
+            "arrives while attached",
+        ),
+        ("@0 depart ghost", "unknown client"),
+        (
+            "@0 arrive a {job}\n@1 depart a\n@2 depart a",
+            "departs while detached",
+        ),
+        ("@3 arrive a {job}\n@3 depart a", "departs at or before"),
+    ];
+    for (body, wording) in table {
+        let text = format!("# tally-arrival-trace v1\n{}", body.replace("{job}", job));
+        let parsed = ArrivalTrace::parse(&text).expect_err("parse accepted");
+        assert!(parsed.message.contains(wording), "{text}: {parsed}");
+
+        // The same stream built without parsing, and as a harness stream.
+        let mut trace = ArrivalTrace::new();
+        let mut events: Vec<(SimTime, SessionEvent)> = Vec::new();
+        for line in body.lines() {
+            let mut tok = line.split(' ');
+            let at = SimTime::from_nanos(tok.next().unwrap()[1..].parse().unwrap());
+            let (verb, key) = (tok.next().unwrap(), tok.next().unwrap());
+            if verb == "arrive" {
+                trace.arrive(at, key, TraceJob::Train(TrainModel::Gpt2Large));
+                let job = JobSpec::training(key, vec![]);
+                events.push((
+                    at,
+                    SessionEvent::Arrive {
+                        key: key.into(),
+                        job,
+                    },
+                ));
+            } else {
+                trace.depart(at, key);
+                events.push((at, SessionEvent::Depart { key: key.into() }));
+            }
+        }
+        let validated = trace.validate().expect_err("validate accepted");
+        let Err(colocation) = Colocation::on(GpuSpec::tiny()).trace(events.clone()) else {
+            panic!("Colocation::trace accepted {text}");
+        };
+        let Err(cluster) = Cluster::new().device(GpuSpec::tiny()).trace(events) else {
+            panic!("Cluster::trace accepted {text}");
+        };
+        assert_eq!(validated, parsed, "{text}");
+        assert_eq!(colocation, parsed, "{text}");
+        assert_eq!(cluster, parsed, "{text}");
+    }
+}
