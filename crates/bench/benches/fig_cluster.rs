@@ -104,7 +104,7 @@ impl SoloTable {
 /// loop end to end and assert it fits a generous wall-clock budget — a
 /// scale canary for the cluster subsystem, not a measurement (so it never
 /// touches the JSON trajectory). One best-effort trainer per device plus
-/// a retiring one to exercise departure forecasting at scale.
+/// a retiring one whose departure triggers a migration pass at scale.
 fn fleet_smoke() {
     const DEVICES: usize = 128;
     const BUDGET_SECS: u64 = 60;
@@ -137,7 +137,7 @@ fn fleet_smoke() {
     let wall = start.elapsed();
     assert_eq!(report.devices.len(), DEVICES);
     // t0 retires at 250ms — before a single GPT2-Large iteration fits —
-    // so it only exercises departure forecasting; everyone else must
+    // so it only exercises the departure barrier; everyone else must
     // actually make progress.
     assert!(
         report

@@ -26,6 +26,7 @@ use tally_gpu::{
 use tally_ptx::interp::{run_kernel, Launch};
 use tally_ptx::{passes, samples};
 use tally_workloads::maf2::{arrivals, Maf2Config};
+use tally_workloads::trace::{ArrivalTrace, TraceGen};
 use tally_workloads::{InferModel, TrainModel};
 
 /// Host wall-clock sample for the bench timers below — `host_` scope per
@@ -347,6 +348,36 @@ fn fleet_thread_sweep(sink: &mut JsonSink) {
     }
 }
 
+/// Barriers the drive loop runs on a small churn fleet: 4 devices under a
+/// generated churn trace with migrate-on-detach on, on one worker. Every
+/// trace injection and every departure before the end is a barrier. The
+/// fleet is small enough that one added barrier moves the gated
+/// `work_fleet_barriers` row past the diff gate's threshold.
+fn fleet_barriers(sink: &mut JsonSink) {
+    let spec = GpuSpec::a100();
+    let duration = SimSpan::from_secs(4);
+    let trace = ArrivalTrace::generate(&TraceGen::churn(duration, 1.0, 2));
+    let report = Cluster::new()
+        .devices(4, spec.clone())
+        .trace(trace.session_events(&spec, duration))
+        .expect("generated traces are valid")
+        .migrate_on_detach(true)
+        .threads(1)
+        .config(HarnessConfig {
+            duration,
+            warmup: SimSpan::ZERO,
+            seed: 1,
+            jitter: 0.0,
+            record_timelines: false,
+        })
+        .run();
+    println!(
+        "{:<44} {:>16}",
+        "fleet: barriers, 4s 4-device churn", report.host.barriers
+    );
+    sink.record("work_fleet_barriers", report.host.barriers as f64, &[]);
+}
+
 /// Buffers a session's full observation stream for replay.
 #[derive(Debug, Default)]
 struct EventTape(Vec<(SimTime, usize, Observation)>);
@@ -445,6 +476,7 @@ fn main() {
     interpreter(&mut sink);
     scheduler_colocation(&mut sink);
     fleet_thread_sweep(&mut sink);
+    fleet_barriers(&mut sink);
     metrics_hub_overhead(&mut sink);
     sink.finish();
 }

@@ -28,7 +28,9 @@
 //! * the next periodic rebalance tick ([`Cluster::rebalance_every`]);
 //! * the next client departure anywhere in the fleet, *when*
 //!   [`Cluster::migrate_on_detach`] is on (a departure triggers a
-//!   migration pass);
+//!   migration pass). A client departs at the end of each of its activity
+//!   windows and keeps its schedule across migrations, so the loop sorts
+//!   every window close once before the run and never asks a session;
 //! * the end of the run.
 //!
 //! Between barriers the sessions are advanced concurrently on a scoped
@@ -817,11 +819,16 @@ impl Cluster {
             .collect();
 
         let end = SimTime::ZERO + cfg.duration;
-        let mut last_departures = vec![0u64; n];
         let mut next_rebalance = rebalance_every.map(|p| SimTime::ZERO + p);
-        // Each device's next departure, rescanned only when its lifecycle
-        // epoch changed (see `HostStats::departure_scans`).
-        let mut next_departures: Vec<(Option<u64>, SimTime)> = vec![(None, SimTime::MAX); n];
+        // Every window close in the fleet, in time order, when departures
+        // trigger migration passes (see the module docs).
+        let mut departures: Vec<SimTime> = clients
+            .iter()
+            .filter(|_| migrate_on_detach)
+            .flat_map(|c| c.job.windows.iter().filter_map(|w| w.until))
+            .collect();
+        departures.sort_unstable();
+        let mut departures = departures.into_iter().peekable();
         let mut host = HostStats {
             threads,
             ..HostStats::default()
@@ -851,11 +858,8 @@ impl Cluster {
             }
 
             let mut do_rebalance = false;
-            for (d, s) in sessions.iter().enumerate() {
-                if s.departures() > last_departures[d] {
-                    last_departures[d] = s.departures();
-                    do_rebalance = migrate_on_detach;
-                }
+            while departures.next_if(|&t| t <= now).is_some() {
+                do_rebalance = true;
             }
             if let Some(t) = next_rebalance {
                 if t <= now {
@@ -906,20 +910,10 @@ impl Cluster {
             if let Some(&k) = pending.front() {
                 barrier = barrier.min(clients[k].job.first_active());
             }
-            if migrate_on_detach {
-                // Departures trigger migration passes, so the next one
-                // anywhere in the fleet is an interaction point. A cached
-                // departure at or before `now` has already happened.
-                for (d, s) in sessions.iter_mut().enumerate() {
-                    let epoch = Some(s.lifecycle_epoch());
-                    if next_departures[d].0 != epoch {
-                        next_departures[d] = (epoch, s.next_departure());
-                    }
-                    let at = next_departures[d].1;
-                    if at > now {
-                        barrier = barrier.min(at);
-                    }
-                }
+            // The next departure anywhere in the fleet triggers a migration
+            // pass, so it is an interaction point.
+            if let Some(&t) = departures.peek() {
+                barrier = barrier.min(t);
             }
             debug_assert!(
                 barrier > now || barrier >= end,
@@ -976,14 +970,6 @@ impl Cluster {
             .map(|(d, s)| {
                 let residents: Vec<&ClusterClientReport> =
                     clients.iter().filter(|c| c.device == d).collect();
-                let mut pooled = LatencyRecorder::new();
-                for c in &residents {
-                    if c.report.high_priority {
-                        for &l in c.report.latency.samples() {
-                            pooled.record(l);
-                        }
-                    }
-                }
                 let (migrations_in, migrations_out) = s.migrations();
                 DeviceReport {
                     device: d,
@@ -993,14 +979,13 @@ impl Cluster {
                     migrations_in,
                     migrations_out,
                     throughput: residents.iter().map(|c| c.report.throughput).sum(),
-                    p99: pooled.p99(),
+                    p99: pooled_hp_p99(residents.iter().map(|c| &c.report)),
                 }
             })
             .collect();
         for work in sessions.iter().map(Session::work) {
             host.events += work.delivered;
             host.notifications += work.notifications;
-            host.departure_scans += work.departure_scans;
         }
         ClusterReport {
             policy: policy.name().to_string(),
@@ -1300,15 +1285,7 @@ impl ClusterReport {
     /// Fleet-level p99: the 99th percentile over every high-priority
     /// request latency on every device.
     pub fn fleet_p99(&self) -> Option<SimSpan> {
-        let mut pooled = LatencyRecorder::new();
-        for c in &self.clients {
-            if c.report.high_priority {
-                for &l in c.report.latency.samples() {
-                    pooled.record(l);
-                }
-            }
-        }
-        pooled.p99()
+        pooled_hp_p99(self.clients.iter().map(|c| &c.report))
     }
 
     /// The report of the client with the given stable key.
@@ -1321,6 +1298,17 @@ impl ClusterReport {
     pub fn shed(&self) -> u64 {
         self.clients.iter().map(|c| c.report.shed).sum()
     }
+}
+
+/// The p99 over every high-priority request latency of `reports`, pooled.
+fn pooled_hp_p99<'a>(reports: impl Iterator<Item = &'a ClientReport>) -> Option<SimSpan> {
+    let mut pooled = LatencyRecorder::new();
+    for r in reports.filter(|r| r.high_priority) {
+        for &l in r.latency.samples() {
+            pooled.record(l);
+        }
+    }
+    pooled.p99()
 }
 
 /// Per-device slice of a [`ClusterReport`].

@@ -956,9 +956,6 @@ pub struct Session<'s> {
     // elapses, with the instant each reaches the system. `next_wake`
     // scans them along with the clients.
     in_transit: Vec<(SimTime, ClientId, Arc<KernelDesc>)>,
-    // Window-close detaches seen so far (migrations excluded) — lets an
-    // external driver notice departures and react (e.g. rebalance).
-    departures: u64,
     // Cross-device migrations into and out of this session.
     migrations_in: u64,
     migrations_out: u64,
@@ -969,15 +966,12 @@ pub struct Session<'s> {
     sinks: Sinks,
     last_sample: Option<SimTime>,
     last_busy: Option<u128>,
-    // Bumped whenever the set of clients or their attachment changes —
-    // the cluster uses it to cache per-session departure forecasts.
-    lifecycle_epoch: u64,
 }
 
 /// Deterministic counts of the work a [`Session`]'s stepping loop has
 /// done, read through [`Session::work`]. They measure the simulator, not
 /// the simulated system: only a cluster's
-/// [`HostStats`](crate::metrics::HostStats) sums the last three.
+/// [`HostStats`](crate::metrics::HostStats) sums the last two.
 #[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
 pub struct SessionWork {
     /// Fixed-point passes run by [`Session::settle`] (and the cluster's
@@ -989,8 +983,6 @@ pub struct SessionWork {
     pub notifications: u64,
     /// Observations handed to the load monitor or the observers.
     pub delivered: u64,
-    /// Linear next-departure scans the cluster asked for.
-    pub departure_scans: u64,
 }
 
 /// Where a session's observations go. The admission policy and the
@@ -1131,13 +1123,11 @@ impl<'s> Session<'s> {
             notes: Vec::new(),
             instants: Vec::new(),
             in_transit: Vec::new(),
-            departures: 0,
             migrations_in: 0,
             migrations_out: 0,
             sinks: Sinks::default(),
             last_sample: None,
             last_busy: None,
-            lifecycle_epoch: 0,
         }
     }
 
@@ -1274,7 +1264,6 @@ impl<'s> Session<'s> {
                             client.gap_until = Some(now + cost);
                         }
                     }
-                    self.lifecycle_epoch += 1;
                     again = true;
                 }
                 if client.attached
@@ -1292,8 +1281,6 @@ impl<'s> Session<'s> {
                         client: ClientId(i as u32),
                         key: client.spec.key().to_string(),
                     });
-                    self.departures += 1;
-                    self.lifecycle_epoch += 1;
                     again = true;
                 }
             }
@@ -1525,39 +1512,12 @@ impl<'s> Session<'s> {
         }
     }
 
-    /// Window-close detaches seen so far (migrations excluded).
-    pub fn departures(&self) -> u64 {
-        self.departures
-    }
-
     /// The stepping work this session has done so far.
     pub fn work(&self) -> SessionWork {
         self.sinks.work
     }
 
     // ---- cluster-internal surface (crate-private) --------------------
-
-    /// When the next client departs (its open — or next-to-open — window
-    /// closes), or `SimTime::MAX` if none ever will. A linear scan; the
-    /// cluster caches the answer per `lifecycle_epoch` so idle devices are
-    /// never re-scanned.
-    pub(crate) fn next_departure(&mut self) -> SimTime {
-        self.sinks.work.departure_scans += 1;
-        let mut t = SimTime::MAX;
-        for c in &self.clients {
-            if c.retired() {
-                continue;
-            }
-            if let Some(until) = c.window().and_then(|w| w.until) {
-                t = t.min(until);
-            }
-        }
-        t
-    }
-
-    pub(crate) fn lifecycle_epoch(&self) -> u64 {
-        self.lifecycle_epoch
-    }
 
     /// Currently attached. A client sitting in the gap between two
     /// scheduled windows (detached-by-schedule) reports inactive, which
@@ -1613,7 +1573,6 @@ impl<'s> Session<'s> {
         tombstone.window_idx = tombstone.spec.windows.len();
         tombstone.migrated_away = true;
         let mut client = std::mem::replace(&mut self.clients[i], tombstone);
-        self.lifecycle_epoch += 1;
         self.migrations_out += 1;
         // The kernel that was in flight (if any) was preempted with the
         // detach; the client re-issues it on the destination device.
@@ -1667,7 +1626,6 @@ impl<'s> Session<'s> {
         client.record_timelines = self.record_timelines;
         client.observe = self.sinks.active();
         self.clients.push(client);
-        self.lifecycle_epoch += 1;
         self.migrations_in += 1;
         id
     }
@@ -1684,7 +1642,6 @@ impl<'s> Session<'s> {
         client.observe = self.sinks.active();
         client.stub = self.transport.map(ClientStub::new);
         self.clients.push(client);
-        self.lifecycle_epoch += 1;
         id
     }
 }

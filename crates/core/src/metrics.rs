@@ -347,10 +347,10 @@ pub struct HostStats {
     pub events: u64,
     /// Engine→system notifications delivered, fleet-wide (deterministic).
     pub notifications: u64,
-    /// Linear next-departure scans performed, fleet-wide (deterministic).
-    /// The cluster caches each device's next departure and re-scans only
-    /// when the device's client lifecycle changed, so this stays near
-    /// O(devices + lifecycle edges) instead of O(barriers × devices).
+    /// Always 0. The cluster reads its departures from the clients'
+    /// window schedules, sorted once before the run, and no longer scans
+    /// sessions for them. The field stays only because the simulator
+    /// benchmark reads it; the benchmark change in ROADMAP item 4 drops it.
     pub departure_scans: u64,
 }
 

@@ -504,19 +504,33 @@ impl ArrivalTrace {
         duration: SimSpan,
     ) -> Vec<(SimTime, SessionEvent)> {
         let clients = self.compile().unwrap_or_else(|e| panic!("{e}"));
-        // Resolve each key once, then mirror the event stream.
-        let resolved: std::collections::BTreeMap<&str, JobSpec> = clients
+        // Resolve each key once, with its count of arrivals still to come
+        // (one per window), then mirror the event stream: every arrival but
+        // a key's last gets a clone, and the last takes the job itself.
+        let mut resolved: std::collections::BTreeMap<&str, (usize, JobSpec)> = clients
             .iter()
-            .map(|c| (c.key, c.job.resolve(spec, &c.windows, duration)))
+            .map(|c| {
+                let job = c.job.resolve(spec, &c.windows, duration);
+                (c.key, (c.windows.len(), job))
+            })
             .collect();
         self.events
             .iter()
             .map(|e| {
                 let ev = match &e.event {
-                    ClientEvent::Arrive { key, .. } => SessionEvent::Arrive {
-                        key: key.clone(),
-                        job: resolved[key.as_str()].clone(),
-                    },
+                    ClientEvent::Arrive { key, .. } => {
+                        let (left, job) = resolved.get_mut(key.as_str()).expect("compiled key");
+                        *left -= 1;
+                        let job = if *left == 0 {
+                            resolved.remove(key.as_str()).expect("compiled key").1
+                        } else {
+                            job.clone()
+                        };
+                        SessionEvent::Arrive {
+                            key: key.clone(),
+                            job,
+                        }
+                    }
                     ClientEvent::Depart { key } => SessionEvent::Depart { key: key.clone() },
                 };
                 (e.at, ev)
@@ -1043,5 +1057,27 @@ mod tests {
         assert!(!arrivals.is_empty());
         assert!(arrivals.windows(2).all(|w| w[0] <= w[1]));
         assert!(arrivals.iter().all(|&a| a < SimTime::from_secs(2)));
+    }
+
+    #[test]
+    fn session_events_hand_every_arrival_its_keys_job() {
+        let spec = GpuSpec::a100();
+        let duration = SimSpan::from_secs(30);
+        let t = ArrivalTrace::generate(&TraceGen::churn(duration, 1.5, 11));
+        let events = t.session_events(&spec, duration);
+        let mut first: std::collections::BTreeMap<&str, String> = Default::default();
+        let mut arrivals = 0;
+        for (_, ev) in &events {
+            if let SessionEvent::Arrive { key, job } = ev {
+                arrivals += 1;
+                let job = format!("{job:?}");
+                assert_eq!(
+                    *first.entry(key).or_insert_with(|| job.clone()),
+                    job,
+                    "{key}"
+                );
+            }
+        }
+        assert!(arrivals > first.len(), "the trace must have re-arrivals");
     }
 }

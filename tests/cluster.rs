@@ -718,3 +718,92 @@ fn barriers_fall_exactly_on_departures_ticks_and_injections() {
     let rebalances = log.lock().expect("rebalance log").0.clone();
     assert_eq!(rebalances, passes.into_iter().collect::<Vec<_>>());
 }
+
+/// With departures as the only trigger, the fleet runs one migration pass
+/// per distinct window-close instant before the end, wherever the client
+/// departs from: an up-front client with several windows, a best-effort
+/// client that migrates and then departs from its new device, and a trace
+/// client that re-arrives, for any thread count.
+#[test]
+fn one_migration_pass_per_window_close_from_any_device() {
+    let spec = GpuSpec::a100();
+    let ms = SimTime::from_millis;
+    let duration = SimSpan::from_secs(1);
+    let end = SimTime::ZERO + duration;
+    let trainer = |key: &str| TrainModel::PointNet.job(&spec).with_client_key(key);
+    let late = trainer("late");
+    let run = |threads: usize| {
+        let log = std::sync::Arc::new(std::sync::Mutex::new(RebalanceLog::default()));
+        // Round-robin: windowed and mover share device 0, leaver has
+        // device 1 and the late trace client joins it at 500 ms.
+        let report = Cluster::new()
+            .devices(3, spec.clone())
+            .client(
+                trainer("windowed")
+                    .with_priority(Priority::High)
+                    .active_until(ms(250))
+                    .also_active(ms(400), Some(ms(900))),
+            )
+            .client(trainer("leaver").active_until(ms(450)))
+            .client(trainer("anchor").with_priority(Priority::High))
+            .client(trainer("mover").active_until(ms(800)))
+            .trace([
+                (
+                    ms(500),
+                    SessionEvent::Arrive {
+                        key: "late".into(),
+                        job: late.clone(),
+                    },
+                ),
+                (ms(600), SessionEvent::Depart { key: "late".into() }),
+                (
+                    ms(650),
+                    SessionEvent::Arrive {
+                        key: "late".into(),
+                        job: late.clone(),
+                    },
+                ),
+                (ms(800), SessionEvent::Depart { key: "late".into() }),
+            ])
+            .expect("valid trace")
+            .policy(RoundRobin::default())
+            .migrate_on_detach(true)
+            .sync_observer(log.clone())
+            .threads(threads)
+            .config(HarnessConfig {
+                duration,
+                warmup: SimSpan::ZERO,
+                ..Default::default()
+            })
+            .run();
+        let passes = log.lock().expect("rebalance log").0.clone();
+        (report, passes)
+    };
+
+    let (report, passes) = run(1);
+    // When leaver departs, device 0 holds two trainers and device 1 none,
+    // so mover migrates; it departs at 800 ms from device 1.
+    let mover = report.client("mover").expect("mover reported");
+    assert_eq!(
+        (mover.initial_device, mover.device, mover.migrations),
+        (0, 1, 1)
+    );
+    assert_eq!(
+        report
+            .client("late")
+            .expect("late reported")
+            .report
+            .attachments,
+        2
+    );
+    let closes: std::collections::BTreeSet<SimTime> = [250, 900, 450, 600, 800, 800]
+        .into_iter()
+        .map(ms)
+        .filter(|&t| t < end)
+        .collect();
+    assert_eq!(passes, closes.into_iter().collect::<Vec<_>>());
+
+    let (threaded, threaded_passes) = run(3);
+    assert_eq!(format!("{report:?}"), format!("{threaded:?}"));
+    assert_eq!(passes, threaded_passes);
+}
