@@ -9,17 +9,16 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use tally_core::system::{Ctx, SharingSystem};
-use tally_gpu::{ClientId, KernelDesc, LaunchId, LaunchRequest, Notification, Priority};
+use tally_core::system::{Ctx, Launches, SharingSystem};
+use tally_gpu::{ClientId, KernelDesc, LaunchRequest, Notification, Priority};
 
 /// Priority-aware, kernel-level scheduling without transformations.
 #[derive(Debug, Default)]
 pub struct KernelLevelPriority {
-    // Ordered maps keep multi-client launch order deterministic.
-    hp_inflight: BTreeMap<LaunchId, ClientId>,
-    hp_active: u32,
+    hp: Launches,
+    // Ordered so best-effort launch order is deterministic.
     be_pending: BTreeMap<ClientId, Arc<KernelDesc>>,
-    be_inflight: BTreeMap<LaunchId, ClientId>,
+    be: Launches,
 }
 
 impl KernelLevelPriority {
@@ -36,58 +35,35 @@ impl SharingSystem for KernelLevelPriority {
 
     fn on_kernel_ready(&mut self, ctx: &mut Ctx<'_>, client: ClientId, kernel: Arc<KernelDesc>) {
         if ctx.priority(client).is_high() {
-            let id = ctx
-                .engine
-                .submit(LaunchRequest::full(kernel, client, Priority::High));
-            self.hp_inflight.insert(id, client);
-            self.hp_active += 1;
+            self.hp
+                .submit(ctx, LaunchRequest::full(kernel, client, Priority::High));
         } else {
             self.be_pending.insert(client, kernel);
         }
     }
 
     fn on_notification(&mut self, ctx: &mut Ctx<'_>, note: &Notification) {
-        if let Notification::Completed { id, client, .. } = *note {
-            if self.hp_inflight.remove(&id).is_some() {
-                self.hp_active -= 1;
-                ctx.complete_kernel(client);
-            } else if self.be_inflight.remove(&id).is_some() {
-                ctx.complete_kernel(client);
-            }
+        if !self.hp.complete(ctx, note) {
+            self.be.complete(ctx, note);
         }
     }
 
     fn poll(&mut self, ctx: &mut Ctx<'_>) {
-        if self.hp_active > 0 {
+        if !self.hp.is_empty() {
             return;
         }
         for (client, kernel) in std::mem::take(&mut self.be_pending) {
-            let id = ctx
-                .engine
-                .submit(LaunchRequest::full(kernel, client, Priority::BestEffort));
-            self.be_inflight.insert(id, client);
+            self.be.submit(
+                ctx,
+                LaunchRequest::full(kernel, client, Priority::BestEffort),
+            );
         }
     }
 
     fn on_client_detach(&mut self, ctx: &mut Ctx<'_>, client: ClientId) {
         self.be_pending.remove(&client);
-        self.hp_inflight.retain(|&id, &mut c| {
-            if c == client {
-                self.hp_active -= 1;
-                ctx.engine.preempt(id);
-                false
-            } else {
-                true
-            }
-        });
-        self.be_inflight.retain(|&id, &mut c| {
-            if c == client {
-                ctx.engine.preempt(id);
-                false
-            } else {
-                true
-            }
-        });
+        self.hp.preempt(ctx, client);
+        self.be.preempt(ctx, client);
     }
 }
 

@@ -13,11 +13,10 @@
 //! completion and bandwidth is still shared, which is why the paper still
 //! measures ~195% average p99 inflation.
 
-use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use tally_core::system::{Ctx, SharingSystem};
-use tally_gpu::{ClientId, KernelDesc, LaunchId, LaunchRequest, Notification, Priority};
+use tally_core::system::{Ctx, Launches, SharingSystem};
+use tally_gpu::{ClientId, KernelDesc, LaunchRequest, Notification, Priority};
 
 /// Plain MPS: eager, priority-agnostic spatial sharing. With
 /// [`Mps::no_scheduling`] naming, it doubles as the *No-Scheduling*
@@ -26,37 +25,32 @@ use tally_gpu::{ClientId, KernelDesc, LaunchId, LaunchRequest, Notification, Pri
 pub struct Mps {
     name: &'static str,
     priority_aware: bool,
-    // Ordered so detach-time preemption order is deterministic.
-    inflight: BTreeMap<LaunchId, ClientId>,
+    launches: Launches,
 }
 
 impl Mps {
+    fn named(name: &'static str, priority_aware: bool) -> Self {
+        Mps {
+            name,
+            priority_aware,
+            launches: Launches::default(),
+        }
+    }
+
     /// Plain MPS (all clients equal).
     pub fn new() -> Self {
-        Mps {
-            name: "mps",
-            priority_aware: false,
-            inflight: BTreeMap::new(),
-        }
+        Self::named("mps", false)
     }
 
     /// MPS with the client-priority feature enabled.
     pub fn with_priority() -> Self {
-        Mps {
-            name: "mps-priority",
-            priority_aware: true,
-            inflight: BTreeMap::new(),
-        }
+        Self::named("mps-priority", true)
     }
 
     /// The same eager dispatch policy, reported as the paper's
     /// "No-scheduling" ablation (Figure 7b).
     pub fn no_scheduling() -> Self {
-        Mps {
-            name: "no-scheduling",
-            priority_aware: false,
-            inflight: BTreeMap::new(),
-        }
+        Self::named("no-scheduling", false)
     }
 }
 
@@ -77,33 +71,18 @@ impl SharingSystem for Mps {
         } else {
             Priority::High // one class: pure submission-order dispatch
         };
-        let id = ctx
-            .engine
-            .submit(LaunchRequest::full(kernel, client, priority));
-        self.inflight.insert(id, client);
+        self.launches
+            .submit(ctx, LaunchRequest::full(kernel, client, priority));
     }
 
     fn on_notification(&mut self, ctx: &mut Ctx<'_>, note: &Notification) {
-        if let Notification::Completed { id, client, .. } = *note {
-            if self.inflight.remove(&id).is_some() {
-                ctx.complete_kernel(client);
-            }
-        }
+        self.launches.complete(ctx, note);
     }
-
-    fn poll(&mut self, _ctx: &mut Ctx<'_>) {}
 
     fn on_client_detach(&mut self, ctx: &mut Ctx<'_>, client: ClientId) {
         // A departing MPS client's context is destroyed: preempt whatever
-        // it still has resident and forget the bookkeeping.
-        self.inflight.retain(|&id, &mut c| {
-            if c == client {
-                ctx.engine.preempt(id);
-                false
-            } else {
-                true
-            }
-        });
+        // it still has resident.
+        self.launches.preempt(ctx, client);
     }
 }
 

@@ -16,10 +16,8 @@
 use std::collections::VecDeque;
 use std::sync::Arc;
 
-use tally_core::system::{Ctx, SharingSystem};
-use tally_gpu::{
-    ClientId, KernelDesc, LaunchId, LaunchRequest, Notification, Priority, SimSpan, SimTime,
-};
+use tally_core::system::{Ctx, Launches, SharingSystem};
+use tally_gpu::{ClientId, KernelDesc, LaunchRequest, Notification, Priority, SimSpan, SimTime};
 
 // The AIMD constants below model the rate controller of the TGS paper
 // (NSDI'23); this reproduction runs every experiment with these values.
@@ -50,9 +48,10 @@ pub struct Tgs {
     hp_busy_in_tick: SimSpan,
     hp_busy_since: Option<SimTime>,
     hp_queue: VecDeque<(ClientId, Arc<KernelDesc>)>,
-    hp_inflight: Option<(LaunchId, ClientId)>,
+    /// At most one launch is on the GPU, in `hp` or in `be`.
+    hp: Launches,
     be_pending: VecDeque<(ClientId, Arc<KernelDesc>)>,
-    be_inflight: Option<(LaunchId, ClientId)>,
+    be: Launches,
     /// Earliest instant the duty cycle allows the next BE launch.
     be_gate: SimTime,
 }
@@ -66,9 +65,9 @@ impl Tgs {
             hp_busy_in_tick: SimSpan::ZERO,
             hp_busy_since: None,
             hp_queue: VecDeque::new(),
-            hp_inflight: None,
+            hp: Launches::default(),
             be_pending: VecDeque::new(),
-            be_inflight: None,
+            be: Launches::default(),
             be_gate: SimTime::ZERO,
         }
     }
@@ -79,7 +78,7 @@ impl Tgs {
     }
 
     fn hp_has_work(&self) -> bool {
-        self.hp_inflight.is_some() || !self.hp_queue.is_empty()
+        !self.hp.is_empty() || !self.hp_queue.is_empty()
     }
 
     fn update_busy(&mut self, now: SimTime) {
@@ -116,14 +115,8 @@ impl SharingSystem for Tgs {
     }
 
     fn on_notification(&mut self, ctx: &mut Ctx<'_>, note: &Notification) {
-        if let Notification::Completed { id, client, .. } = *note {
-            if self.hp_inflight.is_some_and(|(l, _)| l == id) {
-                self.hp_inflight = None;
-                ctx.complete_kernel(client);
-            } else if self.be_inflight.is_some_and(|(l, _)| l == id) {
-                self.be_inflight = None;
-                ctx.complete_kernel(client);
-            }
+        if !self.hp.complete(ctx, note) {
+            self.be.complete(ctx, note);
         }
         self.update_busy(ctx.now());
     }
@@ -145,13 +138,11 @@ impl SharingSystem for Tgs {
         // Kernel-level context exclusivity: high-priority kernels launch
         // only while no best-effort kernel owns the GPU (and vice versa) —
         // an in-flight kernel is never interrupted.
-        if self.be_inflight.is_none() {
-            if self.hp_inflight.is_none() {
+        if self.be.is_empty() {
+            if self.hp.is_empty() {
                 if let Some((client, kernel)) = self.hp_queue.pop_front() {
-                    let id = ctx
-                        .engine
-                        .submit(LaunchRequest::full(kernel, client, Priority::High));
-                    self.hp_inflight = Some((id, client));
+                    self.hp
+                        .submit(ctx, LaunchRequest::full(kernel, client, Priority::High));
                     return;
                 }
             } else {
@@ -162,12 +153,10 @@ impl SharingSystem for Tgs {
             if now >= self.be_gate {
                 if let Some((client, kernel)) = self.be_pending.pop_front() {
                     let est = kernel.solo_latency(ctx.engine.spec());
-                    let id = ctx.engine.submit(LaunchRequest::full(
-                        kernel,
-                        client,
-                        Priority::BestEffort,
-                    ));
-                    self.be_inflight = Some((id, client));
+                    self.be.submit(
+                        ctx,
+                        LaunchRequest::full(kernel, client, Priority::BestEffort),
+                    );
                     let cooldown = est.mul_f64((1.0 - self.share).max(0.0) / self.share.max(0.01));
                     self.be_gate = now + est + cooldown;
                 }
@@ -177,7 +166,7 @@ impl SharingSystem for Tgs {
 
     fn next_timer(&self) -> Option<SimTime> {
         let mut t = self.next_tick;
-        if self.be_inflight.is_none() && !self.be_pending.is_empty() && !self.hp_has_work() {
+        if self.be.is_empty() && !self.be_pending.is_empty() && !self.hp_has_work() {
             t = t.min(self.be_gate);
         }
         Some(t)
@@ -186,14 +175,8 @@ impl SharingSystem for Tgs {
     fn on_client_detach(&mut self, ctx: &mut Ctx<'_>, client: ClientId) {
         self.hp_queue.retain(|&(c, _)| c != client);
         self.be_pending.retain(|&(c, _)| c != client);
-        if self.hp_inflight.is_some_and(|(_, c)| c == client) {
-            let (id, _) = self.hp_inflight.take().expect("checked above");
-            ctx.engine.preempt(id);
-        }
-        if self.be_inflight.is_some_and(|(_, c)| c == client) {
-            let (id, _) = self.be_inflight.take().expect("checked above");
-            ctx.engine.preempt(id);
-        }
+        self.hp.preempt(ctx, client);
+        self.be.preempt(ctx, client);
         // The saturation detector must stop counting the departed client.
         self.update_busy(ctx.now());
     }

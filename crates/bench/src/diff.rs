@@ -6,10 +6,11 @@
 //! is a regression depends on the metric's direction, inferred from its
 //! name ([`metric_direction`]): throughput-like metrics regress when they
 //! *drop*, latency-like metrics when they *rise*, both beyond a relative
-//! threshold (default 10%). Metrics with no recognizable direction are
-//! reported but never gate. A measurement present in the old document but
-//! missing from the new one is always a regression — a silently truncated
-//! trajectory must not read as "no change".
+//! threshold (default 10%). A `work_` count is exact, so any rise of one
+//! regresses. Metrics with no recognizable direction are reported but
+//! never gate. A measurement present in the old document but missing from
+//! the new one is always a regression — a silently truncated trajectory
+//! must not read as "no change".
 //!
 //! Used by `bench_suite --diff OLD_DIR NEW_DIR [--threshold 0.1]`, which
 //! exits non-zero when anything regressed — the comparison half of the CI
@@ -422,9 +423,11 @@ pub fn diff_docs(file: &str, old: &BenchDoc, new: &BenchDoc, threshold: f64) -> 
                 Direction::Informational => false,
                 Direction::HigherIsBetter => rel.is_some_and(|r| r < -threshold),
                 // A perfect old value of exactly 0 (e.g. zero overhead)
-                // has no relative scale: any rise off it regresses.
+                // has no relative scale, and a `work_` count is exact:
+                // any rise off either regresses.
                 Direction::LowerIsBetter => {
-                    rel.is_some_and(|r| r > threshold) || (o == 0.0 && n > 0.0)
+                    rel.is_some_and(|r| r > threshold)
+                        || ((o == 0.0 || row.metric.starts_with("work_")) && n > o)
                 }
             },
         };
@@ -536,7 +539,7 @@ pub fn print_report(deltas: &[Delta], threshold: f64) -> bool {
         );
     }
     println!(
-        "\n{} measurement(s), {} regression(s) beyond {:.0}%",
+        "\n{} measurement(s), {} regression(s) beyond {:.0}% (any rise of a work_ count)",
         deltas.len(),
         regressions,
         threshold * 100.0
@@ -764,6 +767,25 @@ mod tests {
             .any(|d| d.regressed));
         // Staying at zero is fine.
         assert!(diff_docs("f", &old, &old, DEFAULT_THRESHOLD)
+            .iter()
+            .all(|d| !d.regressed));
+    }
+
+    #[test]
+    fn any_rise_of_a_work_count_regresses() {
+        let old = doc(&[("work_fleet_barriers", 25.0, &[])]);
+        let worse = doc(&[("work_fleet_barriers", 26.0, &[])]); // +4%
+        assert!(diff_docs("f", &old, &worse, DEFAULT_THRESHOLD)
+            .iter()
+            .any(|d| d.regressed));
+        let better = doc(&[("work_fleet_barriers", 24.0, &[])]);
+        assert!(diff_docs("f", &old, &better, DEFAULT_THRESHOLD)
+            .iter()
+            .all(|d| !d.regressed));
+        // Other lower-is-better rows keep the relative threshold.
+        let old = doc(&[("p99_ms", 25.0, &[])]);
+        let new = doc(&[("p99_ms", 26.0, &[])]);
+        assert!(diff_docs("f", &old, &new, DEFAULT_THRESHOLD)
             .iter()
             .all(|d| !d.regressed));
     }

@@ -805,16 +805,13 @@ impl Cluster {
                 if let Some(t) = transport {
                     colo = colo.transport(t);
                 }
-                let mut session = colo.into_session();
-                session.set_device_index(d);
-                session.set_monitor(LoadMonitor::new(monitor_window));
                 for obs in &sync_observers {
-                    session.add_sync_observer(obs.clone());
+                    colo = colo.sync_observer(obs.clone());
                 }
                 if let Some(factory) = &admission_factory {
-                    session.set_admission(factory(d));
+                    colo = colo.admission(factory(d));
                 }
-                session
+                colo.into_device_session(d, Some(LoadMonitor::new(monitor_window)))
             })
             .collect();
 

@@ -249,8 +249,7 @@ pub enum Observation {
 /// A sink for the typed, timestamped event stream of a live run.
 ///
 /// Register a [`SharedSyncObserver`] handle with
-/// [`Colocation::sync_observer`](crate::harness::Colocation::sync_observer),
-/// [`Session::add_sync_observer`](crate::harness::Session::add_sync_observer),
+/// [`Colocation::sync_observer`](crate::harness::Colocation::sync_observer)
 /// or [`Cluster::sync_observer`](crate::cluster::Cluster::sync_observer).
 /// Events are delivered in timestamp order per device; within one instant
 /// they follow the session's settling order (completions, lifecycle edges,

@@ -886,6 +886,16 @@ impl<'s> Colocation<'s> {
     ///
     /// Panics if the configured warmup is not shorter than the duration.
     pub fn into_session(self) -> Session<'s> {
+        self.into_device_session(0, None)
+    }
+
+    /// [`Colocation::into_session`] for device `device` of a fleet, whose
+    /// observations carry that index and also feed `monitor`.
+    pub(crate) fn into_device_session(
+        self,
+        device: usize,
+        monitor: Option<LoadMonitor>,
+    ) -> Session<'s> {
         let Colocation {
             spec,
             jobs,
@@ -896,14 +906,14 @@ impl<'s> Colocation<'s> {
             admission,
         } = self;
         let system = system.unwrap_or_else(|| SystemSlot::Owned(Box::new(Passthrough::new())));
-        let mut session = Session::new(&spec, jobs, system, &cfg, transport);
-        for obs in sync_observers {
-            session.add_sync_observer(obs);
-        }
-        if let Some(policy) = admission {
-            session.set_admission(policy);
-        }
-        session
+        let sinks = Sinks {
+            device,
+            admission,
+            monitor,
+            observers: sync_observers,
+            ..Sinks::default()
+        };
+        Session::new(&spec, jobs, system, &cfg, transport, sinks)
     }
 }
 
@@ -1094,6 +1104,7 @@ impl<'s> Session<'s> {
         system: SystemSlot<'s>,
         cfg: &HarnessConfig,
         transport: Option<Transport>,
+        sinks: Sinks,
     ) -> Self {
         assert!(
             cfg.warmup < cfg.duration,
@@ -1107,6 +1118,9 @@ impl<'s> Session<'s> {
         let mut clients: Vec<Client> = jobs.into_iter().map(Client::new).collect();
         for c in &mut clients {
             c.record_timelines = cfg.record_timelines;
+            // Clients buffer the request-level detail observations need
+            // once anyone consumes the stream.
+            c.observe = sinks.active();
             c.stub = transport.map(ClientStub::new);
         }
         Session {
@@ -1125,34 +1139,10 @@ impl<'s> Session<'s> {
             in_transit: Vec::new(),
             migrations_in: 0,
             migrations_out: 0,
-            sinks: Sinks::default(),
+            sinks,
             last_sample: None,
             last_busy: None,
         }
-    }
-
-    /// Registers a thread-safe observer (see [`SharedSyncObserver`] and
-    /// [`Colocation::sync_observer`]). External drivers that build
-    /// sessions via [`Colocation::into_session`] can attach observers
-    /// afterwards — the multi-GPU [`Cluster`](crate::cluster::Cluster)
-    /// does exactly this.
-    pub fn add_sync_observer(&mut self, observer: SharedSyncObserver) {
-        self.sinks.observers.push(observer);
-        self.observe_clients();
-    }
-
-    /// Installs the admission policy gating best-effort request intake
-    /// (see [`Colocation::admission`]).
-    pub fn set_admission(&mut self, policy: Box<dyn AdmissionPolicy>) {
-        self.sinks.admission = Some(policy);
-        self.observe_clients();
-    }
-
-    /// Installs the load monitor a cluster reads this device's runtime
-    /// signals from.
-    pub(crate) fn set_monitor(&mut self, monitor: LoadMonitor) {
-        self.sinks.monitor = Some(monitor);
-        self.observe_clients();
     }
 
     /// The installed load monitor, if any.
@@ -1166,20 +1156,6 @@ impl<'s> Session<'s> {
     /// cluster.
     pub(crate) fn observe_migration(&mut self, at: SimTime, event: &Observation) {
         self.sinks.consume(at, event);
-    }
-
-    // Clients buffer the request-level detail observations need once
-    // anyone consumes the stream.
-    fn observe_clients(&mut self) {
-        for c in &mut self.clients {
-            c.observe = true;
-        }
-    }
-
-    /// Sets the device index stamped on every observation this session
-    /// delivers (0 by default; a cluster assigns its per-GPU indices).
-    pub fn set_device_index(&mut self, device: usize) {
-        self.sinks.device = device;
     }
 
     /// Current simulated time of this session's engine.

@@ -25,7 +25,7 @@ use tally_gpu::{
 };
 
 use crate::profiler::{candidate_configs, LaunchCfg, ProfilerStats, TransparentProfiler};
-use crate::system::{Ctx, SharingSystem};
+use crate::system::{Ctx, Launches, SharingSystem};
 use crate::transform::{KernelTransformer, TransformPlan, TransformStats, PTB_OVERHEAD_PPM};
 
 /// Tally's configuration.
@@ -94,10 +94,10 @@ pub struct TallySystem {
     cfg: TallyConfig,
     transformer: KernelTransformer,
     profiler: TransparentProfiler,
-    /// High-priority clients with a kernel currently in the system, and the
-    /// launch id once submitted. Ordered maps keep launch order — and so
-    /// the whole simulation — deterministic across runs.
-    hp_inflight: BTreeMap<LaunchId, ClientId>,
+    /// The high-priority kernels on the GPU, one whole launch each.
+    hp: Launches,
+    /// Best-effort tasks by client. The ordered map keeps launch order —
+    /// and so the whole simulation — deterministic across runs.
     be: BTreeMap<ClientId, BeTask>,
     preemptions_issued: u64,
 }
@@ -109,7 +109,7 @@ impl TallySystem {
             cfg,
             transformer: KernelTransformer::new(),
             profiler: TransparentProfiler::new(),
-            hp_inflight: BTreeMap::new(),
+            hp: Launches::default(),
             be: BTreeMap::new(),
             preemptions_issued: 0,
         }
@@ -233,10 +233,8 @@ impl SharingSystem for TallySystem {
             // Figure 4, lines 14–20: preempt best-effort work and dispatch
             // the high-priority kernel at once, untransformed.
             self.preempt_best_effort(ctx);
-            let id = ctx
-                .engine
-                .submit(LaunchRequest::full(kernel, client, Priority::High));
-            self.hp_inflight.insert(id, client);
+            self.hp
+                .submit(ctx, LaunchRequest::full(kernel, client, Priority::High));
         } else {
             let plan = self.transformer.plan(&kernel);
             let total = plan.kernel().grid.count();
@@ -255,13 +253,11 @@ impl SharingSystem for TallySystem {
     }
 
     fn on_notification(&mut self, ctx: &mut Ctx<'_>, note: &Notification) {
+        if self.hp.complete(ctx, note) {
+            return;
+        }
         match *note {
             Notification::Completed { id, client, at } => {
-                if let Some(c) = self.hp_inflight.remove(&id) {
-                    debug_assert_eq!(c, client);
-                    ctx.complete_kernel(client);
-                    return;
-                }
                 let Some(task) = self.be.get_mut(&client) else {
                     return;
                 };
@@ -332,7 +328,7 @@ impl SharingSystem for TallySystem {
     fn poll(&mut self, ctx: &mut Ctx<'_>) {
         // Figure 4, lines 21–33: best-effort work runs only while the
         // high-priority side is inactive.
-        if !self.hp_inflight.is_empty() {
+        if !self.hp.is_empty() {
             return;
         }
         let bound = self.cfg.turnaround_bound;
@@ -349,15 +345,8 @@ impl SharingSystem for TallySystem {
                 ctx.engine.preempt(run.id);
             }
         }
-        // …and any in-flight high-priority kernels it still had.
-        self.hp_inflight.retain(|&id, &mut c| {
-            if c == client {
-                ctx.engine.preempt(id);
-                false
-            } else {
-                true
-            }
-        });
+        // …and any in-flight high-priority kernel it still had.
+        self.hp.preempt(ctx, client);
     }
 }
 

@@ -14,7 +14,9 @@
 
 use std::sync::Arc;
 
-use tally_gpu::{ClientId, Engine, KernelDesc, Notification, Priority, SimTime};
+use tally_gpu::{
+    ClientId, Engine, KernelDesc, LaunchId, LaunchRequest, Notification, Priority, SimTime,
+};
 
 /// Static facts about one client, available to systems through [`Ctx`].
 #[derive(Clone, Debug)]
@@ -130,8 +132,8 @@ pub trait SharingSystem: Send {
 
     /// Make scheduling decisions (called after deliveries, client advances
     /// and timer fires). Must be a no-op when nothing reached the system
-    /// since its previous poll at the same instant.
-    fn poll(&mut self, ctx: &mut Ctx<'_>);
+    /// since its previous poll at the same instant. Default: no-op.
+    fn poll(&mut self, _ctx: &mut Ctx<'_>) {}
 
     /// The next instant the system wants `poll` to run even with no other
     /// activity (rate controllers, time-slicing quanta). `None` = no timer.
@@ -155,22 +157,80 @@ pub trait SharingSystem: Send {
     /// scheduling rotation. No [`SharingSystem::on_kernel_ready`] will
     /// arrive for this client while it is detached, and completion signals
     /// for it are discarded by the harness — but a scheduled re-attach may
-    /// bring it back later (see [`SharingSystem::on_client_attach`]).
-    /// Default: no-op.
+    /// bring it back later (see [`SharingSystem::on_client_attach`]). A
+    /// system that books its whole-kernel launches in a [`Launches`] ledger
+    /// reclaims them with [`Launches::preempt`]. Default: no-op.
     fn on_client_detach(&mut self, _ctx: &mut Ctx<'_>, _client: ClientId) {}
+}
+
+/// The launches a system has put on the GPU, one per client's logical
+/// kernel, that have not completed yet.
+///
+/// Systems that submit every logical kernel as one whole launch share this
+/// ledger: it books each launch against its client, turns the launch's
+/// [`Notification::Completed`] into [`Ctx::complete_kernel`], and
+/// preempts a departing client's launches. Since a client has at most one
+/// logical kernel outstanding, it has at most one booked launch per
+/// ledger.
+#[derive(Debug, Default)]
+pub struct Launches {
+    booked: Vec<(LaunchId, ClientId)>,
+}
+
+impl Launches {
+    /// Submits `req` to the engine and books the launch for its client.
+    pub fn submit(&mut self, ctx: &mut Ctx<'_>, req: LaunchRequest) -> LaunchId {
+        let client = req.client;
+        let id = ctx.engine.submit(req);
+        self.booked.push((id, client));
+        id
+    }
+
+    /// When `note` is the completion of a booked launch, signals its
+    /// client's kernel complete, forgets the launch and returns `true`.
+    /// Any other notification is left alone.
+    pub fn complete(&mut self, ctx: &mut Ctx<'_>, note: &Notification) -> bool {
+        let Notification::Completed { id, .. } = *note else {
+            return false;
+        };
+        let Some(pos) = self.booked.iter().position(|&(l, _)| l == id) else {
+            return false;
+        };
+        let (_, client) = self.booked.swap_remove(pos);
+        ctx.complete_kernel(client);
+        true
+    }
+
+    /// Preempts and forgets `client`'s booked launches (the
+    /// [`SharingSystem::on_client_detach`] duty).
+    pub fn preempt(&mut self, ctx: &mut Ctx<'_>, client: ClientId) {
+        self.booked.retain(|&(id, c)| {
+            if c == client {
+                ctx.engine.preempt(id);
+            }
+            c != client
+        });
+    }
+
+    /// Whether no launch is booked.
+    pub fn is_empty(&self) -> bool {
+        self.booked.is_empty()
+    }
 }
 
 /// The trivial system: forwards every kernel to the GPU immediately at its
 /// client's priority and reports completion when the engine does.
 ///
-/// Used for solo ("Ideal") runs and as the *No-Scheduling* ablation of the
-/// paper's performance decomposition (Figure 7b) when several clients run
-/// concurrently. API forwarding cost is not modeled here: it belongs to
-/// the session's interception layer
+/// Used for solo ("Ideal") runs and for fleets that exercise the cluster
+/// rather than a sharing policy. It is not the paper's *No-Scheduling*
+/// ablation (Figure 7b): the benches run `tally_baselines::Mps::no_scheduling`
+/// for that, which dispatches every kernel at one priority, while
+/// `Passthrough` keeps each client's. API forwarding cost is not modeled
+/// here: it belongs to the session's interception layer
 /// ([`Colocation::transport`](crate::harness::Colocation::transport)).
 #[derive(Debug, Default)]
 pub struct Passthrough {
-    in_flight: Vec<(tally_gpu::LaunchId, ClientId)>,
+    launches: Launches,
 }
 
 impl Passthrough {
@@ -187,44 +247,26 @@ impl SharingSystem for Passthrough {
 
     fn on_kernel_ready(&mut self, ctx: &mut Ctx<'_>, client: ClientId, kernel: Arc<KernelDesc>) {
         let priority = ctx.priority(client);
-        let id = ctx
-            .engine
-            .submit(tally_gpu::LaunchRequest::full(kernel, client, priority));
-        self.in_flight.push((id, client));
+        self.launches
+            .submit(ctx, LaunchRequest::full(kernel, client, priority));
     }
 
     fn on_notification(&mut self, ctx: &mut Ctx<'_>, note: &Notification) {
-        if let Notification::Completed { id, client, .. } = *note {
-            if let Some(pos) = self.in_flight.iter().position(|&(l, _)| l == id) {
-                self.in_flight.swap_remove(pos);
-                ctx.complete_kernel(client);
-            }
-        }
+        self.launches.complete(ctx, note);
     }
 
-    fn poll(&mut self, _ctx: &mut Ctx<'_>) {}
-
     fn on_client_detach(&mut self, ctx: &mut Ctx<'_>, client: ClientId) {
-        self.in_flight.retain(|&(id, c)| {
-            if c == client {
-                ctx.engine.preempt(id);
-                false
-            } else {
-                true
-            }
-        });
+        self.launches.preempt(ctx, client);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tally_gpu::GpuSpec;
+    use tally_gpu::{GpuSpec, SimSpan, Step};
 
-    #[test]
-    fn ctx_collects_completions() {
-        let mut engine = Engine::new(GpuSpec::tiny());
-        let clients = vec![
+    fn metas() -> Vec<ClientMeta> {
+        vec![
             ClientMeta {
                 name: "a".into(),
                 priority: Priority::High,
@@ -235,7 +277,13 @@ mod tests {
                 priority: Priority::BestEffort,
                 client_key: Some("tenant-b".into()),
             },
-        ];
+        ]
+    }
+
+    #[test]
+    fn ctx_collects_completions() {
+        let mut engine = Engine::new(GpuSpec::tiny());
+        let clients = metas();
         let mut completions = vec![ClientId(1)];
         let mut ctx = Ctx::new(&mut engine, &clients, &mut completions);
         assert_eq!(ctx.priority(ClientId(1)), Priority::BestEffort);
@@ -245,5 +293,68 @@ mod tests {
         ctx.complete_kernel(ClientId(1));
         // Signals append after what the list already held.
         assert_eq!(completions, vec![ClientId(1), ClientId(0), ClientId(1)]);
+    }
+
+    fn launch(client: u32) -> LaunchRequest {
+        let kernel = KernelDesc::builder("k")
+            .grid(4)
+            .block(128)
+            .block_cost(SimSpan::from_micros(10))
+            .build_arc();
+        LaunchRequest::full(kernel, ClientId(client), Priority::High)
+    }
+
+    /// Books one launch per client, preempts client 0's, and runs the
+    /// engine dry: returns both launch ids and every notification.
+    fn preempt_client_0(
+        ctx: &mut Ctx<'_>,
+        launches: &mut Launches,
+    ) -> (LaunchId, LaunchId, Vec<Notification>) {
+        let a = launches.submit(ctx, launch(0));
+        let b = launches.submit(ctx, launch(1));
+        launches.preempt(ctx, ClientId(0));
+        assert!(!ctx.engine.is_active(a), "client 0's launch is preempted");
+        assert!(ctx.engine.is_active(b), "client 1's launch still runs");
+        assert!(!launches.is_empty(), "client 1's launch is still booked");
+        let mut notes = Vec::new();
+        while ctx.engine.advance(SimTime::MAX, &mut notes) != Step::Idle {}
+        (a, b, notes)
+    }
+
+    #[test]
+    fn launches_preempt_only_the_departing_clients_launch() {
+        let mut engine = Engine::new(GpuSpec::tiny());
+        let clients = metas();
+        let mut completions = Vec::new();
+        let mut ctx = Ctx::new(&mut engine, &clients, &mut completions);
+        let mut launches = Launches::default();
+        let (a, b, notes) = preempt_client_0(&mut ctx, &mut launches);
+        assert!(matches!(notes[..], [
+            Notification::Preempted { id: pa, .. },
+            Notification::Completed { id: cb, .. },
+        ] if pa == a && cb == b));
+    }
+
+    #[test]
+    fn launches_complete_only_booked_completions_for_their_client() {
+        let mut engine = Engine::new(GpuSpec::tiny());
+        let clients = metas();
+        let mut completions = Vec::new();
+        let mut ctx = Ctx::new(&mut engine, &clients, &mut completions);
+        let mut launches = Launches::default();
+        let (a, _, notes) = preempt_client_0(&mut ctx, &mut launches);
+        // A preemption never completes a kernel, and neither does the
+        // completion of a launch the ledger has forgotten.
+        assert!(!launches.complete(&mut ctx, &notes[0]));
+        let unbooked = Notification::Completed {
+            id: a,
+            client: ClientId(0),
+            at: ctx.now(),
+        };
+        assert!(!launches.complete(&mut ctx, &unbooked));
+        assert!(launches.complete(&mut ctx, &notes[1]));
+        assert!(launches.is_empty());
+        assert!(!launches.complete(&mut ctx, &notes[1]), "already forgotten");
+        assert_eq!(completions, vec![ClientId(1)]);
     }
 }
