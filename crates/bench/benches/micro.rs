@@ -393,7 +393,9 @@ impl SessionObserver for EventTape {
 /// events all appear), then time replaying it into a fresh hub. Reported
 /// as an ungated `host_hub_events_per_s` row so observer overhead shows
 /// up in the trajectory; the tape's length is the gated
-/// `work_observations_delivered` row.
+/// `work_observations_delivered` row, and the times the session took the
+/// tape's lock to hand it a batch are the gated `work_observer_batches`
+/// row.
 fn metrics_hub_overhead(sink: &mut JsonSink) {
     banner("MetricsHub ingest (events/sec)");
     let spec = GpuSpec::a100();
@@ -414,10 +416,10 @@ fn metrics_hub_overhead(sink: &mut JsonSink) {
     )
     .with_priority(Priority::BestEffort);
     let tape = std::sync::Arc::new(std::sync::Mutex::new(EventTape::default()));
-    Colocation::on(spec)
+    let mut session = Colocation::on(spec)
         .client(hp)
         .client(be)
-        .system(&mut TallySystem::new(TallyConfig::paper_default()))
+        .system_boxed(Box::new(TallySystem::new(TallyConfig::paper_default())))
         .config(HarnessConfig {
             duration: SimSpan::from_secs(1),
             warmup: SimSpan::from_millis(100),
@@ -431,7 +433,10 @@ fn metrics_hub_overhead(sink: &mut JsonSink) {
                 .qps_range(2.0, 2000.0),
         ))
         .sync_observer(tape.clone())
-        .run();
+        .into_session();
+    session.run_to_end();
+    let batches = session.work().observer_batches;
+    drop(session);
     let tape = std::sync::Arc::try_unwrap(tape)
         .expect("sole owner after run")
         .into_inner()
@@ -442,6 +447,11 @@ fn metrics_hub_overhead(sink: &mut JsonSink) {
     // kept out of the timed case's name so that row survives a change in
     // what the session delivers.
     sink.record("work_observations_delivered", events as f64, &[]);
+    println!(
+        "{:<44} {:>16}",
+        "session: observer batches, 1s hub tape", batches
+    );
+    sink.record("work_observer_batches", batches as f64, &[]);
     let ns_per_replay = bench(
         sink,
         "telemetry: MetricsHub ingest of the 1 s tape",

@@ -622,6 +622,7 @@ mod tests {
             ("work_engine_advances", L),
             ("work_fleet_barriers", L),
             ("work_observations_delivered", L),
+            ("work_observer_batches", L),
             ("work_settle_passes", L),
             ("work_system_polls", L),
             ("work_timer_queries", L),

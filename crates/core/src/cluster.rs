@@ -40,10 +40,11 @@
 //! at a barrier in **fixed device-index order** on the driving thread
 //! (settles, migration passes, observer deliveries), and the per-barrier
 //! wall-clock measurements are kept out of the deterministic report
-//! surface (see [`HostStats`]). With one worker each session delivers its
-//! observations at the end of every settle, which is already device order;
-//! with more, sessions hold them until the barrier and the driving thread
-//! delivers them in device order. Reports and observer streams are therefore
+//! surface (see [`HostStats`]). With one worker each session runs to the
+//! barrier in turn and delivers its observations in batches, the last
+//! before it returns, which is already device order; with more, sessions
+//! hold them until the barrier and the driving thread delivers them in
+//! device order. Reports and observer streams are therefore
 //! byte-identical for any thread count — `threads(1)` reproduces the
 //! historical single-threaded drive exactly, and
 //! `tests/parallel_determinism.rs` asserts it.
@@ -1011,9 +1012,9 @@ fn host_now() -> std::time::Instant {
 /// queue — sessions are independent between barriers, so assignment order
 /// cannot influence results — and hold their observations until every
 /// worker is done, when they are delivered in device order.
-/// `threads == 1` short-circuits to a plain in-order loop that delivers at
-/// the end of every settle (bit-for-bit the historical single-threaded
-/// drive, in the same order).
+/// `threads == 1` short-circuits to a plain in-order loop in which each
+/// session delivers its batches before the next one runs (bit-for-bit the
+/// historical single-threaded drive, in the same order).
 fn advance_fleet(sessions: &mut [Session<'static>], barrier: SimTime, threads: usize) {
     if threads <= 1 {
         for s in sessions.iter_mut() {

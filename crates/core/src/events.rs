@@ -299,12 +299,17 @@ pub trait SessionObserver {
 /// A shared observer handle: the session holds one clone, the caller keeps
 /// another to read the observer's state back after the run.
 ///
-/// Every observer sees one deterministic stream. A session delivers what
-/// it observed at the end of each settle. A
-/// [`Cluster`](crate::cluster::Cluster) advancing on more than one worker
-/// thread instead buffers each device's observations and delivers them at
-/// every barrier in device-index order, so the interleaving across devices
-/// is identical for every thread count.
+/// Every observer sees one deterministic stream. During a run a session
+/// delivers what it observed in bounded batches, taking the lock once per
+/// batch, and always before
+/// [`Session::run_to_end`](crate::harness::Session::run_to_end) or
+/// [`Cluster::run`](crate::cluster::Cluster::run) returns;
+/// [`Session::settle`](crate::harness::Session::settle) delivers before it
+/// returns. So read an observer between runs or settles, not from inside
+/// one. A [`Cluster`](crate::cluster::Cluster) advancing on more than one
+/// worker thread instead buffers each device's observations and delivers
+/// them at every barrier in device-index order, so the interleaving across
+/// devices is identical for every thread count.
 pub type SharedSyncObserver = Arc<Mutex<dyn SessionObserver + Send>>;
 
 /// One client's record in a [`DeviceState`].

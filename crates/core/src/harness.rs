@@ -816,9 +816,10 @@ impl<'s> Colocation<'s> {
     /// Registers an observer for the session's typed event stream (see
     /// [`SessionObserver`](crate::events::SessionObserver)): lifecycle
     /// edges, request completions, kernel dispatch/finish, and engine
-    /// counter samples, delivered at the end of every settle. The handle
-    /// is shared ([`SharedSyncObserver`]) — keep a clone to read the
-    /// observer's state back after [`Colocation::run`]. May be called
+    /// counter samples, delivered in batches during the run and in full
+    /// before [`Colocation::run`] returns. The handle is shared
+    /// ([`SharedSyncObserver`]) — keep a clone to read the observer's
+    /// state back after the run. May be called
     /// several times; observers are notified in registration order.
     pub fn sync_observer(mut self, observer: SharedSyncObserver) -> Self {
         self.sync_observers.push(observer);
@@ -981,7 +982,8 @@ pub struct Session<'s> {
 /// Deterministic counts of the work a [`Session`]'s stepping loop has
 /// done, read through [`Session::work`]. They measure the simulator, not
 /// the simulated system: only a cluster's
-/// [`HostStats`](crate::metrics::HostStats) sums the last two.
+/// [`HostStats`](crate::metrics::HostStats) sums `notifications` and
+/// `delivered`.
 #[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
 pub struct SessionWork {
     /// Fixed-point passes run by [`Session::settle`] (and the cluster's
@@ -993,11 +995,23 @@ pub struct SessionWork {
     pub notifications: u64,
     /// Observations handed to the load monitor or the observers.
     pub delivered: u64,
+    /// Times the session took its observers' locks to hand them a batch
+    /// of queued observations.
+    pub observer_batches: u64,
 }
+
+/// Queued observations at which [`Session::run_until`] delivers a batch
+/// to the observers mid-run: large enough that taking each observer's
+/// lock is rare next to the work of folding the batch, small enough that
+/// the queue stays a few tens of KB however far apart the barriers are.
+const OBSERVER_BATCH: usize = 128;
 
 /// Where a session's observations go. The admission policy and the
 /// cluster's load monitor consume each one as it is emitted; observers
-/// receive them in order from `buf` when the session delivers.
+/// receive them in order from `buf` when the session delivers: once
+/// [`OBSERVER_BATCH`] are queued during a run, and always before
+/// [`Session::settle`] or [`Session::run_until`] returns (an ordered
+/// cluster run waits for the barrier instead).
 #[derive(Default)]
 struct Sinks {
     // The device index stamped on every observation.
@@ -1064,11 +1078,13 @@ impl Sinks {
         }
     }
 
-    /// Delivers the queued observations to every observer, in order.
+    /// Delivers the queued observations to every observer, in order,
+    /// taking each observer's lock once.
     fn deliver(&mut self) {
         if self.buf.is_empty() {
             return;
         }
+        self.work.observer_batches += 1;
         for observer in &self.observers {
             let mut sink = observer.lock().expect("sync observer poisoned");
             for (at, ev) in &self.buf {
@@ -1179,14 +1195,16 @@ impl<'s> Session<'s> {
     /// engine counter sample when time advanced and the busy integral
     /// moved) are delivered to the registered observers before this
     /// returns, after the engine samples the preceding
-    /// [`Session::advance_to`] emitted.
+    /// [`Session::advance_to`] emitted, in one batch. (A session running
+    /// itself, as [`Session::run_to_end`] does, delivers in larger batches
+    /// of the same stream.)
     pub fn settle(&mut self) {
         self.settle_buffered();
         self.sinks.deliver();
     }
 
     /// [`Session::settle`] without the observer delivery: the
-    /// observations stay queued until [`Session::deliver_events`].
+    /// observations stay queued for the next delivery.
     fn settle_buffered(&mut self) {
         let sinks = &mut self.sinks;
         let system = self.system.get_mut();
@@ -1360,8 +1378,8 @@ impl<'s> Session<'s> {
     /// Delivers the queued observations to the observers, in order. A
     /// cluster advancing on several worker threads calls this after every
     /// barrier, in device-index order, so observer streams are identical
-    /// no matter how many threads advanced the sessions. (Otherwise every
-    /// settle delivers and this is a no-op.)
+    /// no matter how many threads advanced the sessions. (Otherwise the
+    /// session delivered before returning and this is a no-op.)
     pub(crate) fn deliver_events(&mut self) {
         self.sinks.deliver();
     }
@@ -1418,7 +1436,7 @@ impl<'s> Session<'s> {
     /// With a listener (an observer, admission policy or load monitor),
     /// the engine records the busy integral at each earlier instant it
     /// ran events at, and this emits the engine counter sample of each.
-    /// Samples emitted here reach the observers with the next settle.
+    /// Samples emitted here reach the observers with the next delivery.
     /// Follow with [`Session::settle`], which samples the instant it
     /// stops at.
     pub fn advance_to(&mut self, limit: SimTime) {
@@ -1447,7 +1465,10 @@ impl<'s> Session<'s> {
         }
     }
 
-    /// Drives the session to the end of its configured duration.
+    /// Drives the session to the end of its configured duration. The
+    /// observers receive the stream in batches as the run goes, in the
+    /// order stepping by hand would deliver it, and all of it before this
+    /// returns.
     pub fn run_to_end(&mut self) {
         self.run_until(self.end, false);
     }
@@ -1455,16 +1476,20 @@ impl<'s> Session<'s> {
     /// Advances the session to exactly `barrier` (settle → wake → advance,
     /// repeated). This is the per-worker step of the cluster's barrier
     /// loop: sessions are independent between barriers, so any number of
-    /// them can run this concurrently. With `ordered`, observations stay
-    /// queued for [`Session::deliver_events`] instead of being delivered
-    /// at the end of every settle.
+    /// them can run this concurrently. Observations reach the observers
+    /// in batches of at least [`OBSERVER_BATCH`] and once more before
+    /// this returns; with `ordered`, they stay queued for
+    /// [`Session::deliver_events`] instead.
     pub(crate) fn run_until(&mut self, barrier: SimTime, ordered: bool) {
         loop {
             self.settle_buffered();
-            if !ordered {
+            if !ordered && self.sinks.buf.len() >= OBSERVER_BATCH {
                 self.sinks.deliver();
             }
             if self.engine.now() >= barrier {
+                if !ordered {
+                    self.sinks.deliver();
+                }
                 break;
             }
             let wake = self.next_wake().min(barrier);

@@ -34,9 +34,8 @@
 //! events stream past its boundary; the resulting series is a pure
 //! function of the (deterministic) per-device event stream.
 
-use std::borrow::Cow;
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
+use std::fmt::{self, Write as _};
 use std::sync::{Arc, Mutex};
 
 use tally_gpu::{ClientId, SimSpan, SimTime};
@@ -225,6 +224,55 @@ impl Histogram {
 }
 
 // ---------------------------------------------------------------------
+// Per-device state
+// ---------------------------------------------------------------------
+
+/// An observer's state per device, indexed by the device index that
+/// sessions stamp (dense from 0 in a cluster). Iterates and renders like
+/// a `BTreeMap<usize, T>` of the devices seen.
+struct PerDevice<T>(Vec<Option<T>>);
+
+impl<T> Default for PerDevice<T> {
+    fn default() -> Self {
+        PerDevice(Vec::new())
+    }
+}
+
+impl<T: Default> PerDevice<T> {
+    /// The state of `device`, added (default) on first sight.
+    fn entry(&mut self, device: usize) -> &mut T {
+        if device >= self.0.len() {
+            self.0.resize_with(device + 1, || None);
+        }
+        self.0[device].get_or_insert_with(T::default)
+    }
+}
+
+impl<T> PerDevice<T> {
+    fn get(&self, device: usize) -> Option<&T> {
+        self.0.get(device)?.as_ref()
+    }
+
+    /// The devices seen, in index order.
+    fn iter(&self) -> impl Iterator<Item = (usize, &T)> {
+        self.0
+            .iter()
+            .enumerate()
+            .filter_map(|(d, t)| Some((d, t.as_ref()?)))
+    }
+
+    fn values_mut(&mut self) -> impl Iterator<Item = &mut T> {
+        self.0.iter_mut().flatten()
+    }
+}
+
+impl<T: fmt::Debug> fmt::Debug for PerDevice<T> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_map().entries(self.iter()).finish()
+    }
+}
+
+// ---------------------------------------------------------------------
 // MetricsHub
 // ---------------------------------------------------------------------
 
@@ -343,13 +391,97 @@ pub struct MetricSample {
 /// ```
 #[derive(Debug, Default)]
 pub struct MetricsHub {
-    devices: BTreeMap<usize, DeviceMetrics>,
-    clients: BTreeMap<String, ClientMetrics>,
+    devices: PerDevice<HubDevice>,
+    clients: ClientTable,
     migrations: u64,
     migration_bytes: u64,
     migration_stall: SimSpan,
     rebalances: u64,
     events: u64,
+}
+
+/// One device's metrics plus the hub's index of the keys its client ids
+/// name, kept out of [`DeviceMetrics`] so its `Debug` stays as it is.
+#[derive(Default)]
+struct HubDevice {
+    metrics: DeviceMetrics,
+    // By `ClientId`: the `ClientTable` slot of the key the device state
+    // holds for that id; `None` until a lookup resolves it.
+    slots: Vec<Option<usize>>,
+}
+
+// Renders as its metrics alone, so the hub's `Debug` keeps its layout.
+impl fmt::Debug for HubDevice {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self.metrics.fmt(f)
+    }
+}
+
+impl HubDevice {
+    /// Records that `id` names the key in `slot` from now on (`None`: not
+    /// resolved yet).
+    fn name(&mut self, id: ClientId, slot: Option<usize>) {
+        let i = id.0 as usize;
+        if i >= self.slots.len() {
+            self.slots.resize(i + 1, None);
+        }
+        self.slots[i] = slot;
+    }
+}
+
+/// Every client key the hub has charged, in key order, with its metrics
+/// in a slot the devices' indexes point at.
+#[derive(Default)]
+struct ClientTable {
+    keys: BTreeMap<String, usize>,
+    metrics: Vec<ClientMetrics>,
+}
+
+impl ClientTable {
+    /// The slot of `key`, added (empty) on first sight.
+    fn slot(&mut self, key: &str) -> usize {
+        if let Some(&slot) = self.keys.get(key) {
+            return slot;
+        }
+        let slot = self.metrics.len();
+        self.metrics.push(ClientMetrics::default());
+        self.keys.insert(key.to_string(), slot);
+        slot
+    }
+
+    /// The metrics of the client `id` names on `device`, keyed by its
+    /// stable key: the one the device state holds for `id`, found through
+    /// the device's index, or `client-{id}` while the stream never named
+    /// `id`. That fallback is never indexed, so a later attach renames the
+    /// client.
+    fn of(&mut self, device: &mut HubDevice, id: ClientId) -> &mut ClientMetrics {
+        if let Some(slot) = device.slots.get(id.0 as usize).copied().flatten() {
+            return &mut self.metrics[slot];
+        }
+        let named = device.metrics.state.client(id);
+        let slot = match named.and_then(|c| c.key.as_deref()) {
+            Some(key) => {
+                let slot = self.slot(key);
+                device.name(id, Some(slot));
+                slot
+            }
+            None => self.slot(&format!("client-{}", id.0)),
+        };
+        &mut self.metrics[slot]
+    }
+
+    fn iter(&self) -> impl Iterator<Item = (&str, &ClientMetrics)> {
+        self.keys
+            .iter()
+            .map(|(k, &slot)| (k.as_str(), &self.metrics[slot]))
+    }
+}
+
+// Renders as the key-ordered map of metrics it replaced.
+impl fmt::Debug for ClientTable {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_map().entries(self.iter()).finish()
+    }
 }
 
 impl MetricsHub {
@@ -367,22 +499,25 @@ impl MetricsHub {
 
     /// Metrics for one device.
     pub fn device(&self, device: usize) -> Option<&DeviceMetrics> {
-        self.devices.get(&device)
+        self.devices.get(device).map(|d| &d.metrics)
     }
 
     /// All devices seen, in index order.
     pub fn devices(&self) -> impl Iterator<Item = (usize, &DeviceMetrics)> {
-        self.devices.iter().map(|(&d, m)| (d, m))
+        self.devices.iter().map(|(d, m)| (d, &m.metrics))
     }
 
     /// Metrics for one client key.
     pub fn client(&self, key: &str) -> Option<&ClientMetrics> {
-        self.clients.get(key)
+        self.clients
+            .keys
+            .get(key)
+            .map(|&slot| &self.clients.metrics[slot])
     }
 
     /// All client keys seen, in key order.
     pub fn clients(&self) -> impl Iterator<Item = (&str, &ClientMetrics)> {
-        self.clients.iter().map(|(k, m)| (k.as_str(), m))
+        self.clients.iter()
     }
 
     /// Cross-device migrations observed.
@@ -415,7 +550,7 @@ impl MetricsHub {
     /// folded together (order-independent — see [`Histogram::merge`]).
     pub fn fleet_latency(&self) -> Histogram {
         let mut fleet = Histogram::new();
-        for d in self.devices.values() {
+        for (_, d) in self.devices() {
             fleet.merge(&d.latency);
         }
         fleet
@@ -433,7 +568,7 @@ impl MetricsHub {
             client: None,
             value,
         };
-        for (&d, m) in &self.devices {
+        for (d, m) in self.devices() {
             out.push(dev("requests", d, m.requests as f64));
             out.push(dev("shed", d, m.shed as f64));
             out.push(dev("kernels_dispatched", d, m.dispatched as f64));
@@ -444,7 +579,7 @@ impl MetricsHub {
                 out.push(dev("p99_ms", d, p99.as_millis_f64()));
             }
         }
-        for (k, m) in &self.clients {
+        for (k, m) in self.clients() {
             for (name, value) in [
                 ("requests", m.requests as f64),
                 ("shed", m.shed as f64),
@@ -453,7 +588,7 @@ impl MetricsHub {
                 out.push(MetricSample {
                     name,
                     device: None,
-                    client: Some(k.clone()),
+                    client: Some(k.to_string()),
                     value,
                 });
             }
@@ -473,25 +608,6 @@ impl MetricsHub {
         out.push(fleet("rebalances", self.rebalances as f64));
         out
     }
-
-    /// The metrics of the client `id` names on `device`, keyed by its
-    /// stable key (`client-{id}` while the stream never named it). Looks
-    /// the key up borrowed and allocates it only on first sight.
-    fn client_mut(&mut self, device: usize, id: ClientId) -> &mut ClientMetrics {
-        let key: Cow<'_, str> = match self
-            .devices
-            .get(&device)
-            .and_then(|d| d.state.client(id)?.key.as_deref())
-        {
-            Some(key) => Cow::Borrowed(key),
-            None => Cow::Owned(format!("client-{}", id.0)),
-        };
-        if !self.clients.contains_key(&*key) {
-            self.clients
-                .insert(key.to_string(), ClientMetrics::default());
-        }
-        self.clients.get_mut(&*key).expect("inserted above")
-    }
 }
 
 impl SessionObserver for MetricsHub {
@@ -503,8 +619,10 @@ impl SessionObserver for MetricsHub {
                 return;
             }
             Observation::ClientMigrated {
+                key,
                 from,
                 to,
+                to_client,
                 bytes,
                 stall,
                 ..
@@ -512,23 +630,33 @@ impl SessionObserver for MetricsHub {
                 self.migrations += 1;
                 self.migration_bytes += *bytes;
                 self.migration_stall += *stall;
-                let src = self.devices.entry(*from).or_default();
+                let src = &mut self.devices.entry(*from).metrics;
                 src.migrations_out += 1;
                 src.state.apply(*from, event);
-                let dst = self.devices.entry(*to).or_default();
-                dst.migrations_in += 1;
-                dst.state.apply(*to, event);
+                let dst = self.devices.entry(*to);
+                dst.metrics.migrations_in += 1;
+                dst.metrics.state.apply(*to, event);
+                // The key need not be charged yet: leave it to the first
+                // lookup then.
+                dst.name(*to_client, self.clients.keys.get(key.as_str()).copied());
                 return;
             }
             _ => {}
         }
-        let d = self.devices.entry(device).or_default();
+        let hd = self.devices.entry(device);
+        let d = &mut hd.metrics;
         d.state.apply(device, event);
         match event {
-            Observation::ClientAttached { key, priority, .. } => {
+            Observation::ClientAttached {
+                client,
+                key,
+                priority,
+                ..
+            } => {
                 d.attaches += 1;
-                let c = self.clients.entry(key.clone()).or_default();
-                c.high_priority = priority.is_high();
+                let slot = self.clients.slot(key);
+                self.clients.metrics[slot].high_priority = priority.is_high();
+                hd.name(*client, Some(slot));
             }
             Observation::ClientDetached { .. } => d.detaches += 1,
             Observation::RequestCompleted {
@@ -536,18 +664,18 @@ impl SessionObserver for MetricsHub {
             } => {
                 d.requests += 1;
                 d.latency.record(*latency);
-                let c = self.client_mut(device, *client);
+                let c = self.clients.of(hd, *client);
                 c.requests += 1;
                 c.latency.record(*latency);
             }
             Observation::RequestShed { client, .. } => {
                 d.shed += 1;
-                self.client_mut(device, *client).shed += 1;
+                self.clients.of(hd, *client).shed += 1;
             }
             Observation::KernelDispatched { .. } => d.dispatched += 1,
             Observation::KernelFinished { client } => {
                 d.finished += 1;
-                self.client_mut(device, *client).kernels += 1;
+                self.clients.of(hd, *client).kernels += 1;
             }
             Observation::EngineSample { .. }
             | Observation::ClientMigrated { .. }
@@ -714,7 +842,7 @@ impl DeviceSeries {
 pub struct Timeline {
     cadence: SimSpan,
     duration: SimSpan,
-    devices: BTreeMap<usize, DeviceSeries>,
+    devices: PerDevice<DeviceSeries>,
 }
 
 impl Timeline {
@@ -729,7 +857,7 @@ impl Timeline {
         Timeline {
             cadence,
             duration,
-            devices: BTreeMap::new(),
+            devices: PerDevice::default(),
         }
     }
 
@@ -759,7 +887,7 @@ impl Timeline {
     /// The closed windows of one device (call [`Timeline::finish`] first
     /// to include trailing quiet windows).
     pub fn windows(&self, device: usize) -> &[TimelineWindow] {
-        self.devices.get(&device).map_or(&[], |d| &d.windows)
+        self.devices.get(device).map_or(&[], |d| &d.windows)
     }
 
     /// Versioned JSON export: `{"version": 3, "cadence_ns": …,
@@ -777,7 +905,7 @@ impl Timeline {
             self.cadence.as_nanos(),
             self.duration.as_nanos()
         );
-        for (di, (&device, d)) in self.devices.iter().enumerate() {
+        for (di, (device, d)) in self.devices.iter().enumerate() {
             if di > 0 {
                 out.push_str(", ");
             }
@@ -828,7 +956,7 @@ impl Timeline {
              qps,shed_rate,occupancy,queue_depth,migrations_out,\
              migration_stall_ms,p99_ms,mean_ms\n",
         );
-        for (&device, d) in &self.devices {
+        for (device, d) in self.devices.iter() {
             for w in &d.windows {
                 let _ = write!(
                     out,
@@ -870,7 +998,7 @@ impl SessionObserver for Timeline {
             return;
         }
         let limit = SimTime::ZERO + self.duration;
-        let d = self.devices.entry(device).or_default();
+        let d = self.devices.entry(device);
         d.flush_to(self.cadence, at, limit);
         d.state.apply(device, event);
         match event {
@@ -1003,7 +1131,7 @@ impl DeviceTrack {
 /// ```
 #[derive(Debug, Default)]
 pub struct ChromeTraceWriter {
-    devices: BTreeMap<usize, DeviceTrack>,
+    devices: PerDevice<DeviceTrack>,
     /// Fleet-level markers (rebalance passes), pid 0.
     fleet: Vec<(SimTime, &'static str)>,
 }
@@ -1037,7 +1165,7 @@ impl ChromeTraceWriter {
         if !self.fleet.is_empty() {
             emit(meta_name("process_name", 0, None, "fleet"), &mut out);
         }
-        for (&device, track) in &self.devices {
+        for (device, track) in self.devices.iter() {
             let pid = device + 1;
             emit(
                 meta_name("process_name", pid, None, &format!("device {device}")),
@@ -1174,7 +1302,7 @@ impl SessionObserver for ChromeTraceWriter {
                 ..
             } => {
                 // Stamped with the source device; touches both tracks.
-                let src = self.devices.entry(*from).or_default();
+                let src = self.devices.entry(*from);
                 src.last_ts = at;
                 src.close_open_kernel(at, *from_client, true);
                 src.state.apply(*from, event);
@@ -1184,7 +1312,7 @@ impl SessionObserver for ChromeTraceWriter {
                     name: "migrate-out",
                     cat: "lifecycle",
                 });
-                let dst = self.devices.entry(*to).or_default();
+                let dst = self.devices.entry(*to);
                 dst.last_ts = dst.last_ts.max(at);
                 dst.state.apply(*to, event);
                 dst.push(TraceEvent::Instant {
@@ -1213,7 +1341,7 @@ impl SessionObserver for ChromeTraceWriter {
         if device == FLEET_DEVICE {
             return;
         }
-        let d = self.devices.entry(device).or_default();
+        let d = self.devices.entry(device);
         d.last_ts = d.last_ts.max(at);
         match event {
             Observation::ClientAttached {
@@ -1537,6 +1665,241 @@ mod tests {
         );
         assert_eq!(hub.client("train").unwrap().kernels, 1);
         assert_eq!(hub.migrations(), 1);
+    }
+
+    #[test]
+    fn per_device_state_renders_like_a_btreemap() {
+        let mut per = PerDevice::<u32>::default();
+        *per.entry(2) = 7;
+        *per.entry(0) = 1;
+        let map: BTreeMap<usize, u32> = [(0, 1), (2, 7)].into();
+        assert_eq!(format!("{per:?}"), format!("{map:?}"));
+        assert_eq!(format!("{per:#?}"), format!("{map:#?}"));
+        assert_eq!((per.get(1), per.get(2), per.get(9)), (None, Some(&7), None));
+    }
+
+    /// The hub as it folded client metrics before it indexed them: every
+    /// per-client event looks its key up by string. Fields in the hub's
+    /// order, so the derived `Debug` is the layout the hub must keep.
+    #[derive(Debug, Default)]
+    struct StringKeyedHub {
+        devices: BTreeMap<usize, DeviceMetrics>,
+        clients: BTreeMap<String, ClientMetrics>,
+        migrations: u64,
+        migration_bytes: u64,
+        migration_stall: SimSpan,
+        rebalances: u64,
+        events: u64,
+    }
+
+    impl StringKeyedHub {
+        fn client_mut(&mut self, device: usize, id: ClientId) -> &mut ClientMetrics {
+            let key = match self.devices[&device]
+                .state
+                .client(id)
+                .and_then(|c| c.key.clone())
+            {
+                Some(key) => key,
+                None => format!("client-{}", id.0),
+            };
+            self.clients.entry(key).or_default()
+        }
+
+        fn fold(&mut self, device: usize, event: &Observation) {
+            self.events += 1;
+            match event {
+                Observation::Rebalance { .. } => {
+                    self.rebalances += 1;
+                    return;
+                }
+                Observation::ClientMigrated {
+                    from,
+                    to,
+                    bytes,
+                    stall,
+                    ..
+                } => {
+                    self.migrations += 1;
+                    self.migration_bytes += *bytes;
+                    self.migration_stall += *stall;
+                    let src = self.devices.entry(*from).or_default();
+                    src.migrations_out += 1;
+                    src.state.apply(*from, event);
+                    let dst = self.devices.entry(*to).or_default();
+                    dst.migrations_in += 1;
+                    dst.state.apply(*to, event);
+                    return;
+                }
+                _ => {}
+            }
+            let d = self.devices.entry(device).or_default();
+            d.state.apply(device, event);
+            match event {
+                Observation::ClientAttached { key, priority, .. } => {
+                    d.attaches += 1;
+                    self.clients.entry(key.clone()).or_default().high_priority = priority.is_high();
+                }
+                Observation::ClientDetached { .. } => d.detaches += 1,
+                Observation::RequestCompleted {
+                    client, latency, ..
+                } => {
+                    d.requests += 1;
+                    d.latency.record(*latency);
+                    let c = self.client_mut(device, *client);
+                    c.requests += 1;
+                    c.latency.record(*latency);
+                }
+                Observation::RequestShed { client, .. } => {
+                    d.shed += 1;
+                    self.client_mut(device, *client).shed += 1;
+                }
+                Observation::KernelDispatched { .. } => d.dispatched += 1,
+                Observation::KernelFinished { client } => {
+                    d.finished += 1;
+                    self.client_mut(device, *client).kernels += 1;
+                }
+                Observation::EngineSample { .. }
+                | Observation::ClientMigrated { .. }
+                | Observation::Rebalance { .. } => {}
+            }
+        }
+
+        /// A hub holding this fold's registries, to render its samples.
+        fn as_hub(&self) -> MetricsHub {
+            let mut hub = MetricsHub {
+                migrations: self.migrations,
+                migration_bytes: self.migration_bytes,
+                migration_stall: self.migration_stall,
+                rebalances: self.rebalances,
+                events: self.events,
+                ..MetricsHub::default()
+            };
+            for (&d, m) in &self.devices {
+                let metrics = m.clone();
+                hub.devices.entry(d).metrics = metrics;
+            }
+            for (k, m) in &self.clients {
+                let slot = hub.clients.slot(k);
+                hub.clients.metrics[slot] = m.clone();
+            }
+            hub
+        }
+    }
+
+    #[test]
+    fn hub_index_matches_the_string_keyed_fold() {
+        let attach = |id: u32, key: &str, reattach: bool| Observation::ClientAttached {
+            client: ClientId(id),
+            key: key.into(),
+            priority: if key == "hp" {
+                tally_gpu::Priority::High
+            } else {
+                tally_gpu::Priority::BestEffort
+            },
+            descriptor: None,
+            reattach,
+        };
+        let detach = |id: u32, key: &str| Observation::ClientDetached {
+            client: ClientId(id),
+            key: key.into(),
+        };
+        let finish = |id: u32| Observation::KernelFinished {
+            client: ClientId(id),
+        };
+        let done = |id: u32, ms: u64| Observation::RequestCompleted {
+            client: ClientId(id),
+            arrival: SimTime::ZERO,
+            latency: SimSpan::from_millis(ms),
+        };
+        let shed = |id: u32| Observation::RequestShed {
+            client: ClientId(id),
+            arrival: SimTime::ZERO,
+        };
+        let migrate = |key: &str, from: usize, from_client: u32, to: usize, to_client: u32| {
+            Observation::ClientMigrated {
+                key: key.into(),
+                from,
+                to,
+                from_client: ClientId(from_client),
+                to_client: ClientId(to_client),
+                bytes: 1 << 20,
+                stall: SimSpan::from_millis(1),
+            }
+        };
+        let stream: Vec<(usize, Observation)> = vec![
+            // d0/id0 finishes before any attach names it, then attaches.
+            (0, finish(0)),
+            (0, done(0, 3)),
+            (0, attach(0, "hp", false)),
+            (0, finish(0)),
+            (0, done(0, 4)),
+            (0, attach(1, "be", false)),
+            (0, finish(1)),
+            (0, shed(1)),
+            // d1/id0 is charged unnamed, then under a key that leaves
+            // before the migration below renames the slot again.
+            (1, finish(0)),
+            (1, done(0, 9)),
+            (1, attach(0, "gone", false)),
+            (1, finish(0)),
+            (1, detach(0, "gone")),
+            // A re-attach under the same key, and one under a new key.
+            (0, detach(0, "hp")),
+            (0, attach(0, "hp", true)),
+            (0, done(0, 5)),
+            (0, attach(2, "old", false)),
+            (0, finish(2)),
+            (0, detach(2, "old")),
+            (0, attach(2, "new", true)),
+            (0, finish(2)),
+            // "be" moves from (d0, id1) to (d1, id0): both ends charge it.
+            (0, migrate("be", 0, 1, 1, 0)),
+            (1, finish(0)),
+            (1, done(0, 7)),
+            (1, shed(0)),
+            (0, finish(1)),
+            (0, done(1, 6)),
+            // A key no event charged yet migrates in, then is charged.
+            (1, migrate("cold", 1, 5, 0, 7)),
+            (0, finish(7)),
+            (0, done(7, 2)),
+            (FLEET_DEVICE, Observation::Rebalance { moved: 2 }),
+        ];
+        let mut hub = MetricsHub::new();
+        let mut reference = StringKeyedHub::default();
+        for (i, (device, event)) in stream.iter().enumerate() {
+            hub.on_event(SimTime::from_millis(i as u64), *device, event);
+            reference.fold(*device, event);
+        }
+        let rendered = |it: &mut dyn Iterator<Item = (&str, &ClientMetrics)>| {
+            it.map(|(k, m)| format!("{k}: {m:?}")).collect::<Vec<_>>()
+        };
+        assert_eq!(
+            rendered(&mut hub.clients()),
+            rendered(&mut reference.clients.iter().map(|(k, m)| (k.as_str(), m)))
+        );
+        for key in ["hp", "be", "old", "new", "gone", "cold", "client-0", "none"] {
+            assert_eq!(
+                format!("{:?}", hub.client(key)),
+                format!("{:?}", reference.clients.get(key)),
+                "{key}"
+            );
+        }
+        assert_eq!(
+            format!("{:?}", hub.samples()),
+            format!("{:?}", reference.as_hub().samples())
+        );
+        assert_eq!(
+            format!("{hub:?}"),
+            format!("{reference:?}").replacen("StringKeyedHub", "MetricsHub", 1)
+        );
+        // The stream exercises each path: the unnamed fallback, the rename
+        // by a later attach, and both ends of the migration.
+        assert_eq!(hub.client("client-0").unwrap().kernels, 2);
+        assert_eq!(hub.client("gone").unwrap().kernels, 1);
+        assert_eq!(hub.client("hp").unwrap().kernels, 1);
+        assert_eq!(hub.client("be").unwrap().kernels, 3);
+        assert_eq!(hub.client("cold").unwrap().requests, 1);
     }
 
     #[test]

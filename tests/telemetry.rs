@@ -310,3 +310,81 @@ fn hub_and_timeline_match_the_cluster_report() {
         assert_eq!(m.queue_depth(), last.queue_depth, "device {}", dev.device);
     }
 }
+
+/// Every observation delivered to it, in delivery order.
+#[derive(Debug, Default)]
+struct EventTape(Vec<(SimTime, usize, Observation)>);
+
+impl SessionObserver for EventTape {
+    fn on_event(&mut self, at: SimTime, device: usize, event: &Observation) {
+        self.0.push((at, device, event.clone()));
+    }
+}
+
+type TapeSync = std::sync::Arc<std::sync::Mutex<EventTape>>;
+
+fn rendered(tape: &TapeSync) -> String {
+    format!("{:?}", tape.lock().unwrap().0)
+}
+
+/// Sessions hand observers their stream in bounded batches during a run
+/// and flush the rest before returning. The stream must be the one a
+/// session stepped by hand delivers after every settle, for a plain
+/// session, a 1-device cluster on one worker (which runs its sessions
+/// with batches) and on two (which holds them to each barrier).
+#[test]
+fn batched_delivery_equals_per_settle_delivery() {
+    let spec = GpuSpec::a100();
+    let c = HarnessConfig {
+        duration: SimSpan::from_secs(2),
+        ..cfg(false)
+    };
+    // Kernel ids are process-global: every run below shares these jobs,
+    // so the dispatch observations render alike.
+    let jobs = flash_crowd_jobs(&spec, c.duration);
+    let session = |tape: &TapeSync| {
+        Colocation::on(spec.clone())
+            .clients(jobs.clone())
+            .admission(guard())
+            .config(c.clone())
+            .sync_observer(tape.clone())
+            .into_session()
+    };
+
+    let stepped = TapeSync::default();
+    let mut s = session(&stepped);
+    let mut settles = 0u64;
+    loop {
+        s.settle();
+        settles += 1;
+        if s.is_done() {
+            break;
+        }
+        let wake = s.next_wake();
+        s.advance_to(wake);
+    }
+    let expected = rendered(&stepped);
+
+    let batched = TapeSync::default();
+    let mut s = session(&batched);
+    s.run_to_end();
+    let batches = s.work().observer_batches;
+    assert_eq!(rendered(&batched), expected, "run_to_end");
+    assert!(
+        batches * 10 < settles,
+        "{batches} batches for {settles} settles"
+    );
+
+    for threads in [1, 2] {
+        let tape = TapeSync::default();
+        Cluster::new()
+            .device(spec.clone())
+            .clients(jobs.clone())
+            .admission_with(|_| guard())
+            .threads(threads)
+            .config(c.clone())
+            .sync_observer(tape.clone())
+            .run();
+        assert_eq!(rendered(&tape), expected, "cluster at {threads} threads");
+    }
+}
