@@ -36,7 +36,7 @@ impl SharingSystem for KernelLevelPriority {
     fn on_kernel_ready(&mut self, ctx: &mut Ctx<'_>, client: ClientId, kernel: Arc<KernelDesc>) {
         if ctx.priority(client).is_high() {
             self.hp
-                .submit(ctx, LaunchRequest::full(kernel, client, Priority::High));
+                .submit(ctx, LaunchRequest::full(&kernel, client, Priority::High));
         } else {
             self.be_pending.insert(client, kernel);
         }
@@ -55,7 +55,7 @@ impl SharingSystem for KernelLevelPriority {
         for (client, kernel) in std::mem::take(&mut self.be_pending) {
             self.be.submit(
                 ctx,
-                LaunchRequest::full(kernel, client, Priority::BestEffort),
+                LaunchRequest::full(&kernel, client, Priority::BestEffort),
             );
         }
     }

@@ -72,7 +72,7 @@ impl SharingSystem for Mps {
             Priority::High // one class: pure submission-order dispatch
         };
         self.launches
-            .submit(ctx, LaunchRequest::full(kernel, client, priority));
+            .submit(ctx, LaunchRequest::full(&kernel, client, priority));
     }
 
     fn on_notification(&mut self, ctx: &mut Ctx<'_>, note: &Notification) {

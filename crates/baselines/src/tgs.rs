@@ -142,7 +142,7 @@ impl SharingSystem for Tgs {
             if self.hp.is_empty() {
                 if let Some((client, kernel)) = self.hp_queue.pop_front() {
                     self.hp
-                        .submit(ctx, LaunchRequest::full(kernel, client, Priority::High));
+                        .submit(ctx, LaunchRequest::full(&kernel, client, Priority::High));
                     return;
                 }
             } else {
@@ -155,7 +155,7 @@ impl SharingSystem for Tgs {
                     let est = kernel.solo_latency(ctx.engine.spec());
                     self.be.submit(
                         ctx,
-                        LaunchRequest::full(kernel, client, Priority::BestEffort),
+                        LaunchRequest::full(&kernel, client, Priority::BestEffort),
                     );
                     let cooldown = est.mul_f64((1.0 - self.share).max(0.0) / self.share.max(0.01));
                     self.be_gate = now + est + cooldown;

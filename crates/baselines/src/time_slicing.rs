@@ -162,7 +162,7 @@ impl SharingSystem for TimeSlicing {
             }
         }
         let client = ClientId(self.active as u32);
-        let Some(p) = self.pending[self.active].as_ref().cloned() else {
+        let Some(p) = self.pending[self.active].as_ref() else {
             return;
         };
         let total = p.kernel.grid.count();
@@ -176,7 +176,7 @@ impl SharingSystem for TimeSlicing {
         };
         // Priority-agnostic: every context launches at the same class.
         let id = ctx.engine.submit(LaunchRequest {
-            kernel: p.kernel,
+            kernel: &p.kernel,
             shape,
             client,
             priority: Priority::High,

@@ -80,11 +80,11 @@ fn engine_throughput(sink: &mut JsonSink) {
         .grid(864)
         .block(256)
         .block_cost(SimSpan::from_micros(50))
-        .build_arc();
+        .build();
     bench(sink, "engine: 1000 single-wave kernels", 200, || {
         let mut engine = Engine::new(spec.clone());
         for _ in 0..1000 {
-            engine.submit(LaunchRequest::full(k.clone(), ClientId(0), Priority::High));
+            engine.submit(LaunchRequest::full(&k, ClientId(0), Priority::High));
         }
         let mut notes = Vec::new();
         while let Step::Notified = engine.advance(SimTime::MAX, &mut notes) {}
@@ -102,11 +102,11 @@ fn engine_launch_storage(sink: &mut JsonSink) {
         .grid(108)
         .block(256)
         .block_cost(SimSpan::from_micros(5))
-        .build_arc();
+        .build();
     let mut engine = Engine::new(GpuSpec::a100());
     let mut notes = Vec::new();
     for _ in 0..LAUNCHES {
-        engine.submit(LaunchRequest::full(k.clone(), ClientId(0), Priority::High));
+        engine.submit(LaunchRequest::full(&k, ClientId(0), Priority::High));
         while let Step::Notified = engine.advance(SimTime::MAX, &mut notes) {
             notes.clear();
         }
@@ -161,12 +161,14 @@ impl<S: SharingSystem> SharingSystem for CallCounter<S> {
 }
 
 /// The session's work per simulated run: system polls, timer queries,
-/// settle passes and engine-advance calls over a 2 s Tally co-location of
-/// a BERT service (MAF2 arrivals at 50% load) and a Whisper-v3 trainer
-/// behind shared-memory stubs. Untimed and deterministic, so the rows are
-/// gated: a session that polls at engine-internal instants, runs an extra
-/// settle pass, or steps the engine one instant at a time with nobody
-/// listening raises them.
+/// settle passes, engine-advance calls and Tally's profile-table searches
+/// over a 2 s Tally co-location of a BERT service (MAF2 arrivals at 50%
+/// load) and a Whisper-v3 trainer behind shared-memory stubs. Untimed and
+/// deterministic, so the rows are gated: a session that polls at
+/// engine-internal instants, runs an extra settle pass, or steps the
+/// engine one instant at a time with nobody listening raises them, and so
+/// does a Tally that searches its profiles per launch instead of once per
+/// received kernel.
 fn session_work(sink: &mut JsonSink) {
     let spec = GpuSpec::a100();
     let duration = SimSpan::from_secs(2);
@@ -200,6 +202,7 @@ fn session_work(sink: &mut JsonSink) {
     let work = session.work();
     drop(session);
     let timer_queries = tally.timer_queries.get();
+    let profile_lookups = tally.inner.profiler_stats().lookups;
     println!(
         "{:<44} {:>16}",
         "session: system polls, 2s tally pairing", tally.polls
@@ -219,7 +222,12 @@ fn session_work(sink: &mut JsonSink) {
     sink.record("work_system_polls", tally.polls as f64, &[]);
     sink.record("work_timer_queries", timer_queries as f64, &[]);
     sink.record("work_settle_passes", work.settle_passes as f64, &[]);
+    println!(
+        "{:<44} {:>16}",
+        "session: profile lookups, 2s tally pairing", profile_lookups
+    );
     sink.record("work_engine_advances", work.engine_advances as f64, &[]);
+    sink.record("work_profile_lookups", profile_lookups as f64, &[]);
 }
 
 fn transformation_passes(sink: &mut JsonSink) {

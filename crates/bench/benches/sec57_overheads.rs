@@ -10,7 +10,9 @@
 //!   (paper: ~25% average, best-effort kernels only);
 //! * transparent profiling — measurements are taken once per (kernel,
 //!   grid) configuration and reused forever, so the profiling phase is a
-//!   fixed, minutes-scale cost (paper: "completes within minutes").
+//!   fixed, minutes-scale cost (paper: "completes within minutes"); the
+//!   `profiling_launches` and `profile_ramp_end_s` rows show how many
+//!   launches the ramp took and when it ended.
 //!
 //! Pass `--json PATH` to record the measurements machine-readably.
 
@@ -162,15 +164,12 @@ fn transformation_overhead(spec: &GpuSpec, sink: &mut JsonSink) {
     let mut measured = 0u64;
     let mut ratio_sum = 0.0;
     for k in kernels.iter().cycle().take(10_000) {
-        let orig = run_once(
-            spec,
-            LaunchRequest::full(k.clone(), ClientId(0), Priority::High),
-        );
+        let orig = run_once(spec, LaunchRequest::full(k, ClientId(0), Priority::High));
         let workers = spec.wave_capacity(k.threads_per_block(), k.smem_bytes) as u32;
         let ptb = run_once(
             spec,
             LaunchRequest {
-                kernel: k.clone(),
+                kernel: k,
                 shape: LaunchShape::Ptb {
                     workers: workers.min(k.grid.count() as u32),
                     offset: 0,
@@ -192,7 +191,7 @@ fn transformation_overhead(spec: &GpuSpec, sink: &mut JsonSink) {
     sink.record("ptb_overhead_avg", avg, &[]);
 }
 
-fn run_once(spec: &GpuSpec, req: LaunchRequest) -> SimSpan {
+fn run_once(spec: &GpuSpec, req: LaunchRequest<'_>) -> SimSpan {
     let mut engine = Engine::new(spec.clone());
     engine.submit(req);
     let mut notes = Vec::new();
@@ -244,8 +243,17 @@ fn profiling_overhead(spec: &GpuSpec, sink: &mut JsonSink) {
         "cache-hit ratio: {:.1}% — profiling is a one-time, start-of-job cost",
         hit_ratio * 100.0
     );
+    // The ramp: launches that ran a not-yet-measured candidate, and the
+    // simulated instant of the last one (0 when nothing was profiled).
+    let ramp_end = p.last_profiling_launch.map_or(0.0, SimTime::as_secs_f64);
+    println!(
+        "profiling launches / ramp ends at               : {} / {:.3} s",
+        p.profiling_launches, ramp_end
+    );
     sink.record("profile_cache_hit_ratio", hit_ratio, &[]);
     sink.record("profile_measurements", p.measurements as f64, &[]);
+    sink.record("profiling_launches", p.profiling_launches as f64, &[]);
+    sink.record("profile_ramp_end_s", ramp_end, &[]);
 }
 
 /// The API-interception layer itself: shared-memory forwarding plus

@@ -131,7 +131,7 @@ fn measure_block_turnaround(
         let mut engine = Engine::new(spec.clone());
         let workers = spec.wave_capacity(k.threads_per_block(), k.smem_bytes) as u32;
         let id = engine.submit(LaunchRequest {
-            kernel: k.clone(),
+            kernel: k,
             shape: LaunchShape::Ptb {
                 workers: workers.min(k.grid.count() as u32),
                 offset: 0,

@@ -7,7 +7,9 @@
 //! name ([`metric_direction`]): throughput-like metrics regress when they
 //! *drop*, latency-like metrics when they *rise*, both beyond a relative
 //! threshold (default 10%). A `work_` count is exact, so any rise of one
-//! regresses. Metrics with no recognizable direction are reported but
+//! regresses, and any fall reads `refresh`: it passes, but the committed
+//! document should be regenerated so the lower count is what later changes
+//! are held to. Metrics with no recognizable direction are reported but
 //! never gate. A measurement present in the old document but missing from
 //! the new one is always a regression — a silently truncated trajectory
 //! must not read as "no change".
@@ -504,6 +506,26 @@ pub fn diff_dirs(old_dir: &Path, new_dir: &Path, threshold: f64) -> Result<Vec<D
     Ok(out)
 }
 
+/// The verdict [`print_report`] prints for one delta: `REGRESSED`;
+/// `refresh` for any fall of a `work_` count, which passes but leaves the
+/// committed document stale (regenerate it, or a later change can raise
+/// the count back unseen); `improved` past the threshold in the good
+/// direction; otherwise `ok`.
+pub fn verdict(d: &Delta, threshold: f64) -> &'static str {
+    if d.regressed {
+        "REGRESSED"
+    } else if d.key.starts_with("work_") && d.new.zip(d.old).is_some_and(|(n, o)| n < o) {
+        "refresh"
+    } else if d.rel.is_some_and(|r| {
+        (d.direction == Direction::HigherIsBetter && r > threshold)
+            || (d.direction == Direction::LowerIsBetter && r < -threshold)
+    }) {
+        "improved"
+    } else {
+        "ok"
+    }
+}
+
 /// Renders the delta table and verdict to stdout; returns whether any
 /// measurement regressed.
 pub fn print_report(deltas: &[Delta], threshold: f64) -> bool {
@@ -511,23 +533,18 @@ pub fn print_report(deltas: &[Delta], threshold: f64) -> bool {
         "{:<22} {:<46} {:>12} {:>12} {:>8}  verdict",
         "file", "measurement", "old", "new", "delta"
     );
-    let mut regressions = 0usize;
+    let (mut regressions, mut refreshes) = (0usize, 0usize);
     for d in deltas {
         let fmt_v = |v: Option<f64>| v.map_or("-".to_string(), |x| format!("{x:.4}"));
         let rel = d
             .rel
             .map_or("-".to_string(), |r| format!("{:+.1}%", r * 100.0));
-        let verdict = if d.regressed {
-            regressions += 1;
-            "REGRESSED"
-        } else if d.rel.is_some_and(|r| {
-            (d.direction == Direction::HigherIsBetter && r > threshold)
-                || (d.direction == Direction::LowerIsBetter && r < -threshold)
-        }) {
-            "improved"
-        } else {
-            "ok"
-        };
+        let verdict = verdict(d, threshold);
+        match verdict {
+            "REGRESSED" => regressions += 1,
+            "refresh" => refreshes += 1,
+            _ => {}
+        }
         println!(
             "{:<22} {:<46} {:>12} {:>12} {:>8}  {}",
             d.file,
@@ -539,10 +556,12 @@ pub fn print_report(deltas: &[Delta], threshold: f64) -> bool {
         );
     }
     println!(
-        "\n{} measurement(s), {} regression(s) beyond {:.0}% (any rise of a work_ count)",
+        "\n{} measurement(s), {} regression(s) beyond {:.0}% (any rise of a work_ count), \
+         {} work_ count(s) fell (refresh the committed BENCH_*.json)",
         deltas.len(),
         regressions,
-        threshold * 100.0
+        threshold * 100.0,
+        refreshes
     );
     regressions > 0
 }
@@ -604,6 +623,8 @@ mod tests {
             ("phase_trainer_throughput", H),
             ("profile_cache_hit_ratio", I),
             ("profile_measurements", I),
+            ("profile_ramp_end_s", I),
+            ("profiling_launches", I),
             ("ptb_overhead_avg", L),
             ("retained_training_throughput", H),
             ("scaling_x", H),
@@ -623,6 +644,7 @@ mod tests {
             ("work_fleet_barriers", L),
             ("work_observations_delivered", L),
             ("work_observer_batches", L),
+            ("work_profile_lookups", L),
             ("work_settle_passes", L),
             ("work_system_polls", L),
             ("work_timer_queries", L),
@@ -789,6 +811,33 @@ mod tests {
         assert!(diff_docs("f", &old, &new, DEFAULT_THRESHOLD)
             .iter()
             .all(|d| !d.regressed));
+    }
+
+    #[test]
+    fn a_falling_work_count_asks_for_a_refresh() {
+        let old = doc(&[
+            ("work_profile_lookups", 100.0, &[]),
+            ("work_system_polls", 50.0, &[]),
+            ("p99_ms", 2.0, &[]),
+        ]);
+        let new = doc(&[
+            ("work_profile_lookups", 99.0, &[]), // -1%: any fall
+            ("work_system_polls", 50.0, &[]),
+            ("p99_ms", 1.0, &[]),
+        ]);
+        let deltas = diff_docs("f", &old, &new, DEFAULT_THRESHOLD);
+        let verdicts: Vec<&str> = deltas
+            .iter()
+            .map(|d| verdict(d, DEFAULT_THRESHOLD))
+            .collect();
+        assert_eq!(verdicts, ["refresh", "ok", "improved"]);
+        assert!(
+            !print_report(&deltas, DEFAULT_THRESHOLD),
+            "a refresh is no failure"
+        );
+        // A rise still regresses.
+        let deltas = diff_docs("f", &new, &old, DEFAULT_THRESHOLD);
+        assert_eq!(verdict(&deltas[0], DEFAULT_THRESHOLD), "REGRESSED");
     }
 
     #[test]

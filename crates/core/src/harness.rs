@@ -1279,24 +1279,23 @@ impl<'s> Session<'s> {
                 }
             }
             // Launches of detached clients are dropped; those whose
-            // interception cost has elapsed reach the system, in list
+            // interception cost has elapsed move to the system, in list
             // order. A system never changes which clients are attached,
             // so handing launches over mid-walk drops the same ones.
             let clients = &self.clients;
-            self.in_transit.retain(|&(t, c, ref k)| {
+            let due = self.in_transit.extract_if(.., |&mut (t, c, _)| {
+                !clients[c.0 as usize].attached || t <= now
+            });
+            for (_, c, kernel) in due {
                 if !clients[c.0 as usize].attached {
-                    return false;
-                }
-                if t > now {
-                    return true;
+                    continue;
                 }
                 sinks.emit(now, || Observation::KernelDispatched {
                     client: c,
-                    kernel: Arc::clone(k),
+                    kernel: Arc::clone(&kernel),
                 });
-                system.on_kernel_ready(&mut ctx, c, Arc::clone(k));
-                false
-            });
+                system.on_kernel_ready(&mut ctx, c, kernel);
+            }
 
             for (i, client) in self.clients.iter_mut().enumerate() {
                 if !client.attached {
@@ -2275,6 +2274,100 @@ mod tests {
         assert!(s.in_transit.is_empty(), "the launch reached the system");
     }
 
+    /// Passthrough that also records every kernel it receives.
+    #[derive(Default)]
+    struct Received {
+        inner: Passthrough,
+        kernels: Vec<(ClientId, tally_gpu::KernelId)>,
+    }
+
+    impl SharingSystem for Received {
+        fn name(&self) -> &str {
+            "received"
+        }
+        fn on_kernel_ready(&mut self, ctx: &mut Ctx<'_>, client: ClientId, k: Arc<KernelDesc>) {
+            self.kernels.push((client, k.id));
+            self.inner.on_kernel_ready(ctx, client, k);
+        }
+        fn on_notification(&mut self, ctx: &mut Ctx<'_>, note: &tally_gpu::Notification) {
+            self.inner.on_notification(ctx, note);
+        }
+        fn on_client_detach(&mut self, ctx: &mut Ctx<'_>, client: ClientId) {
+            self.inner.on_client_detach(ctx, client);
+        }
+    }
+
+    #[test]
+    fn in_transit_launches_of_a_detached_client_are_dropped() {
+        use std::sync::Mutex;
+        let (ka, kb) = (kernel(100), kernel(100));
+        let jobs = |a_until: Option<SimTime>| {
+            let a = JobSpec::training("a", vec![WorkloadOp::Kernel(ka.clone())]);
+            let a = match a_until {
+                Some(t) => a.active_until(t),
+                None => a,
+            };
+            [
+                a,
+                JobSpec::training("b", vec![WorkloadOp::Kernel(kb.clone())]),
+            ]
+        };
+        // Both clients pay the same attach burst, then launch together;
+        // find the span while both launches sit in their stubs.
+        let mut probe = Colocation::on(GpuSpec::tiny())
+            .clients(jobs(None))
+            .config(cfg(1))
+            .transport(Transport::SharedMemory)
+            .into_session();
+        probe.settle();
+        let burst_end = probe.clients[0].gap_until.expect("attach burst stalls");
+        probe.advance_to(burst_end);
+        probe.settle();
+        assert_eq!(probe.in_transit.len(), 2, "both launches in transit");
+        let due = probe.in_transit[0].0;
+        assert!(due > burst_end);
+        drop(probe);
+
+        // Client a detaches while its launch is in transit.
+        let mut system = Received::default();
+        let collector = Arc::new(Mutex::new(Collector::default()));
+        let report = Colocation::on(GpuSpec::tiny())
+            .clients(jobs(Some(burst_end + (due - burst_end) / 2)))
+            .system(&mut system)
+            .sync_observer(collector.clone())
+            .config(cfg(1))
+            .transport(Transport::SharedMemory)
+            .run();
+        assert!(!system.kernels.is_empty());
+        assert!(
+            system
+                .kernels
+                .iter()
+                .all(|&(c, k)| c == ClientId(1) && k == kb.id),
+            "only b's kernel reaches the system: {:?}",
+            system.kernels
+        );
+        let dispatched: Vec<(ClientId, tally_gpu::KernelId)> = collector
+            .lock()
+            .unwrap()
+            .0
+            .iter()
+            .filter_map(|(_, _, e)| match e {
+                Observation::KernelDispatched { client, kernel } => Some((*client, kernel.id)),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(
+            dispatched, system.kernels,
+            "observers see b's dispatches only"
+        );
+        assert_eq!(
+            report.clients[0].kernels, 0,
+            "a's kernel count does not move"
+        );
+        assert!(report.clients[1].kernels > 0);
+    }
+
     #[test]
     fn next_wake_is_a_detached_clients_next_window() {
         let job = JobSpec::training("t", vec![gap(1)])
@@ -2543,7 +2636,7 @@ mod tests {
         fn on_kernel_ready(&mut self, ctx: &mut Ctx<'_>, client: ClientId, k: Arc<KernelDesc>) {
             if client == ClientId(0) {
                 ctx.engine
-                    .submit(tally_gpu::LaunchRequest::full(k, client, Priority::High));
+                    .submit(tally_gpu::LaunchRequest::full(&k, client, Priority::High));
             } else {
                 self.held.push(client);
             }

@@ -15,8 +15,15 @@
 //!   runs over the candidate configurations; preempted runs are discarded,
 //!   completed ones recorded, and once all candidates are measured the
 //!   winner is locked in for the rest of the job.
+//!
+//! A best-effort kernel is preempted by every high-priority kernel and
+//! relaunched afterwards, so one logical kernel can take dozens of
+//! launches. The per-kernel work is therefore done once, when Tally
+//! receives the kernel: the transformation plan, and the kernel's
+//! profiler slot. A launch then reads its configuration from that slot and
+//! borrows the kernel for [`Engine::submit`](tally_gpu::Engine::submit),
+//! with no keyed search and no reference count.
 
-use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use tally_gpu::{
@@ -24,7 +31,7 @@ use tally_gpu::{
     SimTime,
 };
 
-use crate::profiler::{candidate_configs, LaunchCfg, ProfilerStats, TransparentProfiler};
+use crate::profiler::{LaunchCfg, ProfileSlot, ProfilerStats, TransparentProfiler};
 use crate::system::{Ctx, Launches, SharingSystem};
 use crate::transform::{KernelTransformer, TransformPlan, TransformStats, PTB_OVERHEAD_PPM};
 
@@ -66,15 +73,21 @@ impl TallyConfig {
 #[derive(Clone, Debug)]
 struct RunningLaunch {
     id: LaunchId,
-    cfg: Option<LaunchCfg>,
+    /// The profile slot and configuration of a block-level launch.
+    cfg: Option<(ProfileSlot, LaunchCfg)>,
     /// Tasks this launch was asked to execute.
     tasks: u64,
     submitted: SimTime,
 }
 
+/// A best-effort client's current logical kernel.
 #[derive(Debug)]
 struct BeTask {
-    plan: TransformPlan,
+    /// The kernel to launch (the original or its replacement).
+    kernel: Arc<KernelDesc>,
+    /// The kernel's profiler slot, or `None` for a kernel that may only
+    /// launch whole (cooperative kernels, §6).
+    profile: Option<ProfileSlot>,
     total: u64,
     progress: u64,
     running: Option<RunningLaunch>,
@@ -82,6 +95,12 @@ struct BeTask {
 
 /// The Tally sharing system. Construct with [`TallySystem::new`] and hand
 /// to a [`Colocation`](crate::harness::Colocation) session.
+///
+/// On receiving a best-effort kernel it resolves the kernel's
+/// transformation plan and [`TransparentProfiler`] slot once and keeps
+/// them, with the kernel, in the client's task; every launch of the
+/// kernel, first or after a preemption, reuses them (see the
+/// [module docs](self)).
 ///
 /// ```
 /// use tally_core::scheduler::{TallyConfig, TallySystem};
@@ -96,9 +115,10 @@ pub struct TallySystem {
     profiler: TransparentProfiler,
     /// The high-priority kernels on the GPU, one whole launch each.
     hp: Launches,
-    /// Best-effort tasks by client. The ordered map keeps launch order —
-    /// and so the whole simulation — deterministic across runs.
-    be: BTreeMap<ClientId, BeTask>,
+    /// Best-effort tasks, indexed by the dense [`ClientId`]. Walking it in
+    /// index order keeps launch order — and so the whole simulation —
+    /// deterministic across runs.
+    be: Vec<Option<BeTask>>,
     preemptions_issued: u64,
 }
 
@@ -110,7 +130,7 @@ impl TallySystem {
             transformer: KernelTransformer::new(),
             profiler: TransparentProfiler::new(),
             hp: Launches::default(),
-            be: BTreeMap::new(),
+            be: Vec::new(),
             preemptions_issued: 0,
         }
     }
@@ -136,7 +156,7 @@ impl TallySystem {
     }
 
     fn preempt_best_effort(&mut self, ctx: &mut Ctx<'_>) {
-        for task in self.be.values_mut() {
+        for task in self.be.iter().flatten() {
             if let Some(run) = &task.running {
                 if ctx.engine.preempt(run.id) {
                     self.preemptions_issued += 1;
@@ -160,28 +180,16 @@ impl TallySystem {
         if task.running.is_some() || task.progress >= task.total {
             return;
         }
-        let kernel = Arc::clone(task.plan.kernel());
         let remaining = task.total - task.progress;
 
-        let (shape, cfg, tasks) = match &task.plan {
-            TransformPlan::KernelLevelOnly { .. } => {
-                // Cooperative kernels: whole-kernel launches only (§6).
-                (LaunchShape::Full, None, remaining)
-            }
-            TransformPlan::BlockLevel { .. } => {
-                // Use the locked-in configuration when available; otherwise
-                // this launch doubles as a profiling run of the next
-                // unmeasured candidate. Only a miss builds the candidates.
-                let cfg = match profiler.chosen(&kernel) {
-                    Some(cfg) => cfg,
-                    None => {
-                        let candidates = candidate_configs(ctx.engine.spec(), &kernel);
-                        profiler
-                            .finalize(bound, &candidates, &kernel)
-                            .or_else(|| profiler.next_unmeasured(&candidates, &kernel))
-                            .unwrap_or(candidates[0])
-                    }
-                };
+        let (shape, cfg, tasks) = match task.profile {
+            // Cooperative kernels: whole-kernel launches only (§6).
+            None => (LaunchShape::Full, None, remaining),
+            Some(slot) => {
+                // The locked-in configuration once profiling has finished;
+                // until then this launch doubles as a profiling run of the
+                // next unmeasured candidate.
+                let cfg = profiler.choose(slot, bound, ctx.now());
                 match cfg {
                     LaunchCfg::Slice { blocks } => {
                         let count = blocks.min(remaining);
@@ -190,7 +198,7 @@ impl TallySystem {
                                 offset: task.progress,
                                 count,
                             },
-                            Some(cfg),
+                            Some((slot, cfg)),
                             count,
                         )
                     }
@@ -200,7 +208,7 @@ impl TallySystem {
                             offset: task.progress,
                             overhead_ppm: PTB_OVERHEAD_PPM,
                         },
-                        Some(cfg),
+                        Some((slot, cfg)),
                         remaining,
                     ),
                 }
@@ -209,7 +217,7 @@ impl TallySystem {
 
         let submitted = ctx.engine.now();
         let id = ctx.engine.submit(LaunchRequest {
-            kernel,
+            kernel: &task.kernel,
             shape,
             client,
             priority: Priority::BestEffort,
@@ -234,19 +242,28 @@ impl SharingSystem for TallySystem {
             // the high-priority kernel at once, untransformed.
             self.preempt_best_effort(ctx);
             self.hp
-                .submit(ctx, LaunchRequest::full(kernel, client, Priority::High));
+                .submit(ctx, LaunchRequest::full(&kernel, client, Priority::High));
         } else {
-            let plan = self.transformer.plan(&kernel);
-            let total = plan.kernel().grid.count();
-            self.be.insert(
-                client,
-                BeTask {
-                    plan,
-                    total,
-                    progress: 0,
-                    running: None,
-                },
-            );
+            // The kernel's plan and profile slot are resolved once, here;
+            // its launches reuse them.
+            let (kernel, profile) = match self.transformer.plan(&kernel) {
+                TransformPlan::BlockLevel { kernel } => {
+                    let slot = self.profiler.slot(ctx.engine.spec(), &kernel);
+                    (kernel, Some(slot))
+                }
+                TransformPlan::KernelLevelOnly { kernel } => (kernel, None),
+            };
+            let i = client.0 as usize;
+            if self.be.len() <= i {
+                self.be.resize_with(i + 1, || None);
+            }
+            self.be[i] = Some(BeTask {
+                total: kernel.grid.count(),
+                kernel,
+                profile,
+                progress: 0,
+                running: None,
+            });
             // Actual scheduling happens in `poll`, where high-priority
             // activity is known.
         }
@@ -258,7 +275,7 @@ impl SharingSystem for TallySystem {
         }
         match *note {
             Notification::Completed { id, client, at } => {
-                let Some(task) = self.be.get_mut(&client) else {
+                let Some(task) = self.be.get_mut(client.0 as usize).and_then(Option::as_mut) else {
                     return;
                 };
                 let Some(run) = task.running.take() else {
@@ -266,7 +283,7 @@ impl SharingSystem for TallySystem {
                 };
                 debug_assert_eq!(run.id, id);
                 task.progress += run.tasks;
-                if let Some(cfg) = run.cfg {
+                if let Some((slot, cfg)) = run.cfg {
                     // A completed launch is a valid measurement; record it
                     // whether or not it was launched for profiling, but
                     // only full-size slices (tail slices bias turnaround).
@@ -276,7 +293,7 @@ impl SharingSystem for TallySystem {
                     };
                     if full_size {
                         self.profiler.record(
-                            task.plan.kernel(),
+                            slot,
                             cfg,
                             run.tasks,
                             at.saturating_since(run.submitted),
@@ -284,7 +301,7 @@ impl SharingSystem for TallySystem {
                     }
                 }
                 if task.progress >= task.total {
-                    self.be.remove(&client);
+                    self.be[client.0 as usize] = None;
                     ctx.complete_kernel(client);
                 }
             }
@@ -295,7 +312,7 @@ impl SharingSystem for TallySystem {
                 at,
                 ..
             } => {
-                if let Some(task) = self.be.get_mut(&client) {
+                if let Some(task) = self.be.get_mut(client.0 as usize).and_then(Option::as_mut) {
                     if task.running.as_ref().is_some_and(|r| r.id == id) {
                         let run = task.running.take().expect("checked above");
                         let executed = done_upto.saturating_sub(task.progress);
@@ -303,10 +320,10 @@ impl SharingSystem for TallySystem {
                         // full round is still a valid measurement — without
                         // this, a slow candidate that never fits between
                         // high-priority bursts would be retried forever.
-                        if let Some(cfg @ LaunchCfg::Ptb { workers }) = run.cfg {
+                        if let Some((slot, cfg @ LaunchCfg::Ptb { workers })) = run.cfg {
                             if executed >= workers as u64 {
                                 self.profiler.record(
-                                    task.plan.kernel(),
+                                    slot,
                                     cfg,
                                     executed,
                                     at.saturating_since(run.submitted),
@@ -316,7 +333,7 @@ impl SharingSystem for TallySystem {
                         // `done_upto` is in original-grid task space.
                         task.progress = done_upto.max(task.progress);
                         if task.progress >= task.total {
-                            self.be.remove(&client);
+                            self.be[client.0 as usize] = None;
                             ctx.complete_kernel(client);
                         }
                     }
@@ -332,15 +349,17 @@ impl SharingSystem for TallySystem {
             return;
         }
         let bound = self.cfg.turnaround_bound;
-        for (&client, task) in self.be.iter_mut() {
-            Self::launch_be(&mut self.profiler, bound, ctx, client, task);
+        for (i, task) in self.be.iter_mut().enumerate() {
+            if let Some(task) = task {
+                Self::launch_be(&mut self.profiler, bound, ctx, ClientId(i as u32), task);
+            }
         }
     }
 
     fn on_client_detach(&mut self, ctx: &mut Ctx<'_>, client: ClientId) {
         // Reclaim the client's best-effort task (and free the GPU of its
         // running launch)…
-        if let Some(task) = self.be.remove(&client) {
+        if let Some(task) = self.be.get_mut(client.0 as usize).and_then(Option::take) {
             if let Some(run) = task.running {
                 ctx.engine.preempt(run.id);
             }

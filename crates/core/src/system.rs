@@ -179,7 +179,7 @@ pub struct Launches {
 
 impl Launches {
     /// Submits `req` to the engine and books the launch for its client.
-    pub fn submit(&mut self, ctx: &mut Ctx<'_>, req: LaunchRequest) -> LaunchId {
+    pub fn submit(&mut self, ctx: &mut Ctx<'_>, req: LaunchRequest<'_>) -> LaunchId {
         let client = req.client;
         let id = ctx.engine.submit(req);
         self.booked.push((id, client));
@@ -248,7 +248,7 @@ impl SharingSystem for Passthrough {
     fn on_kernel_ready(&mut self, ctx: &mut Ctx<'_>, client: ClientId, kernel: Arc<KernelDesc>) {
         let priority = ctx.priority(client);
         self.launches
-            .submit(ctx, LaunchRequest::full(kernel, client, priority));
+            .submit(ctx, LaunchRequest::full(&kernel, client, priority));
     }
 
     fn on_notification(&mut self, ctx: &mut Ctx<'_>, note: &Notification) {
@@ -295,13 +295,12 @@ mod tests {
         assert_eq!(completions, vec![ClientId(1), ClientId(0), ClientId(1)]);
     }
 
-    fn launch(client: u32) -> LaunchRequest {
-        let kernel = KernelDesc::builder("k")
+    fn kernel() -> KernelDesc {
+        KernelDesc::builder("k")
             .grid(4)
             .block(128)
             .block_cost(SimSpan::from_micros(10))
-            .build_arc();
-        LaunchRequest::full(kernel, ClientId(client), Priority::High)
+            .build()
     }
 
     /// Books one launch per client, preempts client 0's, and runs the
@@ -310,8 +309,9 @@ mod tests {
         ctx: &mut Ctx<'_>,
         launches: &mut Launches,
     ) -> (LaunchId, LaunchId, Vec<Notification>) {
-        let a = launches.submit(ctx, launch(0));
-        let b = launches.submit(ctx, launch(1));
+        let k = kernel();
+        let a = launches.submit(ctx, LaunchRequest::full(&k, ClientId(0), Priority::High));
+        let b = launches.submit(ctx, LaunchRequest::full(&k, ClientId(1), Priority::High));
         launches.preempt(ctx, ClientId(0));
         assert!(!ctx.engine.is_active(a), "client 0's launch is preempted");
         assert!(ctx.engine.is_active(b), "client 1's launch still runs");

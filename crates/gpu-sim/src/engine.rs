@@ -10,6 +10,11 @@
 //! resident, or draining. A launch is retired the moment it completes or
 //! finishes draining after a preemption, so the engine's memory is bounded
 //! by what is in flight, not by how many launches a run has submitted.
+//! A [`LaunchRequest`] borrows its kernel: [`Engine::submit`] copies the
+//! launch's geometry and cost (threads per block, shared memory, block
+//! cost, memory intensity and the wave-chunk cap) into the live record
+//! and keeps no reference to the kernel, so submitting and retiring a
+//! launch touch no reference count.
 //!
 //! [`Engine::advance`] appends the notifications it fires to a buffer the
 //! caller owns and passes in, so a driver that reuses one buffer steps the
@@ -49,9 +54,9 @@ use std::collections::{BinaryHeap, VecDeque};
 
 use crate::rng::SmallRng;
 
-use crate::launch::{LaunchId, LaunchRequest, LaunchShape, Notification, Priority};
+use crate::launch::{ClientId, LaunchId, LaunchRequest, LaunchShape, Notification, Priority};
 use crate::spec::GpuSpec;
-use crate::time::SimTime;
+use crate::time::{SimSpan, SimTime};
 
 /// Result of one [`Engine::advance`] call.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
@@ -122,10 +127,24 @@ impl Ord for HeapEntry {
     }
 }
 
+/// One live launch. Everything the engine reads of the kernel is copied
+/// here at submit, so the engine keeps no reference to it.
 #[derive(Debug)]
 struct Active {
     id: LaunchId,
-    req: LaunchRequest,
+    client: ClientId,
+    priority: Priority,
+    shape: LaunchShape,
+    /// Threads per block.
+    threads: u64,
+    /// Shared memory per block, in bytes.
+    smem: u64,
+    /// Per-block execution time at full speed.
+    block_cost: SimSpan,
+    /// The kernel's memory-bandwidth intensity (contention model).
+    mem_intensity: f64,
+    /// Most blocks one wave chunk places (Full/Slice).
+    chunk_cap: u64,
     /// First original-grid block index covered by this launch.
     base_offset: u64,
     /// Tasks (original blocks) this launch must execute.
@@ -148,15 +167,7 @@ struct Active {
 
 impl Active {
     fn is_ptb(&self) -> bool {
-        matches!(self.req.shape, LaunchShape::Ptb { .. })
-    }
-
-    fn threads_per_block(&self) -> u64 {
-        self.req.kernel.threads_per_block() as u64
-    }
-
-    fn smem_per_block(&self) -> u64 {
-        self.req.kernel.smem_bytes as u64
+        matches!(self.shape, LaunchShape::Ptb { .. })
     }
 
     fn wants_dispatch(&self) -> bool {
@@ -182,8 +193,8 @@ impl Active {
 ///     .grid(864)
 ///     .block(256)
 ///     .block_cost(SimSpan::from_micros(50))
-///     .build_arc();
-/// engine.submit(LaunchRequest::full(k, ClientId(0), Priority::High));
+///     .build();
+/// engine.submit(LaunchRequest::full(&k, ClientId(0), Priority::High));
 /// let mut notes = Vec::new();
 /// match engine.advance(SimTime::MAX, &mut notes) {
 ///     Step::Notified => assert_eq!(notes.len(), 1),
@@ -312,7 +323,11 @@ impl Engine {
 
     /// Submits a launch request; it becomes dispatchable after the launch
     /// overhead. Returns the launch's id.
-    pub fn submit(&mut self, req: LaunchRequest) -> LaunchId {
+    ///
+    /// The engine copies what it reads of `req.kernel` (block geometry,
+    /// per-block cost, memory intensity) into its launch record and keeps
+    /// no reference to the kernel, so the request only borrows it.
+    pub fn submit(&mut self, req: LaunchRequest<'_>) -> LaunchId {
         let base_offset = match req.shape {
             LaunchShape::Full => 0,
             LaunchShape::Slice { offset, .. } => offset,
@@ -327,12 +342,23 @@ impl Engine {
         if let LaunchShape::Ptb { workers, .. } = req.shape {
             assert!(workers > 0, "PTB launch must have at least one worker");
         }
+        let kernel = req.kernel;
+        let wave = self
+            .spec
+            .wave_capacity(kernel.threads_per_block(), kernel.smem_bytes);
         let id = LaunchId(self.next_id);
         self.next_id += 1;
         self.stats.submitted += 1;
         self.active.push(Active {
             id,
-            req,
+            client: req.client,
+            priority: req.priority,
+            shape: req.shape,
+            threads: kernel.threads_per_block() as u64,
+            smem: kernel.smem_bytes as u64,
+            block_cost: kernel.block_cost,
+            mem_intensity: kernel.mem_intensity,
+            chunk_cap: (wave / Self::WAVE_CHUNKS).max(1),
             base_offset,
             total,
             fetched: 0,
@@ -374,7 +400,7 @@ impl Engine {
             // Nothing resident: drain completes instantly.
             let note = Notification::Preempted {
                 id,
-                client: active.req.client,
+                client: active.client,
                 done_upto: active.base_offset + active.done,
                 total: active.total,
                 at: self.now,
@@ -511,8 +537,8 @@ impl Engine {
         let mut interference = 0.0;
         for a in &self.active {
             if a.id != exclude && a.resident_blocks > 0 {
-                let share = (a.resident_blocks * a.threads_per_block()) as f64 / total_threads;
-                interference += a.req.kernel.mem_intensity * share;
+                let share = (a.resident_blocks * a.threads) as f64 / total_threads;
+                interference += a.mem_intensity * share;
             }
         }
         1.0 + self.spec.contention_beta * interference
@@ -547,8 +573,8 @@ impl Engine {
         let (threads, smem, finished, note);
         {
             let active = &mut self.active[pos];
-            threads = active.threads_per_block();
-            smem = active.smem_per_block();
+            threads = active.threads;
+            smem = active.smem;
             active.done += blocks;
             active.resident_blocks -= blocks;
             active.in_flight -= 1;
@@ -558,7 +584,7 @@ impl Engine {
                 finished = true;
                 note = Some(Notification::Preempted {
                     id,
-                    client: active.req.client,
+                    client: active.client,
                     done_upto: active.base_offset + active.done,
                     total: active.total,
                     at: self.now,
@@ -569,7 +595,7 @@ impl Engine {
                 finished = true;
                 note = Some(Notification::Completed {
                     id,
-                    client: active.req.client,
+                    client: active.client,
                     at: self.now,
                 });
                 self.stats.completed += 1;
@@ -596,8 +622,8 @@ impl Engine {
         active.done += take;
         active.round_active = false;
         self.stats.groups += 1;
-        let threads = active.threads_per_block();
-        let smem = active.smem_per_block();
+        let threads = active.threads;
+        let smem = active.smem;
         if active.preempt || active.done == active.total {
             let workers = active.resident_blocks;
             active.resident_blocks = 0;
@@ -605,14 +631,14 @@ impl Engine {
                 self.stats.completed += 1;
                 Notification::Completed {
                     id,
-                    client: active.req.client,
+                    client: active.client,
                     at: self.now,
                 }
             } else {
                 self.stats.preempted += 1;
                 Notification::Preempted {
                     id,
-                    client: active.req.client,
+                    client: active.client,
                     done_upto: active.base_offset + active.done,
                     total: active.total,
                     at: self.now,
@@ -638,8 +664,8 @@ impl Engine {
         {
             let active = &self.active[pos];
             id = active.id;
-            threads = active.threads_per_block();
-            smem = active.smem_per_block();
+            threads = active.threads;
+            smem = active.smem;
             want_more = active.ptb_target.saturating_sub(active.resident_blocks);
             remaining = active.total - active.fetched;
         }
@@ -658,8 +684,8 @@ impl Engine {
         active.resident_blocks = take;
         active.fetched += take;
         active.round_active = true;
-        let factor = active.req.shape.cost_factor();
-        let duration = active.req.kernel.block_cost.mul_f64(factor * slow * jitter);
+        let factor = active.shape.cost_factor();
+        let duration = active.block_cost.mul_f64(factor * slow * jitter);
         self.busy_thread_ns += duration.as_nanos() as u128 * (take * threads) as u128;
         if excess > 0 {
             self.release(excess, threads, smem);
@@ -704,7 +730,7 @@ impl Engine {
             .iter()
             .enumerate()
             .filter(|(_, a)| a.wants_dispatch())
-            .map(|(pos, a)| (a.req.priority, a.id, pos))
+            .map(|(pos, a)| (a.priority, a.id, pos))
             .collect();
         order.sort();
         loop {
@@ -737,14 +763,10 @@ impl Engine {
         {
             let active = &self.active[pos];
             id = active.id;
-            threads = active.threads_per_block();
-            smem = active.smem_per_block();
+            threads = active.threads;
+            smem = active.smem;
             pending = active.total - active.fetched;
-            let wave = self.spec.wave_capacity(
-                active.req.kernel.threads_per_block(),
-                active.req.kernel.smem_bytes,
-            );
-            chunk_cap = (wave / Self::WAVE_CHUNKS).max(1);
+            chunk_cap = active.chunk_cap;
         }
         if pending == 0 {
             return false;
@@ -760,7 +782,7 @@ impl Engine {
         active.fetched += m;
         active.in_flight += 1;
         active.resident_blocks += m;
-        let duration = active.req.kernel.block_cost.mul_f64(slow * jitter);
+        let duration = active.block_cost.mul_f64(slow * jitter);
         self.busy_thread_ns += duration.as_nanos() as u128 * (m * threads) as u128;
         let at = self.now + duration;
         self.push(at, Ev::GroupDone { id, blocks: m });
@@ -772,8 +794,8 @@ impl Engine {
         {
             let active = &self.active[pos];
             debug_assert!(active.resident_blocks == 0 && !active.round_active);
-            threads = active.threads_per_block();
-            smem = active.smem_per_block();
+            threads = active.threads;
+            smem = active.smem;
             target = active.ptb_target;
         }
         let m = self.fit(target, threads, smem);
@@ -793,15 +815,14 @@ mod tests {
     use crate::kernel::KernelDesc;
     use crate::launch::{ClientId, Priority};
     use crate::time::SimSpan;
-    use std::sync::Arc;
 
-    fn kernel(blocks: u32, threads: u32, cost_us: u64) -> Arc<KernelDesc> {
+    fn kernel(blocks: u32, threads: u32, cost_us: u64) -> KernelDesc {
         KernelDesc::builder("test")
             .grid(blocks)
             .block(threads)
             .block_cost(SimSpan::from_micros(cost_us))
             .mem_intensity(0.5)
-            .build_arc()
+            .build()
     }
 
     fn drain(engine: &mut Engine) -> Vec<Notification> {
@@ -819,7 +840,7 @@ mod tests {
     fn single_wave_kernel_completes() {
         let mut e = Engine::new(GpuSpec::tiny()); // 16 blocks @ 512 threads
         let k = kernel(16, 512, 100);
-        let id = e.submit(LaunchRequest::full(k, ClientId(1), Priority::High));
+        let id = e.submit(LaunchRequest::full(&k, ClientId(1), Priority::High));
         let notes = drain(&mut e);
         assert_eq!(
             notes,
@@ -838,7 +859,7 @@ mod tests {
     fn multi_wave_kernel_runs_in_waves() {
         let mut e = Engine::new(GpuSpec::tiny());
         let k = kernel(33, 512, 100); // 3 waves of <=16 blocks
-        e.submit(LaunchRequest::full(k, ClientId(0), Priority::High));
+        e.submit(LaunchRequest::full(&k, ClientId(0), Priority::High));
         let notes = drain(&mut e);
         assert_eq!(notes.len(), 1);
         assert_eq!(notes[0].at(), SimTime::from_micros(4 + 300));
@@ -851,7 +872,7 @@ mod tests {
         let mut e = Engine::new(GpuSpec::tiny());
         let k = kernel(64, 512, 100);
         let req = LaunchRequest {
-            kernel: k,
+            kernel: &k,
             shape: LaunchShape::Slice {
                 offset: 16,
                 count: 16,
@@ -869,7 +890,7 @@ mod tests {
         let mut e = Engine::new(GpuSpec::tiny());
         let k = kernel(40, 512, 100);
         let req = LaunchRequest {
-            kernel: k,
+            kernel: &k,
             shape: LaunchShape::Ptb {
                 workers: 8,
                 offset: 0,
@@ -890,7 +911,7 @@ mod tests {
         let mut e = Engine::new(GpuSpec::tiny());
         let k = kernel(8, 512, 100);
         let req = LaunchRequest {
-            kernel: k,
+            kernel: &k,
             shape: LaunchShape::Ptb {
                 workers: 8,
                 offset: 0,
@@ -909,7 +930,7 @@ mod tests {
         let mut e = Engine::new(GpuSpec::tiny());
         let k = kernel(64, 512, 100);
         let req = LaunchRequest {
-            kernel: k,
+            kernel: &k,
             shape: LaunchShape::Ptb {
                 workers: 16,
                 offset: 0,
@@ -945,7 +966,7 @@ mod tests {
         let mut e = Engine::new(GpuSpec::tiny());
         let k = kernel(64, 512, 100);
         let mk = |offset| LaunchRequest {
-            kernel: k.clone(),
+            kernel: &k,
             shape: LaunchShape::Ptb {
                 workers: 16,
                 offset,
@@ -972,7 +993,7 @@ mod tests {
     fn preempting_unstarted_launch_completes_instantly() {
         let mut e = Engine::new(GpuSpec::tiny());
         let k = kernel(16, 512, 100);
-        let id = e.submit(LaunchRequest::full(k, ClientId(0), Priority::BestEffort));
+        let id = e.submit(LaunchRequest::full(&k, ClientId(0), Priority::BestEffort));
         // Preempt before the launch-overhead arrival.
         assert!(e.preempt(id));
         let notes = drain(&mut e);
@@ -991,15 +1012,11 @@ mod tests {
     fn stale_arrival_of_launch_preempted_before_arrival_is_ignored() {
         let mut e = Engine::new(GpuSpec::tiny());
         let k = kernel(16, 512, 100);
-        let id = e.submit(LaunchRequest::full(
-            k.clone(),
-            ClientId(0),
-            Priority::BestEffort,
-        ));
+        let id = e.submit(LaunchRequest::full(&k, ClientId(0), Priority::BestEffort));
         // Retire it while its arrival is still queued, then keep a second
         // launch running past that arrival instant.
         assert!(e.preempt(id));
-        let other = e.submit(LaunchRequest::full(k, ClientId(1), Priority::BestEffort));
+        let other = e.submit(LaunchRequest::full(&k, ClientId(1), Priority::BestEffort));
         let notes = drain(&mut e);
         let preempted: Vec<_> = notes
             .iter()
@@ -1018,8 +1035,8 @@ mod tests {
     fn retired_ids_read_as_inactive() {
         let mut e = Engine::new(GpuSpec::tiny());
         let k = kernel(16, 512, 100);
-        let done = e.submit(LaunchRequest::full(k.clone(), ClientId(0), Priority::High));
-        let drained = e.submit(LaunchRequest::full(k, ClientId(0), Priority::High));
+        let done = e.submit(LaunchRequest::full(&k, ClientId(0), Priority::High));
+        let drained = e.submit(LaunchRequest::full(&k, ClientId(0), Priority::High));
         assert!(e.is_active(done) && e.progress(done) == Some(0));
         assert!(e.preempt(drained));
         let notes = drain(&mut e);
@@ -1042,12 +1059,12 @@ mod tests {
         let k = kernel(16, 512, 10);
         let mut last = None;
         for _ in 0..1000 {
-            let id = e.submit(LaunchRequest::full(k.clone(), ClientId(0), Priority::High));
+            let id = e.submit(LaunchRequest::full(&k, ClientId(0), Priority::High));
             assert!(last.is_none_or(|prev| id > prev), "{id} after {last:?}");
             last = Some(id);
             assert_eq!(drain(&mut e).len(), 1);
         }
-        let late = e.submit(LaunchRequest::full(k, ClientId(0), Priority::High));
+        let late = e.submit(LaunchRequest::full(&k, ClientId(0), Priority::High));
         assert!(late > last.expect("submitted"));
     }
 
@@ -1056,11 +1073,11 @@ mod tests {
         let mut e = Engine::new(GpuSpec::tiny());
         let k = kernel(16, 512, 10);
         for _ in 0..3 {
-            e.submit(LaunchRequest::full(k.clone(), ClientId(0), Priority::High));
+            e.submit(LaunchRequest::full(&k, ClientId(0), Priority::High));
         }
         drain(&mut e);
         for _ in 0..100 {
-            e.submit(LaunchRequest::full(k.clone(), ClientId(0), Priority::High));
+            e.submit(LaunchRequest::full(&k, ClientId(0), Priority::High));
             drain(&mut e);
         }
         assert_eq!(e.stats().submitted, 103);
@@ -1076,13 +1093,13 @@ mod tests {
         let mut e = Engine::new(GpuSpec::tiny());
         // Best-effort kernel saturates the GPU for 2 waves.
         let be = kernel(32, 512, 100);
-        e.submit(LaunchRequest::full(be, ClientId(0), Priority::BestEffort));
+        e.submit(LaunchRequest::full(&be, ClientId(0), Priority::BestEffort));
         // Advance past its arrival so the first wave is resident.
         e.advance(SimTime::from_micros(10), &mut Vec::new());
         // High-priority kernel arrives; its blocks must be placed before the
         // best-effort kernel's second wave.
         let hp = kernel(16, 512, 50);
-        let hp_id = e.submit(LaunchRequest::full(hp, ClientId(1), Priority::High));
+        let hp_id = e.submit(LaunchRequest::full(&hp, ClientId(1), Priority::High));
         let notes = drain(&mut e);
         let hp_done = notes
             .iter()
@@ -1103,8 +1120,8 @@ mod tests {
         let mut e = Engine::new(GpuSpec::tiny());
         let a = kernel(16, 512, 100);
         let b = kernel(16, 512, 100);
-        let ida = e.submit(LaunchRequest::full(a, ClientId(0), Priority::BestEffort));
-        let idb = e.submit(LaunchRequest::full(b, ClientId(1), Priority::BestEffort));
+        let ida = e.submit(LaunchRequest::full(&a, ClientId(0), Priority::BestEffort));
+        let idb = e.submit(LaunchRequest::full(&b, ClientId(1), Priority::BestEffort));
         let notes = drain(&mut e);
         assert_eq!(notes[0].launch(), ida);
         assert_eq!(notes[1].launch(), idb);
@@ -1119,8 +1136,8 @@ mod tests {
         // Two kernels that each fill half the GPU co-reside.
         let a = kernel(8, 512, 100);
         let b = kernel(8, 512, 100);
-        e.submit(LaunchRequest::full(a, ClientId(0), Priority::High));
-        e.submit(LaunchRequest::full(b, ClientId(1), Priority::High));
+        e.submit(LaunchRequest::full(&a, ClientId(0), Priority::High));
+        e.submit(LaunchRequest::full(&b, ClientId(1), Priority::High));
         let notes = drain(&mut e);
         // Kernel A was placed first with nothing else resident: 100us.
         assert_eq!(notes[0].at(), SimTime::from_micros(104));
@@ -1133,7 +1150,7 @@ mod tests {
     fn advance_respects_limit() {
         let mut e = Engine::new(GpuSpec::tiny());
         let k = kernel(16, 512, 100);
-        e.submit(LaunchRequest::full(k, ClientId(0), Priority::High));
+        e.submit(LaunchRequest::full(&k, ClientId(0), Priority::High));
         assert_eq!(
             e.advance(SimTime::from_micros(50), &mut Vec::new()),
             Step::ReachedLimit
@@ -1162,7 +1179,7 @@ mod tests {
     fn busy_accounting_matches_work() {
         let mut e = Engine::new(GpuSpec::tiny());
         let k = kernel(16, 512, 100);
-        e.submit(LaunchRequest::full(k, ClientId(0), Priority::High));
+        e.submit(LaunchRequest::full(&k, ClientId(0), Priority::High));
         drain(&mut e);
         // 16 blocks * 512 threads * 100us.
         assert_eq!(e.busy_thread_ns(), 16 * 512 * 100_000);
@@ -1174,7 +1191,7 @@ mod tests {
             let mut e = Engine::with_seed(GpuSpec::tiny(), seed);
             e.set_jitter(0.1);
             let k = kernel(16, 512, 100);
-            e.submit(LaunchRequest::full(k, ClientId(0), Priority::High));
+            e.submit(LaunchRequest::full(&k, ClientId(0), Priority::High));
             drain(&mut e)[0].at()
         };
         assert_eq!(run(7), run(7));
@@ -1191,8 +1208,8 @@ mod tests {
             let mut e = Engine::new(GpuSpec::tiny());
             let hp = kernel(48, 512, 100);
             let be = kernel(24, 256, 70);
-            e.submit(LaunchRequest::full(hp, ClientId(0), Priority::High));
-            e.submit(LaunchRequest::full(be, ClientId(1), Priority::BestEffort));
+            e.submit(LaunchRequest::full(&hp, ClientId(0), Priority::High));
+            e.submit(LaunchRequest::full(&be, ClientId(1), Priority::BestEffort));
             e
         };
         let us = SimTime::from_micros;

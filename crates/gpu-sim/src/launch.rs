@@ -1,7 +1,6 @@
 //! Launch requests: what a sharing system submits to the GPU engine.
 
 use std::fmt;
-use std::sync::Arc;
 
 use crate::kernel::KernelDesc;
 use crate::time::SimTime;
@@ -89,10 +88,16 @@ impl LaunchShape {
 }
 
 /// A request to execute (part of) a kernel on the GPU.
-#[derive(Clone, Debug)]
-pub struct LaunchRequest {
+///
+/// The request borrows its kernel for the length of
+/// [`Engine::submit`](crate::Engine::submit), which copies the launch's
+/// geometry and cost into its own launch record and keeps no reference to
+/// the kernel. A caller therefore submits from whatever owns the kernel,
+/// without cloning a handle to it.
+#[derive(Copy, Clone, Debug)]
+pub struct LaunchRequest<'a> {
     /// The kernel function being launched.
-    pub kernel: Arc<KernelDesc>,
+    pub kernel: &'a KernelDesc,
     /// The launch shape chosen by the sharing system.
     pub shape: LaunchShape,
     /// Owning client.
@@ -101,9 +106,9 @@ pub struct LaunchRequest {
     pub priority: Priority,
 }
 
-impl LaunchRequest {
+impl<'a> LaunchRequest<'a> {
     /// A full (untransformed) launch of `kernel` for `client`.
-    pub fn full(kernel: Arc<KernelDesc>, client: ClientId, priority: Priority) -> Self {
+    pub fn full(kernel: &'a KernelDesc, client: ClientId, priority: Priority) -> Self {
         LaunchRequest {
             kernel,
             shape: LaunchShape::Full,
@@ -210,14 +215,14 @@ mod tests {
     use super::*;
     use crate::kernel::KernelDesc;
 
-    fn kernel(blocks: u32) -> Arc<KernelDesc> {
-        KernelDesc::builder("k").grid(blocks).build_arc()
+    fn kernel(blocks: u32) -> KernelDesc {
+        KernelDesc::builder("k").grid(blocks).build()
     }
 
     #[test]
     fn task_counts_per_shape() {
         let k = kernel(100);
-        let full = LaunchRequest::full(k.clone(), ClientId(0), Priority::High);
+        let full = LaunchRequest::full(&k, ClientId(0), Priority::High);
         assert_eq!(full.task_count(), 100);
         assert_eq!(full.resident_blocks(), 100);
 
@@ -226,7 +231,7 @@ mod tests {
                 offset: 40,
                 count: 10,
             },
-            ..full.clone()
+            ..full
         };
         assert_eq!(slice.task_count(), 10);
 

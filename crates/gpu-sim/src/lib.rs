@@ -25,9 +25,9 @@
 //!     .block(256)
 //!     .block_cost(SimSpan::from_micros(120))
 //!     .mem_intensity(0.7)
-//!     .build_arc();
+//!     .build();
 //! let be = engine.submit(LaunchRequest {
-//!     kernel: train,
+//!     kernel: &train,
 //!     shape: LaunchShape::Ptb { workers: 432, offset: 0, overhead_ppm: 250 },
 //!     client: ClientId(0),
 //!     priority: Priority::BestEffort,
@@ -41,8 +41,8 @@
 //!     .grid(864)
 //!     .block(256)
 //!     .block_cost(SimSpan::from_micros(40))
-//!     .build_arc();
-//! engine.submit(LaunchRequest::full(infer, ClientId(1), Priority::High));
+//!     .build();
+//! engine.submit(LaunchRequest::full(&infer, ClientId(1), Priority::High));
 //!
 //! while let Step::Notified = engine.advance(SimTime::MAX, &mut notes) {
 //!     for n in notes.drain(..) {

@@ -95,7 +95,7 @@ fn launches_conserve_and_resolve() {
                         .grid(blocks)
                         .block(threads)
                         .block_cost(SimSpan::from_micros(cost_us))
-                        .build_arc();
+                        .build();
                     let shape = match ptb_workers {
                         Some(w) => LaunchShape::Ptb {
                             workers: (w as u32).min(blocks),
@@ -105,7 +105,7 @@ fn launches_conserve_and_resolve() {
                         None => LaunchShape::Full,
                     };
                     let id = engine.submit(LaunchRequest {
-                        kernel,
+                        kernel: &kernel,
                         shape,
                         client: ClientId(0),
                         priority: Priority::BestEffort,
@@ -172,9 +172,9 @@ fn solo_latency_matches_wave_arithmetic() {
             .grid((waves * capacity) as u32)
             .block(256)
             .block_cost(SimSpan::from_micros(cost_us))
-            .build_arc();
+            .build();
         let mut engine = Engine::new(spec.clone());
-        engine.submit(LaunchRequest::full(kernel, ClientId(0), Priority::High));
+        engine.submit(LaunchRequest::full(&kernel, ClientId(0), Priority::High));
         let mut notes = Vec::new();
         let at = match engine.advance(SimTime::MAX, &mut notes) {
             Step::Notified => notes[0].at(),
