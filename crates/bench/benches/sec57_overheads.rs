@@ -223,7 +223,7 @@ fn profiling_overhead(spec: &GpuSpec, sink: &mut JsonSink) {
     let p = tally.profiler_stats();
     let t = tally.transform_stats();
     println!(
-        "distinct (kernel, grid) configurations profiled : {}",
+        "distinct kernels profiled                       : {}",
         p.profiles
     );
     println!(

@@ -182,11 +182,6 @@ pub enum Observation {
         arrival: SimTime,
     },
     /// A client's next logical kernel was handed to the sharing system.
-    ///
-    /// The kernel carries its process-global
-    /// [`KernelId`](tally_gpu::KernelId), so streams from two runs match
-    /// byte-for-byte only when the runs share one set of built jobs (or
-    /// the comparison masks the ids).
     KernelDispatched {
         /// Session-local client id.
         client: ClientId,

@@ -2278,7 +2278,7 @@ mod tests {
     #[derive(Default)]
     struct Received {
         inner: Passthrough,
-        kernels: Vec<(ClientId, tally_gpu::KernelId)>,
+        kernels: Vec<(ClientId, Arc<KernelDesc>)>,
     }
 
     impl SharingSystem for Received {
@@ -2286,7 +2286,7 @@ mod tests {
             "received"
         }
         fn on_kernel_ready(&mut self, ctx: &mut Ctx<'_>, client: ClientId, k: Arc<KernelDesc>) {
-            self.kernels.push((client, k.id));
+            self.kernels.push((client, Arc::clone(&k)));
             self.inner.on_kernel_ready(ctx, client, k);
         }
         fn on_notification(&mut self, ctx: &mut Ctx<'_>, note: &tally_gpu::Notification) {
@@ -2343,24 +2343,25 @@ mod tests {
             system
                 .kernels
                 .iter()
-                .all(|&(c, k)| c == ClientId(1) && k == kb.id),
+                .all(|(c, k)| *c == ClientId(1) && Arc::ptr_eq(k, &kb)),
             "only b's kernel reaches the system: {:?}",
             system.kernels
         );
-        let dispatched: Vec<(ClientId, tally_gpu::KernelId)> = collector
+        let dispatched: Vec<ClientId> = collector
             .lock()
             .unwrap()
             .0
             .iter()
             .filter_map(|(_, _, e)| match e {
-                Observation::KernelDispatched { client, kernel } => Some((*client, kernel.id)),
+                Observation::KernelDispatched { client, kernel } => {
+                    assert!(Arc::ptr_eq(kernel, &kb), "observers see b's kernel only");
+                    Some(*client)
+                }
                 _ => None,
             })
             .collect();
-        assert_eq!(
-            dispatched, system.kernels,
-            "observers see b's dispatches only"
-        );
+        let received: Vec<ClientId> = system.kernels.iter().map(|(c, _)| *c).collect();
+        assert_eq!(dispatched, received, "observers see b's dispatches only");
         assert_eq!(
             report.clients[0].kernels, 0,
             "a's kernel count does not move"

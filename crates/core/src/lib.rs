@@ -73,6 +73,7 @@ pub mod api;
 pub mod cluster;
 pub mod events;
 pub mod harness;
+mod kernel_table;
 pub mod metrics;
 pub mod profiler;
 pub mod scheduler;

@@ -7,11 +7,11 @@
 //! the configuration can vacate the GPU) and *effective rate* (original
 //! blocks completed per second), and once every candidate has a
 //! measurement the best feasible configuration is locked in and reused for
-//! the rest of the job — per unique `(kernel, grid dimensions)` pair.
+//! the rest of the job — per kernel.
 //!
-//! Each `(kernel, grid)` pair owns one slot in the profiler, handed out by
+//! Each kernel owns one slot in the profiler, handed out by
 //! [`TransparentProfiler::slot`] when the scheduler receives the logical
-//! kernel. The slot holds the pair's candidate list, built once when the
+//! kernel. The slot holds the kernel's candidate list, built once when the
 //! slot is created, and one measurement per candidate. Every launch and
 //! every measurement after that addresses the slot directly
 //! ([`TransparentProfiler::choose`], [`TransparentProfiler::record`]), so
@@ -22,9 +22,11 @@
 //! PTB launch it follows the paper's Eq. 1:
 //! `turnaround = kernel_latency × worker_blocks / total_blocks`.
 
-use std::collections::BTreeMap;
+use std::sync::Arc;
 
-use tally_gpu::{Dim3, GpuSpec, KernelDesc, KernelId, SimSpan, SimTime};
+use tally_gpu::{GpuSpec, KernelDesc, SimSpan, SimTime};
+
+use crate::kernel_table::KernelTable;
 
 /// A candidate launch configuration for a best-effort kernel.
 ///
@@ -101,7 +103,7 @@ impl Measurement {
     }
 }
 
-/// Per-(kernel, grid) profiling state.
+/// Per-kernel profiling state.
 #[derive(Clone, Debug)]
 struct Profile {
     /// The candidate configurations, built once when the slot is created.
@@ -143,7 +145,7 @@ impl Profile {
     }
 }
 
-/// A `(kernel, grid)` pair's slot in a [`TransparentProfiler`], from
+/// A kernel's slot in a [`TransparentProfiler`], from
 /// [`TransparentProfiler::slot`].
 #[derive(Copy, Clone, PartialEq, Eq, Debug)]
 pub struct ProfileSlot(usize);
@@ -151,8 +153,7 @@ pub struct ProfileSlot(usize);
 /// Profiler counters, reported by the §5.7 overhead analysis.
 #[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
 pub struct ProfilerStats {
-    /// Distinct (kernel, grid) work configurations profiled, counted at
-    /// each one's first launch.
+    /// Distinct kernels profiled, counted at each one's first launch.
     pub profiles: u64,
     /// Measurements recorded.
     pub measurements: u64,
@@ -171,8 +172,8 @@ pub struct ProfilerStats {
 /// The transparent profiler. See the [module docs](self).
 #[derive(Debug, Default)]
 pub struct TransparentProfiler {
-    /// Each `(kernel, grid)` pair's index in `profiles`.
-    slots: BTreeMap<(KernelId, Dim3), usize>,
+    /// Each kernel's index in `profiles`.
+    slots: KernelTable<usize>,
     profiles: Vec<Profile>,
     stats: ProfilerStats,
 }
@@ -188,22 +189,23 @@ impl TransparentProfiler {
         self.stats
     }
 
-    /// The slot of `kernel`'s `(kernel, grid)` pair: one keyed search. The
-    /// first call for a pair creates its slot with the candidates
-    /// [`candidate_configs`] gives on `spec`.
-    pub fn slot(&mut self, spec: &GpuSpec, kernel: &KernelDesc) -> ProfileSlot {
+    /// `kernel`'s slot: one keyed search. The first call for a kernel
+    /// creates its slot with the candidates [`candidate_configs`] gives on
+    /// `spec`.
+    pub fn slot(&mut self, spec: &GpuSpec, kernel: &Arc<KernelDesc>) -> ProfileSlot {
         self.stats.lookups += 1;
-        let next = self.profiles.len();
-        let slot = *self.slots.entry((kernel.id, kernel.grid)).or_insert(next);
-        if slot == next {
-            let candidates = candidate_configs(spec, kernel);
-            self.profiles.push(Profile {
-                measurements: vec![Measurement::default(); candidates.len()],
-                candidates,
-                chosen: None,
-                launched: false,
-            });
+        if let Some(&slot) = self.slots.get(kernel) {
+            return ProfileSlot(slot);
         }
+        let slot = self.profiles.len();
+        let candidates = candidate_configs(spec, kernel);
+        self.profiles.push(Profile {
+            measurements: vec![Measurement::default(); candidates.len()],
+            candidates,
+            chosen: None,
+            launched: false,
+        });
+        self.slots.insert(kernel, slot);
         ProfileSlot(slot)
     }
 
@@ -283,6 +285,10 @@ impl TransparentProfiler {
 
 #[cfg(test)]
 mod tests {
+    use std::collections::BTreeMap;
+
+    use tally_gpu::Dim3;
+
     use super::*;
     use crate::scheduler::TallyConfig;
 
@@ -298,12 +304,20 @@ mod tests {
         TallyConfig::paper_default().turnaround_bound
     }
 
-    fn kernel(blocks: u32, cost_us: u64) -> KernelDesc {
+    fn kernel(blocks: u32, cost_us: u64) -> Arc<KernelDesc> {
         KernelDesc::builder("k")
             .grid(blocks)
             .block(256)
             .block_cost(SimSpan::from_micros(cost_us))
-            .build()
+            .build_arc()
+    }
+
+    /// A distinct kernel that differs from `k` only in its grid.
+    fn regridded(k: &KernelDesc, blocks: u32) -> Arc<KernelDesc> {
+        Arc::new(KernelDesc {
+            grid: Dim3::linear(blocks),
+            ..k.clone()
+        })
     }
 
     #[test]
@@ -458,25 +472,22 @@ mod tests {
     fn separate_profiles_per_grid_dims() {
         let spec = GpuSpec::a100();
         let k1 = kernel(100, 10);
-        let k2 = KernelDesc {
-            grid: Dim3::linear(200),
-            ..k1.clone()
-        };
+        let k2 = regridded(&k1, 200);
         let mut prof = TransparentProfiler::new();
         let s1 = prof.slot(&spec, &k1);
         let s2 = prof.slot(&spec, &k2);
         assert_ne!(s1, s2, "different grid profiles separately");
-        assert_eq!(prof.slot(&spec, &k1), s1, "one slot per (kernel, grid)");
+        assert_eq!(prof.slot(&spec, &k1), s1, "one slot per kernel");
         assert_eq!(prof.stats().lookups, 3);
         assert_eq!(prof.candidates(s2), candidate_configs(&spec, &k2));
     }
 
     /// The kernel-keyed profiler the slots replaced: every call searches
-    /// a map by `(kernel, grid)`, and a launch that misses the cache
+    /// a map by the kernel's address, and a launch that misses the cache
     /// rebuilds the candidates. The reference the slot API must match.
     #[derive(Default)]
     struct KeyedProfiler {
-        profiles: BTreeMap<(KernelId, Dim3), KeyedProfile>,
+        profiles: BTreeMap<usize, KeyedProfile>,
         stats: ProfilerStats,
     }
 
@@ -490,8 +501,13 @@ mod tests {
         /// The configuration of one launch of `kernel`: the cached choice,
         /// else the winner once every candidate is measured, else the
         /// next unmeasured candidate.
-        fn launch(&mut self, spec: &GpuSpec, bound: SimSpan, kernel: &KernelDesc) -> LaunchCfg {
-            let key = (kernel.id, kernel.grid);
+        fn launch(
+            &mut self,
+            spec: &GpuSpec,
+            bound: SimSpan,
+            kernel: &Arc<KernelDesc>,
+        ) -> LaunchCfg {
+            let key = Arc::as_ptr(kernel).addr();
             if let Some(cfg) = self.profiles.get(&key).and_then(|p| p.chosen) {
                 self.stats.cache_hits += 1;
                 return cfg;
@@ -515,7 +531,7 @@ mod tests {
             &mut self,
             bound: SimSpan,
             candidates: &[LaunchCfg],
-            key: (KernelId, Dim3),
+            key: usize,
         ) -> Option<LaunchCfg> {
             let p = self.profiles.get_mut(&key)?;
             if !candidates.iter().all(|c| p.measurements.contains_key(c)) {
@@ -539,7 +555,13 @@ mod tests {
             p.chosen
         }
 
-        fn record(&mut self, kernel: &KernelDesc, cfg: LaunchCfg, tasks: u64, duration: SimSpan) {
+        fn record(
+            &mut self,
+            kernel: &Arc<KernelDesc>,
+            cfg: LaunchCfg,
+            tasks: u64,
+            duration: SimSpan,
+        ) {
             if tasks == 0 || duration.is_zero() {
                 return;
             }
@@ -547,7 +569,7 @@ mod tests {
                 LaunchCfg::Slice { .. } => duration,
                 LaunchCfg::Ptb { workers } => duration.mul_f64(workers as f64 / tasks as f64),
             };
-            let p = self.profiles.entry((kernel.id, kernel.grid)).or_default();
+            let p = self.profiles.entry(Arc::as_ptr(kernel).addr()).or_default();
             let m = p.measurements.entry(cfg).or_default();
             m.turnaround_ns += turnaround.as_nanos() as u128;
             m.rate_sum += tasks as f64 / duration.as_secs_f64();
@@ -561,16 +583,14 @@ mod tests {
     /// the kernel-keyed reference: tail slices and preempted slices (never
     /// measured), preempted PTB runs with and without a full round,
     /// kernels received again after they finish, a kernel received but
-    /// never launched, and two bounds.
+    /// never launched, two kernels that differ only in their grid, and two
+    /// bounds.
     #[test]
     fn slots_match_the_kernel_keyed_profiler() {
         let spec = GpuSpec::a100();
         let base = kernel(4320, 100);
         let kernels = [
-            KernelDesc {
-                grid: Dim3::linear(1000),
-                ..base.clone()
-            },
+            regridded(&base, 1000),
             base,
             kernel(4, 10),
             kernel(864, 20),

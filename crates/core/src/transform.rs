@@ -13,10 +13,11 @@
 //! *actual* device-code rewriting this models is implemented and verified
 //! in `tally_ptx::passes`.
 
-use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use tally_gpu::{KernelDesc, KernelId, KernelOrigin};
+use tally_gpu::{KernelDesc, KernelOrigin};
+
+use crate::kernel_table::KernelTable;
 
 /// Per-task overhead of the PTB (preemptive) form, in parts per thousand:
 /// 250 is the +25% average the paper measures (§5.7).
@@ -71,10 +72,10 @@ pub struct TransformStats {
     pub cache_hits: u64,
 }
 
-/// Caches one [`TransformPlan`] per kernel function.
+/// Caches one [`TransformPlan`] per kernel.
 #[derive(Debug, Default)]
 pub struct KernelTransformer {
-    plans: BTreeMap<KernelId, TransformPlan>,
+    plans: KernelTable<TransformPlan>,
     stats: TransformStats,
 }
 
@@ -91,7 +92,7 @@ impl KernelTransformer {
 
     /// Returns (building and caching on first sight) the plan for `kernel`.
     pub fn plan(&mut self, kernel: &Arc<KernelDesc>) -> TransformPlan {
-        if let Some(plan) = self.plans.get(&kernel.id) {
+        if let Some(plan) = self.plans.get(kernel) {
             self.stats.cache_hits += 1;
             return plan.clone();
         }
@@ -115,7 +116,6 @@ impl KernelTransformer {
                     )
                     .mem_intensity(kernel.mem_intensity)
                     .smem_bytes(kernel.smem_bytes)
-                    .regs_per_thread(kernel.regs_per_thread)
                     .build_arc();
                 TransformPlan::BlockLevel {
                     kernel: replacement,
@@ -128,7 +128,7 @@ impl KernelTransformer {
                 }
             }
         };
-        self.plans.insert(kernel.id, plan.clone());
+        self.plans.insert(kernel, plan.clone());
         plan
     }
 }
@@ -162,7 +162,7 @@ mod tests {
         let plan = t.plan(&k);
         let replacement = plan.kernel();
         assert!(plan.block_level());
-        assert_ne!(replacement.id, k.id);
+        assert!(!Arc::ptr_eq(replacement, &k));
         assert!(replacement.name.starts_with("cutlass::"));
         assert_eq!(replacement.block_cost, SimSpan::from_micros(105));
         assert_eq!(t.stats().replaced, 1);
@@ -182,7 +182,10 @@ mod tests {
         let k = kernel(KernelOrigin::Opaque);
         let a = t.plan(&k);
         let b = t.plan(&k);
-        assert_eq!(a.kernel().id, b.kernel().id, "same replacement reused");
+        assert!(
+            Arc::ptr_eq(a.kernel(), b.kernel()),
+            "same replacement reused"
+        );
         assert_eq!(t.stats().cache_hits, 1);
         assert_eq!(t.stats().replaced, 1);
     }

@@ -1,7 +1,6 @@
 //! Kernel descriptions: grid geometry, cost model, and resource footprint.
 
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use crate::spec::GpuSpec;
@@ -14,12 +13,8 @@ use crate::time::SimSpan;
 ///
 /// let grid = Dim3::new(8, 4, 1);
 /// assert_eq!(grid.count(), 32);
-/// assert_eq!(grid.linear_to_coords(9), (1, 1, 0));
 /// ```
-// `Ord` exists so dimensions can key ordered containers (the profiler's
-// per-(kernel, grid) tables must never expose hash order); the derived
-// lexicographic x→y→z ordering carries no semantic meaning.
-#[derive(Copy, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
+#[derive(Copy, Clone, PartialEq, Eq)]
 pub struct Dim3 {
     /// Extent in the x dimension.
     pub x: u32,
@@ -48,27 +43,6 @@ impl Dim3 {
     /// Total number of elements (blocks or threads) in the extent.
     pub fn count(self) -> u64 {
         self.x as u64 * self.y as u64 * self.z as u64
-    }
-
-    /// Maps a linear index back to `(x, y, z)` coordinates, x-major —
-    /// the same mapping the persistent-thread-block transformation uses to
-    /// reconstruct `blockIdx` from a fetched task index.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `idx >= self.count()`.
-    pub fn linear_to_coords(self, idx: u64) -> (u32, u32, u32) {
-        assert!(idx < self.count(), "linear index out of range");
-        let x = (idx % self.x as u64) as u32;
-        let y = ((idx / self.x as u64) % self.y as u64) as u32;
-        let z = (idx / (self.x as u64 * self.y as u64)) as u32;
-        (x, y, z)
-    }
-
-    /// Maps `(x, y, z)` coordinates to a linear index, inverse of
-    /// [`Dim3::linear_to_coords`].
-    pub fn coords_to_linear(self, x: u32, y: u32, z: u32) -> u64 {
-        x as u64 + self.x as u64 * (y as u64 + self.y as u64 * z as u64)
     }
 }
 
@@ -108,26 +82,6 @@ impl From<(u32, u32, u32)> for Dim3 {
     }
 }
 
-/// Globally unique identifier of a kernel *function* (not of a launch).
-///
-/// Recurring launches of the same kernel share a `KernelId`, which is what
-/// lets Tally's transparent profiler reuse measurements across iterations.
-///
-/// Ids come from one process-global counter ([`fresh_kernel_id`]), so
-/// building the same workload twice in one process yields different ids.
-/// Reports and Chrome traces never show them, but an observer stream does
-/// (through the kernel of each dispatch): two runs' streams compare
-/// byte-for-byte only when the runs share one set of built jobs, or when
-/// the comparison masks the ids.
-#[derive(Copy, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
-pub struct KernelId(pub u64);
-
-impl fmt::Display for KernelId {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "k{}", self.0)
-    }
-}
-
 /// Where a kernel's device code comes from.
 #[derive(Copy, Clone, PartialEq, Eq, Hash, Debug, Default)]
 pub enum KernelOrigin {
@@ -151,10 +105,13 @@ pub enum KernelOrigin {
 /// contention model), so a kernel's solo duration is
 /// `waves(grid) * block_cost` plus launch overhead. Construct descriptions
 /// with [`KernelDesc::builder`].
+///
+/// A kernel is its allocation: [`KernelDescBuilder::build_arc`] builds
+/// each kernel once, every launch of it shares that `Arc`, and per-kernel
+/// caches (Tally's transformer and profiler) key by the `Arc`, not by the
+/// description's contents.
 #[derive(Debug, Clone)]
 pub struct KernelDesc {
-    /// Unique id of the kernel function.
-    pub id: KernelId,
     /// Human-readable name (e.g. `"resnet50::conv2d_3x3"`).
     pub name: Arc<str>,
     /// Grid extent (number of thread blocks).
@@ -168,17 +125,8 @@ pub struct KernelDesc {
     pub mem_intensity: f64,
     /// Static + dynamic shared memory per block, in bytes.
     pub smem_bytes: u32,
-    /// Registers per thread (informational; occupancy uses threads + smem).
-    pub regs_per_thread: u32,
     /// Provenance of the device code.
     pub origin: KernelOrigin,
-}
-
-static NEXT_KERNEL_ID: AtomicU64 = AtomicU64::new(1);
-
-/// Allocates a fresh, process-unique [`KernelId`].
-pub fn fresh_kernel_id() -> KernelId {
-    KernelId(NEXT_KERNEL_ID.fetch_add(1, Ordering::Relaxed))
 }
 
 impl KernelDesc {
@@ -203,9 +151,7 @@ impl KernelDesc {
             block_cost: SimSpan::from_micros(10),
             mem_intensity: 0.5,
             smem_bytes: 0,
-            regs_per_thread: 32,
             origin: KernelOrigin::UserPtx,
-            id: None,
         }
     }
 
@@ -220,27 +166,11 @@ impl KernelDesc {
         let waves = spec.waves(self.grid.count(), self.threads_per_block(), self.smem_bytes);
         self.block_cost * waves
     }
-
-    /// Whether Tally's block-level transformations may be applied
-    /// (PTX available and no inter-block cooperation).
-    pub fn transformable(&self) -> bool {
-        matches!(self.origin, KernelOrigin::UserPtx)
-    }
-}
-
-impl PartialEq for KernelDesc {
-    fn eq(&self, other: &Self) -> bool {
-        self.id == other.id
-    }
 }
 
 impl fmt::Display for KernelDesc {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "{} [{} grid {} block {}]",
-            self.name, self.id, self.grid, self.block
-        )
+        write!(f, "{} [grid {} block {}]", self.name, self.grid, self.block)
     }
 }
 
@@ -253,9 +183,7 @@ pub struct KernelDescBuilder {
     block_cost: SimSpan,
     mem_intensity: f64,
     smem_bytes: u32,
-    regs_per_thread: u32,
     origin: KernelOrigin,
-    id: Option<KernelId>,
 }
 
 impl KernelDescBuilder {
@@ -297,35 +225,21 @@ impl KernelDescBuilder {
         self
     }
 
-    /// Sets registers per thread.
-    pub fn regs_per_thread(mut self, regs: u32) -> Self {
-        self.regs_per_thread = regs;
-        self
-    }
-
     /// Sets the device-code provenance.
     pub fn origin(mut self, origin: KernelOrigin) -> Self {
         self.origin = origin;
         self
     }
 
-    /// Overrides the auto-allocated kernel id (useful in tests).
-    pub fn id(mut self, id: KernelId) -> Self {
-        self.id = Some(id);
-        self
-    }
-
     /// Finishes the builder.
     pub fn build(self) -> KernelDesc {
         KernelDesc {
-            id: self.id.unwrap_or_else(fresh_kernel_id),
             name: self.name,
             grid: self.grid,
             block: self.block,
             block_cost: self.block_cost,
             mem_intensity: self.mem_intensity,
             smem_bytes: self.smem_bytes,
-            regs_per_thread: self.regs_per_thread,
             origin: self.origin,
         }
     }
@@ -342,13 +256,9 @@ mod tests {
     use super::*;
 
     #[test]
-    fn dim3_counts_and_coords() {
-        let d = Dim3::new(4, 3, 2);
-        assert_eq!(d.count(), 24);
-        for i in 0..24 {
-            let (x, y, z) = d.linear_to_coords(i);
-            assert_eq!(d.coords_to_linear(x, y, z), i);
-        }
+    fn dim3_counts() {
+        assert_eq!(Dim3::new(4, 3, 2).count(), 24);
+        assert_eq!(Dim3::from((7, 5)).count(), 35);
     }
 
     #[test]
@@ -358,12 +268,11 @@ mod tests {
     }
 
     #[test]
-    fn builder_defaults_and_ids() {
+    fn builder_defaults() {
         let a = KernelDesc::builder("a").build();
-        let b = KernelDesc::builder("b").build();
-        assert_ne!(a.id, b.id, "auto ids must be unique");
+        assert_eq!(a.grid.count(), 1);
         assert_eq!(a.threads_per_block(), 128);
-        assert!(a.transformable());
+        assert_eq!(a.origin, KernelOrigin::UserPtx);
     }
 
     #[test]
@@ -376,17 +285,5 @@ mod tests {
             .build();
         // 33 blocks / 16 per wave = 3 waves.
         assert_eq!(k.solo_latency(&spec), SimSpan::from_micros(300));
-    }
-
-    #[test]
-    fn opaque_kernels_not_transformable() {
-        let k = KernelDesc::builder("cublas_gemm")
-            .origin(KernelOrigin::Opaque)
-            .build();
-        assert!(!k.transformable());
-        let c = KernelDesc::builder("coop")
-            .origin(KernelOrigin::Cooperative)
-            .build();
-        assert!(!c.transformable());
     }
 }

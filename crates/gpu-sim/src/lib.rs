@@ -65,7 +65,7 @@ mod spec;
 mod time;
 
 pub use engine::{Engine, EngineStats, Step};
-pub use kernel::{fresh_kernel_id, Dim3, KernelDesc, KernelDescBuilder, KernelId, KernelOrigin};
+pub use kernel::{Dim3, KernelDesc, KernelDescBuilder, KernelOrigin};
 pub use launch::{ClientId, LaunchId, LaunchRequest, LaunchShape, Notification, Priority};
 pub use spec::GpuSpec;
 pub use time::{SimSpan, SimTime};

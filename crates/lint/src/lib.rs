@@ -18,6 +18,7 @@
 //! | `D4-thread-identity`   | no thread identity in sim paths |
 //! | `D5-entropy`           | all randomness from seeded `tally_gpu::rng` |
 //! | `D6-debug-fingerprint` | no interior mutability behind derived `Debug` |
+//! | `D7-global-state`      | no interior-mutable `static`s in sim crates |
 //! | `L1-layering`          | crate imports follow the architecture DAG |
 //!
 //! False positives are acknowledged, not silenced: a finding is

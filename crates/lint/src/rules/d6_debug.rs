@@ -16,7 +16,7 @@ use crate::Finding;
 
 pub struct D6DebugFingerprint;
 
-const INTERIOR_MUT: &[&str] = &[
+pub(super) const INTERIOR_MUT: &[&str] = &[
     "Cell",
     "RefCell",
     "UnsafeCell",

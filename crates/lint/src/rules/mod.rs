@@ -19,6 +19,7 @@ pub mod d3_wallclock;
 pub mod d4_thread;
 pub mod d5_entropy;
 pub mod d6_debug;
+pub mod d7_global;
 pub mod l1_layering;
 
 /// Which workspace unit a file belongs to, derived from its
@@ -72,7 +73,7 @@ impl Unit {
     }
 
     /// Whether simulation state is reachable from this unit — the scope
-    /// of the determinism-critical rules D1/D2/D4/D6. The bench harness,
+    /// of the determinism-critical rules D1/D2/D4/D6/D7. The bench harness,
     /// facade, and integration tests *observe* the simulation through
     /// its deterministic report surface; they hold no sim state of their
     /// own, so hash-ordered scratch maps there cannot perturb outputs.
@@ -202,6 +203,7 @@ pub fn all_rules() -> Vec<Box<dyn Rule>> {
         Box::new(d4_thread::D4ThreadIdentity),
         Box::new(d5_entropy::D5Entropy),
         Box::new(d6_debug::D6DebugFingerprint),
+        Box::new(d7_global::D7GlobalState),
         Box::new(l1_layering::L1Layering),
     ]
 }

@@ -104,6 +104,25 @@ fn d6_fires_on_derived_debug_over_interior_mutability() {
 }
 
 #[test]
+fn d7_fires_on_interior_mutable_statics_and_not_on_plain_ones() {
+    let bad = lint(SIM_PATH, include_str!("fixtures/d7_bad.rs"));
+    assert_eq!(rules_hit(&bad), ["D7-global-state"]);
+    // The counter and the cache, each at its `static`.
+    let lines: Vec<u32> = bad.findings.iter().map(|f| f.line).collect();
+    assert_eq!(lines, [7, 9], "{:?}", bad.findings);
+
+    let good = lint(SIM_PATH, include_str!("fixtures/d7_good.rs"));
+    assert!(good.findings.is_empty(), "{:?}", good.findings);
+
+    // Outside the simulation crates a global holds no sim state.
+    let bench = lint(
+        "crates/bench/src/fixture.rs",
+        include_str!("fixtures/d7_bad.rs"),
+    );
+    assert!(bench.findings.is_empty(), "{:?}", bench.findings);
+}
+
+#[test]
 fn l1_fires_on_dag_inversions_and_not_on_legal_edges() {
     let bad = lint(SIM_PATH, include_str!("fixtures/l1_bad.rs"));
     assert_eq!(rules_hit(&bad), ["L1-layering"]);

@@ -221,22 +221,9 @@ impl TraceJob {
         let job = match self {
             TraceJob::Train(m) => m.job(spec),
             TraceJob::Infer { model, load, seed } => {
-                let end = SimTime::ZERO + duration;
-                let mut reqs: Vec<SimTime> = Vec::new();
-                for (w, win) in windows.iter().enumerate() {
-                    let until = win.until.unwrap_or(end).min(end);
-                    let span = until.saturating_since(win.from);
-                    if span.is_zero() {
-                        continue;
-                    }
-                    let cfg = Maf2Config::new(*load, model.paper_latency(), span)
-                        .with_seed(seed.wrapping_add(w as u64));
-                    reqs.extend(
-                        arrivals(&cfg)
-                            .into_iter()
-                            .map(|t| win.from + t.saturating_since(SimTime::ZERO)),
-                    );
-                }
+                let reqs = window_arrivals(windows, duration, *seed, |span, seed| {
+                    arrivals(&Maf2Config::new(*load, model.paper_latency(), span).with_seed(seed))
+                });
                 model.job(spec, reqs)
             }
             TraceJob::OpenLoop {
@@ -244,27 +231,41 @@ impl TraceJob {
                 profile,
                 seed,
             } => {
-                let end = SimTime::ZERO + duration;
-                let mut reqs: Vec<SimTime> = Vec::new();
-                for (w, win) in windows.iter().enumerate() {
-                    let until = win.until.unwrap_or(end).min(end);
-                    let span = until.saturating_since(win.from);
-                    if span.is_zero() {
-                        continue;
-                    }
-                    reqs.extend(
-                        profile
-                            .arrivals(span, seed.wrapping_add(w as u64))
-                            .into_iter()
-                            .map(|t| win.from + t.saturating_since(SimTime::ZERO)),
-                    );
-                }
+                let reqs = window_arrivals(windows, duration, *seed, |span, seed| {
+                    profile.arrivals(span, seed)
+                });
                 model.job(spec, reqs)
             }
         };
         job.with_schedule(windows.to_vec())
             .with_descriptor(self.descriptor())
     }
+}
+
+/// The request arrivals of a client active over `windows`: window `w`,
+/// clipped to `duration` and skipped when empty, draws `draw(span, seed +
+/// w)` over its span, shifted to the window's start.
+fn window_arrivals(
+    windows: &[ActivityWindow],
+    duration: SimSpan,
+    seed: u64,
+    draw: impl Fn(SimSpan, u64) -> Vec<SimTime>,
+) -> Vec<SimTime> {
+    let end = SimTime::ZERO + duration;
+    let mut reqs = Vec::new();
+    for (w, win) in windows.iter().enumerate() {
+        let until = win.until.unwrap_or(end).min(end);
+        let span = until.saturating_since(win.from);
+        if span.is_zero() {
+            continue;
+        }
+        reqs.extend(
+            draw(span, seed.wrapping_add(w as u64))
+                .into_iter()
+                .map(|t| win.from + t.saturating_since(SimTime::ZERO)),
+        );
+    }
+    reqs
 }
 
 /// One client lifecycle event of an [`ArrivalTrace`]: the workspace-wide

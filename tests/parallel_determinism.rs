@@ -15,31 +15,12 @@ use tally::workloads::mixes;
 
 /// Captures every fleet observation as a rendered line, preserving
 /// delivery order — the strictest cheap fingerprint of the event stream.
-///
-/// `KernelId` values are masked out: they come from a process-global
-/// allocator, so two runs in the same process see different offsets even
-/// though the streams are otherwise identical.
 #[derive(Default)]
 struct Collector(Vec<String>);
 
-fn mask_kernel_ids(line: &str) -> String {
-    let mut out = String::with_capacity(line.len());
-    let mut rest = line;
-    while let Some(pos) = rest.find("KernelId(") {
-        let tail = &rest[pos + "KernelId(".len()..];
-        let close = tail.find(')').expect("unclosed KernelId");
-        out.push_str(&rest[..pos]);
-        out.push_str("KernelId(#)");
-        rest = &tail[close + 1..];
-    }
-    out.push_str(rest);
-    out
-}
-
 impl SessionObserver for Collector {
     fn on_event(&mut self, at: SimTime, device: usize, event: &Observation) {
-        self.0
-            .push(mask_kernel_ids(&format!("{at} d{device} {event:?}")));
+        self.0.push(format!("{at} d{device} {event:?}"));
     }
 }
 

@@ -339,8 +339,6 @@ fn batched_delivery_equals_per_settle_delivery() {
         duration: SimSpan::from_secs(2),
         ..cfg(false)
     };
-    // Kernel ids are process-global: every run below shares these jobs,
-    // so the dispatch observations render alike.
     let jobs = flash_crowd_jobs(&spec, c.duration);
     let session = |tape: &TapeSync| {
         Colocation::on(spec.clone())

@@ -135,8 +135,6 @@ impl SessionObserver for Lines {
 }
 
 /// A BERT service (MAF2 arrivals at 50% load) beside a PointNet trainer.
-/// Built once: kernel ids are global, so rebuilt jobs would read as a
-/// different observer stream.
 fn pairing() -> Vec<JobSpec> {
     let spec = GpuSpec::a100();
     let trace = arrivals(&Maf2Config::new(
