@@ -386,3 +386,122 @@ fn batched_delivery_equals_per_settle_delivery() {
         assert_eq!(rendered(&tape), expected, "cluster at {threads} threads");
     }
 }
+
+/// FNV-1a, 64-bit: a digest whose value no Rust release can change,
+/// unlike std's `DefaultHasher`.
+fn fnv1a64(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// The digests of the four exports, in the order Chrome JSON, Timeline
+/// JSON, Timeline CSV and the hub's `samples()` rendering.
+fn export_digests(
+    trace: &ChromeTraceWriter,
+    timeline: &mut Timeline,
+    hub: &MetricsHub,
+) -> [u64; 4] {
+    [
+        fnv1a64(trace.to_json().as_bytes()),
+        fnv1a64(timeline.to_json().as_bytes()),
+        fnv1a64(timeline.to_csv().as_bytes()),
+        fnv1a64(format!("{:?}", hub.samples()).as_bytes()),
+    ]
+}
+
+/// A small fleet whose Whisper trainers carry their optimizer state over
+/// an NVLink pair, so the load-aware rebalancer's moves charge transfer
+/// stalls.
+fn run_stalled_fleet() -> (ChromeTraceWriter, Timeline, MetricsHub) {
+    let spec = GpuSpec::a100();
+    let c = HarnessConfig {
+        duration: SimSpan::from_secs(2),
+        ..cfg(false)
+    };
+    let jobs = mixes::phase_shifted(&spec, SimSpan::from_millis(500), c.duration, 0.5);
+    assert!(
+        jobs.iter().any(|j| j.state_bytes > 0),
+        "jobs must carry state"
+    );
+    let timeline = Timeline::shared_sync(SimSpan::from_millis(250), c.duration);
+    let trace = ChromeTraceWriter::shared_sync();
+    let hub = MetricsHub::shared_sync();
+    Cluster::new()
+        .devices(2, spec)
+        .topology(Topology::new(2).link(0, 1, Link::nvlink()))
+        .clients(jobs)
+        .rebalance_every(SimSpan::from_millis(250))
+        .policy(LoadAware::default())
+        .sync_observer(timeline.clone())
+        .sync_observer(trace.clone())
+        .sync_observer(hub.clone())
+        .config(c)
+        .run();
+    (take(trace), take(timeline), take(hub))
+}
+
+/// The observer behind a handle the run has released.
+fn take<T>(handle: std::sync::Arc<std::sync::Mutex<T>>) -> T {
+    std::sync::Arc::try_unwrap(handle)
+        .ok()
+        .expect("the run released its handle")
+        .into_inner()
+        .expect("observer")
+}
+
+/// The exports are pinned byte for byte, so a refactor of the telemetry
+/// layer that claims identical output is checked here: the single-device
+/// flash crowd (sheds, request spans) and a stalled-migration fleet
+/// (migrate marks, stall spans, per-window stall).
+#[test]
+fn exports_match_their_digests() {
+    let (_, attached) = run_colocation(false, true);
+    let (timeline, trace, hub) = attached.expect("telemetry attached");
+    let crowd = export_digests(
+        &trace.lock().expect("trace"),
+        &mut timeline.lock().expect("timeline"),
+        &hub.lock().expect("hub"),
+    );
+
+    let (trace, mut timeline, hub) = run_stalled_fleet();
+    let json = trace.to_json();
+    for mark in ["\"migrate-in\"", "\"migrate-out\"", "\"migrate-stall\""] {
+        assert!(json.contains(mark), "the fleet trace must render {mark}");
+    }
+    let stall = hub
+        .samples()
+        .into_iter()
+        .find(|s| s.name == "migration_stall_ms")
+        .expect("fleet stall sample");
+    assert!(stall.value > 0.0, "the fleet must charge a migration stall");
+    let fleet = export_digests(&trace, &mut timeline, &hub);
+    assert!(
+        (0..2).any(|d| timeline
+            .windows(d)
+            .iter()
+            .any(|w| !w.migration_stall.is_zero())),
+        "some timeline window must carry a migration stall"
+    );
+
+    assert_eq!(
+        crowd,
+        [
+            0x15b4_dd74_e1f6_958e,
+            0x7b4e_c95a_3c21_b8b0,
+            0x5280_7432_159c_d0bc,
+            0x2db6_0d4f_1f0a_97fd,
+        ],
+        "flash-crowd export digests"
+    );
+    assert_eq!(
+        fleet,
+        [
+            0xfddb_ae18_b4d4_cd4e,
+            0x87eb_07c0_e1da_e9e8,
+            0xb78e_7031_afa2_4254,
+            0xf888_173d_437d_f136,
+        ],
+        "stalled-fleet export digests"
+    );
+}
