@@ -775,11 +775,12 @@ impl Cluster {
         // injected at first arrival.
         let mut placed_jobs: Vec<Vec<JobSpec>> = vec![Vec::new(); n];
         for client in clients.iter_mut().take(upfront) {
-            let loads: Vec<DeviceLoad> = devices
-                .iter()
-                .enumerate()
-                .map(|(d, spec)| load_of(d, spec, placed_jobs[d].iter()))
-                .collect();
+            let loads = load_snapshot(
+                &devices,
+                |d| placed_jobs[d].iter(),
+                None,
+                |_| Some(SimSpan::ZERO),
+            );
             let d = policy.place(&client.job, &loads);
             assert!(d < n, "policy `{}` placed on device {d}/{n}", policy.name());
             client.place(d, placed_jobs[d].len());
@@ -1050,45 +1051,52 @@ fn fleet_emit(observers: &[SharedSyncObserver], at: SimTime, device: usize, ev: 
     }
 }
 
-/// Load snapshot of a device from an iterator of resident jobs. Runtime
-/// signals start at zero; [`fill_runtime_signals`] copies them in from the
-/// device's monitor.
-fn load_of<'j>(
-    device: usize,
-    spec: &GpuSpec,
-    residents: impl Iterator<Item = &'j JobSpec>,
-) -> DeviceLoad {
-    let mut load = DeviceLoad {
-        device,
-        spec: spec.clone(),
-        clients: 0,
-        high_priority: 0,
-        best_effort: 0,
-        demand: 0.0,
-        queue_depth: 0,
-        recent_occupancy: 0.0,
-        hp_pressure: 0.0,
-        transfer: Some(SimSpan::ZERO),
-    };
-    for job in residents {
-        load.clients += 1;
-        if job.priority.is_high() {
-            load.high_priority += 1;
-        } else {
-            load.best_effort += 1;
+/// The load snapshot a placement or migration decision reads: one
+/// [`DeviceLoad`] per device, counting the jobs `residents` yields for it
+/// in resident order (so the demand sums repeat exactly). Once the fleet
+/// runs, `live` names the sessions and the instant whose monitor signals
+/// fill the runtime columns; before, they read zero. `transfer` gives the
+/// candidate's projected state-transfer stall to each device.
+fn load_snapshot<'j, R: Iterator<Item = &'j JobSpec>>(
+    devices: &[GpuSpec],
+    residents: impl Fn(usize) -> R,
+    live: Option<(&[Session<'static>], SimTime)>,
+    transfer: impl Fn(usize) -> Option<SimSpan>,
+) -> Vec<DeviceLoad> {
+    let mut loads = Vec::with_capacity(devices.len());
+    for (device, spec) in devices.iter().enumerate() {
+        let mut load = DeviceLoad {
+            device,
+            spec: spec.clone(),
+            clients: 0,
+            high_priority: 0,
+            best_effort: 0,
+            demand: 0.0,
+            queue_depth: 0,
+            recent_occupancy: 0.0,
+            hp_pressure: 0.0,
+            transfer: transfer(device),
+        };
+        for job in residents(device) {
+            load.clients += 1;
+            if job.priority.is_high() {
+                load.high_priority += 1;
+            } else {
+                load.best_effort += 1;
+            }
+            load.demand += job_demand(job, spec);
         }
-        load.demand += job_demand(job, spec);
+        if let Some((sessions, now)) = live {
+            let m = sessions[device]
+                .monitor()
+                .expect("cluster sessions carry a monitor");
+            load.queue_depth = m.queue_depth();
+            load.recent_occupancy = m.recent_occupancy(now);
+            load.hp_pressure = m.hp_pressure(now);
+        }
+        loads.push(load);
     }
-    load
-}
-
-/// Copies the live signals of `session`'s monitor into its device's
-/// [`DeviceLoad`] snapshot.
-fn fill_runtime_signals(load: &mut DeviceLoad, session: &Session<'_>, now: SimTime) {
-    let m = session.monitor().expect("cluster sessions carry a monitor");
-    load.queue_depth = m.queue_depth();
-    load.recent_occupancy = m.recent_occupancy(now);
-    load.hp_pressure = m.hp_pressure(now);
+    loads
 }
 
 /// Places a trace client at its injection instant: snapshots the loads of
@@ -1102,15 +1110,12 @@ fn place_pending(
     client: &mut FleetClient,
     now: SimTime,
 ) {
-    let loads: Vec<DeviceLoad> = devices
-        .iter()
-        .enumerate()
-        .map(|(dev, spec)| {
-            let mut load = load_of(dev, spec, sessions[dev].loadable_specs(now));
-            fill_runtime_signals(&mut load, &sessions[dev], now);
-            load
-        })
-        .collect();
+    let loads = load_snapshot(
+        devices,
+        |dev| sessions[dev].loadable_specs(now),
+        Some((sessions, now)),
+        |_| Some(SimSpan::ZERO),
+    );
     let d = policy.place(&client.job, &loads);
     assert!(
         d < sessions.len(),
@@ -1151,16 +1156,12 @@ fn rebalance_pass(
         if job.priority.is_high() || !sessions[d].client_active(slot) {
             continue;
         }
-        let loads: Vec<DeviceLoad> = devices
-            .iter()
-            .enumerate()
-            .map(|(dev, spec)| {
-                let mut load = load_of(dev, spec, sessions[dev].active_specs());
-                fill_runtime_signals(&mut load, &sessions[dev], now);
-                load.transfer = topology.transfer_time(job.state_bytes, d, dev);
-                load
-            })
-            .collect();
+        let loads = load_snapshot(
+            devices,
+            |dev| sessions[dev].active_specs(),
+            Some((sessions, now)),
+            |dev| topology.transfer_time(job.state_bytes, d, dev),
+        );
         let Some(target) = policy.migrate(job, d, &loads) else {
             continue;
         };
@@ -1176,8 +1177,8 @@ fn rebalance_pass(
         let Some(stall) = topology.transfer_time(job.state_bytes, d, target) else {
             continue; // no interconnect path — the move is refused
         };
-        let (meta, state) = sessions[d].extract_client(slot);
-        let new_id = sessions[target].inject_client(meta, state, stall);
+        let (priority, state) = sessions[d].extract_client(slot);
+        let new_id = sessions[target].inject_client(priority, state, stall);
         let ev = Observation::ClientMigrated {
             key: job.key().to_string(),
             from: d,

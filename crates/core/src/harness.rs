@@ -64,7 +64,7 @@ use crate::admission::{AdmissionPolicy, AdmissionVerdict};
 use crate::api::{ClientStub, Transport};
 use crate::events::{ClientEvent, LoadMonitor, Observation, SharedSyncObserver, TraceError};
 use crate::metrics::{ClientReport, LatencyRecorder, RunReport};
-use crate::system::{ClientMeta, Ctx, Passthrough, SharingSystem};
+use crate::system::{Ctx, Passthrough, SharingSystem};
 
 /// One step of a client's program.
 #[derive(Clone, Debug)]
@@ -136,11 +136,11 @@ pub struct JobSpec {
     /// [`JobSpec::active_from`] / [`JobSpec::active_until`] builders remain
     /// the one-window convenience.
     pub windows: Vec<ActivityWindow>,
-    /// Stable client identity, independent of attach order. Systems and
-    /// placement policies can key per-client state by this instead of the
-    /// session-local [`ClientId`] index, which is what makes re-attach and
-    /// cross-device migration trackable. `None` means the client is only
-    /// known by its session index.
+    /// Stable client identity, independent of attach order. Observations
+    /// and fleet reports name the client by it (see [`JobSpec::key`])
+    /// instead of the session-local [`ClientId`] index, which is what
+    /// makes re-attach and cross-device migration trackable. `None` means
+    /// the client is only known by its display name.
     pub client_key: Option<String>,
     /// Symbolic, serializable description of what this job runs (e.g. the
     /// `tally_workloads` trace syntax `"train gpt2-large-train"`). Carried
@@ -942,7 +942,9 @@ impl<'s> Colocation<'s> {
 /// barrier and delivers them in device order.
 pub struct Session<'s> {
     engine: Engine,
-    metas: Vec<ClientMeta>,
+    // Each client's scheduling class, indexed by `ClientId`, as systems
+    // read it through `Ctx`.
+    priorities: Vec<Priority>,
     // Every client ever added, indexed by `ClientId`; retired clients and
     // migration tombstones keep their slot. `next_wake` is a scan over
     // these records and `in_transit`.
@@ -970,13 +972,9 @@ pub struct Session<'s> {
     // Cross-device migrations into and out of this session.
     migrations_in: u64,
     migrations_out: u64,
-    // Observation plumbing (which also keeps the work counters): the
-    // consumers of the event stream, the instant of the last engine
-    // counter sample, and the busy integral of the last sample the
-    // monitor and observers received.
+    // Observation plumbing: the consumers of the event stream, the
+    // sampling rule and the work counters.
     sinks: Sinks,
-    last_sample: Option<SimTime>,
-    last_busy: Option<u128>,
 }
 
 /// Deterministic counts of the work a [`Session`]'s stepping loop has
@@ -1027,6 +1025,10 @@ struct Sinks {
     // The session's work counters, kept here because `emit` counts
     // `delivered`.
     work: SessionWork,
+    // The instant of the last engine counter sample, and the busy
+    // integral of the last sample the monitor and observers received.
+    last_sample: Option<SimTime>,
+    last_busy: Option<u128>,
 }
 
 impl Sinks {
@@ -1053,15 +1055,25 @@ impl Sinks {
         }
     }
 
-    /// Emits an engine counter sample: to every consumer when `fold` is
-    /// set, otherwise to the admission policy only (see
-    /// [`Session::sample_at`]).
-    fn sample(&mut self, at: SimTime, busy_thread_ns: u128, total_thread_slots: u64, fold: bool) {
+    /// Emits the engine counter sample of instant `at`, at most one per
+    /// instant. The admission policy receives every sample. The monitor
+    /// and the observers receive one only when the busy integral moved
+    /// since the last they received, or at the run's `end`: each of them
+    /// keeps only the latest busy value, so a repeat changes none of
+    /// their folds, while [`SloGuard`](crate::admission::SloGuard) steps
+    /// its controller on every observation and the Chrome trace closes
+    /// open spans at a device's last observed instant.
+    fn sample(&mut self, at: SimTime, busy_thread_ns: u128, total_thread_slots: u64, end: SimTime) {
+        if self.last_sample == Some(at) {
+            return;
+        }
+        self.last_sample = Some(at);
         let ev = Observation::EngineSample {
             busy_thread_ns,
             total_thread_slots,
         };
-        if fold {
+        if self.last_busy != Some(busy_thread_ns) || at >= end {
+            self.last_busy = Some(busy_thread_ns);
             self.emit(at, || ev);
         } else if let Some(p) = self.admission.as_deref_mut() {
             p.on_event(at, self.device, &ev);
@@ -1130,7 +1142,7 @@ impl<'s> Session<'s> {
         if cfg.jitter > 0.0 {
             engine.set_jitter(cfg.jitter);
         }
-        let metas: Vec<ClientMeta> = jobs.iter().map(meta_of).collect();
+        let priorities = jobs.iter().map(|j| j.priority).collect();
         let mut clients: Vec<Client> = jobs.into_iter().map(Client::new).collect();
         for c in &mut clients {
             c.record_timelines = cfg.record_timelines;
@@ -1141,7 +1153,7 @@ impl<'s> Session<'s> {
         }
         Session {
             engine,
-            metas,
+            priorities,
             clients,
             system,
             end: SimTime::ZERO + cfg.duration,
@@ -1156,8 +1168,6 @@ impl<'s> Session<'s> {
             migrations_in: 0,
             migrations_out: 0,
             sinks,
-            last_sample: None,
-            last_busy: None,
         }
     }
 
@@ -1227,7 +1237,11 @@ impl<'s> Session<'s> {
                 client.finish_op(now, self.warmup);
                 sinks.emit(now, || Observation::KernelFinished { client: c });
             }
-            let mut ctx = Ctx::new(&mut self.engine, &self.metas, &mut self.pending_completions);
+            let mut ctx = Ctx::new(
+                &mut self.engine,
+                &self.priorities,
+                &mut self.pending_completions,
+            );
 
             // Client lifecycle edges: attach windows that opened, detach
             // windows that closed. A client with several scheduled windows
@@ -1349,29 +1363,10 @@ impl<'s> Session<'s> {
     /// Emits an engine counter sample for the current instant.
     fn sample(&mut self) {
         if self.sinks.active() {
-            self.sample_at(self.engine.now(), self.engine.busy_thread_ns());
+            let slots = self.engine.spec().total_thread_slots();
+            let busy = self.engine.busy_thread_ns();
+            self.sinks.sample(self.engine.now(), busy, slots, self.end);
         }
-    }
-
-    /// Emits the engine counter sample of instant `at`, at most one per
-    /// instant. The admission policy receives every sample. The monitor
-    /// and the observers receive one only when the busy integral moved
-    /// since the last they received, or at the end of the run: each of
-    /// them keeps only the latest busy value, so a repeat changes none of
-    /// their folds, while [`SloGuard`](crate::admission::SloGuard) steps
-    /// its controller on every observation and the Chrome trace closes
-    /// open spans at a device's last observed instant.
-    fn sample_at(&mut self, at: SimTime, busy: u128) {
-        if self.last_sample == Some(at) {
-            return;
-        }
-        self.last_sample = Some(at);
-        let fold = self.last_busy != Some(busy) || at >= self.end;
-        if fold {
-            self.last_busy = Some(busy);
-        }
-        let slots = self.engine.spec().total_thread_slots();
-        self.sinks.sample(at, busy, slots, fold);
     }
 
     /// Delivers the queued observations to the observers, in order. A
@@ -1444,12 +1439,10 @@ impl<'s> Session<'s> {
             let step = self
                 .engine
                 .advance_sampled(limit, &mut self.notes, &mut self.instants);
-            let mut instants = std::mem::take(&mut self.instants);
-            for &(at, busy) in &instants {
-                self.sample_at(at, busy);
+            let slots = self.engine.spec().total_thread_slots();
+            for (at, busy) in self.instants.drain(..) {
+                self.sinks.sample(at, busy, slots, self.end);
             }
-            instants.clear();
-            self.instants = instants;
             step
         } else {
             self.engine.advance(limit, &mut self.notes)
@@ -1457,7 +1450,11 @@ impl<'s> Session<'s> {
         if let Step::Notified = step {
             self.sinks.work.notifications += self.notes.len() as u64;
             let system = self.system.get_mut();
-            let mut ctx = Ctx::new(&mut self.engine, &self.metas, &mut self.pending_completions);
+            let mut ctx = Ctx::new(
+                &mut self.engine,
+                &self.priorities,
+                &mut self.pending_completions,
+            );
             for n in self.notes.drain(..) {
                 system.on_notification(&mut ctx, &n);
             }
@@ -1558,10 +1555,14 @@ impl<'s> Session<'s> {
     /// pending completions and in-transit launches, and leaves a tombstone
     /// so the session's remaining [`ClientId`]s stay valid. The returned
     /// state carries all accumulated metrics.
-    pub(crate) fn extract_client(&mut self, i: usize) -> (ClientMeta, Client) {
+    pub(crate) fn extract_client(&mut self, i: usize) -> (Priority, Client) {
         let id = ClientId(i as u32);
         if self.clients[i].attached {
-            let mut ctx = Ctx::new(&mut self.engine, &self.metas, &mut self.pending_completions);
+            let mut ctx = Ctx::new(
+                &mut self.engine,
+                &self.priorities,
+                &mut self.pending_completions,
+            );
             self.system.get_mut().on_client_detach(&mut ctx, id);
         }
         self.pending_completions.retain(|&c| c != id);
@@ -1577,7 +1578,7 @@ impl<'s> Session<'s> {
         // The kernel that was in flight (if any) was preempted with the
         // detach; the client re-issues it on the destination device.
         client.waiting_kernel = false;
-        (self.metas[i].clone(), client)
+        (self.priorities[i], client)
     }
 
     /// Adds a migrated client to this session, re-attaching it to the
@@ -1589,15 +1590,19 @@ impl<'s> Session<'s> {
     /// Returns its new id.
     pub(crate) fn inject_client(
         &mut self,
-        meta: ClientMeta,
+        priority: Priority,
         mut client: Client,
         stall: SimSpan,
     ) -> ClientId {
         let id = ClientId(self.clients.len() as u32);
-        self.metas.push(meta);
+        self.priorities.push(priority);
         let now = self.engine.now();
         if client.attached {
-            let mut ctx = Ctx::new(&mut self.engine, &self.metas, &mut self.pending_completions);
+            let mut ctx = Ctx::new(
+                &mut self.engine,
+                &self.priorities,
+                &mut self.pending_completions,
+            );
             self.system.get_mut().on_client_attach(&mut ctx, id);
             client.attachments += 1;
             if let Some(stub) = client.stub.as_mut() {
@@ -1636,22 +1641,13 @@ impl<'s> Session<'s> {
     /// than the current instant for a validated trace.
     pub(crate) fn admit_job(&mut self, job: JobSpec) -> ClientId {
         let id = ClientId(self.clients.len() as u32);
-        self.metas.push(meta_of(&job));
+        self.priorities.push(job.priority);
         let mut client = Client::new(job);
         client.record_timelines = self.record_timelines;
         client.observe = self.sinks.active();
         client.stub = self.transport.map(ClientStub::new);
         self.clients.push(client);
         id
-    }
-}
-
-/// Builds the [`ClientMeta`] the sharing system sees for a job.
-fn meta_of(j: &JobSpec) -> ClientMeta {
-    ClientMeta {
-        name: j.name.clone(),
-        priority: j.priority,
-        client_key: j.client_key.clone(),
     }
 }
 

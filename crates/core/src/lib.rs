@@ -97,7 +97,7 @@ pub use harness::{
 };
 pub use metrics::{ClientReport, HostStats, LatencyRecorder, RunReport, Windowed};
 pub use scheduler::{TallyConfig, TallySystem};
-pub use system::{ClientMeta, Ctx, Passthrough, SharingSystem};
+pub use system::{Ctx, Passthrough, SharingSystem};
 pub use telemetry::{
     ChromeTraceWriter, ClientMetrics, DeviceMetrics, Histogram, MetricSample, MetricsHub, Timeline,
     TimelineWindow,

@@ -18,23 +18,9 @@ use tally_gpu::{
     ClientId, Engine, KernelDesc, LaunchId, LaunchRequest, Notification, Priority, SimTime,
 };
 
-/// Static facts about one client, available to systems through [`Ctx`].
-#[derive(Clone, Debug)]
-pub struct ClientMeta {
-    /// Display name.
-    pub name: String,
-    /// Scheduling class.
-    pub priority: Priority,
-    /// Stable client identity (see
-    /// [`JobSpec::client_key`](crate::harness::JobSpec::client_key)):
-    /// unlike the [`ClientId`] index, it survives detach/re-attach and
-    /// cross-device migration. `None` when the job did not set one.
-    pub client_key: Option<String>,
-}
-
 /// The interface a sharing system sees while a co-location run executes.
 ///
-/// Wraps the engine plus the client table, and appends the logical
+/// Wraps the engine plus each client's scheduling class, and appends the logical
 /// kernel-completion signals the system emits to a completion list the
 /// harness owns. A `Ctx` borrows that list rather than owning one, so the
 /// signals land where the harness reads them next and a session that
@@ -43,22 +29,23 @@ pub struct ClientMeta {
 pub struct Ctx<'a> {
     /// The GPU engine; systems submit and preempt launches through it.
     pub engine: &'a mut Engine,
-    clients: &'a [ClientMeta],
+    priorities: &'a [Priority],
     completions: &'a mut Vec<ClientId>,
 }
 
 impl<'a> Ctx<'a> {
     /// Creates a context (harness-internal; public for custom harnesses).
-    /// [`Ctx::complete_kernel`] appends to `completions`, which the caller
-    /// drains.
+    /// `priorities` holds each client's scheduling class, indexed by
+    /// [`ClientId`]. [`Ctx::complete_kernel`] appends to `completions`,
+    /// which the caller drains.
     pub fn new(
         engine: &'a mut Engine,
-        clients: &'a [ClientMeta],
+        priorities: &'a [Priority],
         completions: &'a mut Vec<ClientId>,
     ) -> Self {
         Ctx {
             engine,
-            clients,
+            priorities,
             completions,
         }
     }
@@ -70,19 +57,12 @@ impl<'a> Ctx<'a> {
 
     /// Scheduling class of `client`.
     pub fn priority(&self, client: ClientId) -> Priority {
-        self.clients[client.0 as usize].priority
-    }
-
-    /// Stable identity of `client`, when its job carries one — the key to
-    /// use for per-client state that should survive re-attach or
-    /// cross-device migration (the session-local [`ClientId`] does not).
-    pub fn client_key(&self, client: ClientId) -> Option<&str> {
-        self.clients[client.0 as usize].client_key.as_deref()
+        self.priorities[client.0 as usize]
     }
 
     /// Number of clients in the run.
     pub fn num_clients(&self) -> usize {
-        self.clients.len()
+        self.priorities.len()
     }
 
     /// Signals that `client`'s current logical kernel has finished; the
@@ -145,9 +125,9 @@ pub trait SharingSystem: Send {
     ///
     /// Called before the client issues any kernel. A client with a
     /// multi-window schedule *re-attaches* through this same hook after
-    /// each detach — under the same [`ClientId`] (and stable
-    /// [`Ctx::client_key`]) — so an implementation must tolerate seeing a
-    /// previously detached client again. Default: no-op.
+    /// each detach — under the same [`ClientId`] — so an implementation
+    /// must tolerate seeing a previously detached client again. Default:
+    /// no-op.
     fn on_client_attach(&mut self, _ctx: &mut Ctx<'_>, _client: ClientId) {}
 
     /// A client detached from the session (its activity window closed).
@@ -265,30 +245,14 @@ mod tests {
     use super::*;
     use tally_gpu::{GpuSpec, SimSpan, Step};
 
-    fn metas() -> Vec<ClientMeta> {
-        vec![
-            ClientMeta {
-                name: "a".into(),
-                priority: Priority::High,
-                client_key: None,
-            },
-            ClientMeta {
-                name: "b".into(),
-                priority: Priority::BestEffort,
-                client_key: Some("tenant-b".into()),
-            },
-        ]
-    }
+    const PRIORITIES: [Priority; 2] = [Priority::High, Priority::BestEffort];
 
     #[test]
     fn ctx_collects_completions() {
         let mut engine = Engine::new(GpuSpec::tiny());
-        let clients = metas();
         let mut completions = vec![ClientId(1)];
-        let mut ctx = Ctx::new(&mut engine, &clients, &mut completions);
+        let mut ctx = Ctx::new(&mut engine, &PRIORITIES, &mut completions);
         assert_eq!(ctx.priority(ClientId(1)), Priority::BestEffort);
-        assert_eq!(ctx.client_key(ClientId(0)), None);
-        assert_eq!(ctx.client_key(ClientId(1)), Some("tenant-b"));
         ctx.complete_kernel(ClientId(0));
         ctx.complete_kernel(ClientId(1));
         // Signals append after what the list already held.
@@ -324,9 +288,8 @@ mod tests {
     #[test]
     fn launches_preempt_only_the_departing_clients_launch() {
         let mut engine = Engine::new(GpuSpec::tiny());
-        let clients = metas();
         let mut completions = Vec::new();
-        let mut ctx = Ctx::new(&mut engine, &clients, &mut completions);
+        let mut ctx = Ctx::new(&mut engine, &PRIORITIES, &mut completions);
         let mut launches = Launches::default();
         let (a, b, notes) = preempt_client_0(&mut ctx, &mut launches);
         assert!(matches!(notes[..], [
@@ -338,9 +301,8 @@ mod tests {
     #[test]
     fn launches_complete_only_booked_completions_for_their_client() {
         let mut engine = Engine::new(GpuSpec::tiny());
-        let clients = metas();
         let mut completions = Vec::new();
-        let mut ctx = Ctx::new(&mut engine, &clients, &mut completions);
+        let mut ctx = Ctx::new(&mut engine, &PRIORITIES, &mut completions);
         let mut launches = Launches::default();
         let (a, _, notes) = preempt_client_0(&mut ctx, &mut launches);
         // A preemption never completes a kernel, and neither does the

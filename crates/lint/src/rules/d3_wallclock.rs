@@ -38,8 +38,8 @@ impl Rule for D3WallClock {
             }
             // `Instant::now(` / `SystemTime::now(` call shapes. Matching
             // the full shape (rather than the bare type name) keeps
-            // innocents like telemetry's `TraceEvent::Instant` variant
-            // or `fn host_now() -> Instant` signatures out of scope.
+            // innocents like an enum variant named `Instant` or
+            // `fn host_now() -> Instant` signatures out of scope.
             let is_clock_call = (t.text == "Instant" || t.text == "SystemTime")
                 && toks.get(i + 1).is_some_and(|t| t.text == "::")
                 && toks.get(i + 2).is_some_and(|t| t.text == "now");
