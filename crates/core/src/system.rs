@@ -20,9 +20,9 @@ use tally_gpu::{
 
 /// The interface a sharing system sees while a co-location run executes.
 ///
-/// Wraps the engine plus each client's scheduling class, and appends the logical
-/// kernel-completion signals the system emits to a completion list the
-/// harness owns. A `Ctx` borrows that list rather than owning one, so the
+/// Wraps the engine plus each client's scheduling class, and appends the
+/// logical kernel-completion signals the system emits to a completion
+/// list the harness owns. A `Ctx` borrows that list rather than owning one, so the
 /// signals land where the harness reads them next and a session that
 /// reuses one list signals completions without allocating.
 #[derive(Debug)]
