@@ -1591,6 +1591,25 @@ mod tests {
     }
 
     #[test]
+    fn upfront_placement_counts_every_client_placed_so_far() {
+        // `late` attaches at 500 ms, but up-front placement counts it on
+        // device 0 from the start: `b` avoids it, and `c` breaks the
+        // demand tie toward device 0. Counting only the clients attached
+        // at t = 0 would put `b` on 0 and `c` on 1.
+        let report = Cluster::new()
+            .devices(2, GpuSpec::tiny())
+            .client(trainer("late", 1000, 0).active_from(SimTime::from_millis(500)))
+            .client(trainer("b", 1000, 0))
+            .client(trainer("c", 1000, 0))
+            .policy(LeastLoaded)
+            .migrate_on_detach(false)
+            .config(cfg(1))
+            .run();
+        let placed = |key: &str| report.client(key).expect("client reported").initial_device;
+        assert_eq!((placed("late#0"), placed("b#1"), placed("c#2")), (0, 1, 0));
+    }
+
+    #[test]
     fn host_stats_record_the_workers_actually_used() {
         // Only one worker per device ever runs, whatever pool was asked for.
         let report = Cluster::new()
