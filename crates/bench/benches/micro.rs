@@ -360,7 +360,9 @@ fn fleet_thread_sweep(sink: &mut JsonSink) {
 /// generated churn trace with migrate-on-detach on, on one worker. Every
 /// trace injection and every departure before the end is a barrier. The
 /// fleet is small enough that one added barrier moves the gated
-/// `work_fleet_barriers` row past the diff gate's threshold.
+/// `work_fleet_barriers` row past the diff gate's threshold. The same run
+/// gates `work_fleet_load_rows`, the load rows its placements and
+/// migration passes built.
 fn fleet_barriers(sink: &mut JsonSink) {
     let spec = GpuSpec::a100();
     let duration = SimSpan::from_secs(4);
@@ -384,6 +386,11 @@ fn fleet_barriers(sink: &mut JsonSink) {
         "fleet: barriers, 4s 4-device churn", report.host.barriers
     );
     sink.record("work_fleet_barriers", report.host.barriers as f64, &[]);
+    println!(
+        "{:<44} {:>16}",
+        "fleet: load rows, 4s 4-device churn", report.host.load_rows
+    );
+    sink.record("work_fleet_load_rows", report.host.load_rows as f64, &[]);
 }
 
 /// Buffers a session's full observation stream for replay.

@@ -642,6 +642,7 @@ mod tests {
             ("whole_run_p99_ms", L),
             ("work_engine_advances", L),
             ("work_fleet_barriers", L),
+            ("work_fleet_load_rows", L),
             ("work_observations_delivered", L),
             ("work_observer_batches", L),
             ("work_profile_lookups", L),

@@ -120,10 +120,10 @@ pub struct DeviceLoad {
     /// The device's hardware description (lets policies evaluate
     /// [`job_demand`] against heterogeneous GPUs).
     pub spec: GpuSpec,
-    /// Clients counted toward this snapshot. A rebalance pass counts the
-    /// attached clients; a trace injection also counts clients admitted at
-    /// that instant that attach in the next settle; up-front placement
-    /// counts every client placed so far.
+    /// Clients counted toward this snapshot: those attached now, or whose
+    /// next window opens by the decision's horizon — the end of time for
+    /// up-front placement (every client placed so far), the current
+    /// instant for injection and rebalancing.
     pub clients: usize,
     /// Resident high-priority clients.
     pub high_priority: usize,
@@ -755,53 +755,40 @@ impl Cluster {
                 job.client_key = Some(format!("{}#{k}", job.name));
             }
         }
-        let upfront = jobs.len();
-        jobs.extend(trace_jobs);
-        assert!(!jobs.is_empty(), "at least one client required");
-        {
-            let mut seen = std::collections::BTreeSet::new();
-            for job in &jobs {
-                assert!(
-                    seen.insert(job.key().to_string()),
-                    "duplicate client key `{}`",
-                    job.key()
-                );
-            }
-        }
-        let mut clients: Vec<FleetClient> = jobs.into_iter().map(FleetClient::new).collect();
-
-        // Up-front placement of the explicitly added jobs, one at a time
-        // against the loads so far; trace clients are placed when they are
-        // injected at first arrival.
-        let mut placed_jobs: Vec<Vec<JobSpec>> = vec![Vec::new(); n];
-        for client in clients.iter_mut().take(upfront) {
-            let loads = load_snapshot(
-                &devices,
-                |d| placed_jobs[d].iter(),
-                None,
-                |_| Some(SimSpan::ZERO),
+        assert!(
+            !jobs.is_empty() || !trace_jobs.is_empty(),
+            "at least one client required"
+        );
+        let mut seen = std::collections::BTreeSet::new();
+        for job in jobs.iter().chain(&trace_jobs) {
+            assert!(
+                seen.insert(job.key()),
+                "duplicate client key `{}`",
+                job.key()
             );
-            let d = policy.place(&client.job, &loads);
-            assert!(d < n, "policy `{}` placed on device {d}/{n}", policy.name());
-            client.place(d, placed_jobs[d].len());
-            placed_jobs[d].push(client.job.clone());
         }
-        // Trace clients await injection in first-arrival order (the order
-        // `compile_trace` emits).
-        let mut pending: std::collections::VecDeque<usize> = (upfront..clients.len()).collect();
+        // Every window close in the fleet, in time order, when departures
+        // trigger migration passes (see the module docs).
+        let mut departures: Vec<SimTime> = jobs
+            .iter()
+            .chain(&trace_jobs)
+            .filter(|_| migrate_on_detach)
+            .flat_map(|job| job.windows.iter().filter_map(|w| w.until))
+            .collect();
+        departures.sort_unstable();
+        let mut departures = departures.into_iter().peekable();
 
-        // One session per device, seeds staggered by device index, every
-        // observer attached to every session under its device index. Each
-        // session also owns the load monitor behind its device's runtime
-        // DeviceLoad signals, read on this thread at barriers.
-        let mut sessions: Vec<Session<'static>> = placed_jobs
-            .into_iter()
+        // One empty session per device, seeds staggered by device index,
+        // every observer attached to every session under its device index.
+        // Each session also owns the load monitor behind its device's
+        // runtime DeviceLoad signals, read on this thread at barriers.
+        let mut sessions: Vec<Session<'static>> = devices
+            .iter()
             .enumerate()
-            .map(|(d, dev_jobs)| {
+            .map(|(d, spec)| {
                 let mut dev_cfg = cfg.clone();
                 dev_cfg.seed = cfg.seed.wrapping_add(d as u64);
-                let mut colo = Colocation::on(devices[d].clone())
-                    .clients(dev_jobs)
+                let mut colo = Colocation::on(spec.clone())
                     .system_boxed(system_factory(d))
                     .config(dev_cfg);
                 if let Some(t) = transport {
@@ -816,22 +803,23 @@ impl Cluster {
                 colo.into_device_session(d, Some(LoadMonitor::new(monitor_window)))
             })
             .collect();
-
-        let end = SimTime::ZERO + cfg.duration;
-        let mut next_rebalance = rebalance_every.map(|p| SimTime::ZERO + p);
-        // Every window close in the fleet, in time order, when departures
-        // trigger migration passes (see the module docs).
-        let mut departures: Vec<SimTime> = clients
-            .iter()
-            .filter(|_| migrate_on_detach)
-            .flat_map(|c| c.job.windows.iter().filter_map(|w| w.until))
-            .collect();
-        departures.sort_unstable();
-        let mut departures = departures.into_iter().peekable();
         let mut host = HostStats {
             threads,
             ..HostStats::default()
         };
+        let rows = &mut host.load_rows;
+
+        // The explicitly added jobs are placed up front, one at a time
+        // against every client placed so far; trace clients wait, in
+        // first-arrival order, to be placed when they are injected.
+        let mut clients: Vec<FleetClient> = jobs
+            .into_iter()
+            .map(|job| place(policy.as_mut(), &mut sessions, job, SimTime::MAX, rows))
+            .collect();
+        let mut pending = trace_jobs.into_iter().peekable();
+
+        let end = SimTime::ZERO + cfg.duration;
+        let mut next_rebalance = rebalance_every.map(|p| SimTime::ZERO + p);
 
         // Barrier drive: inject trace clients whose first arrival is due,
         // settle everyone, migrate if triggered — all in device-index
@@ -839,18 +827,8 @@ impl Cluster {
         // interaction point on the worker pool (see the module docs).
         loop {
             let now = sessions[0].now();
-            while let Some(&k) = pending.front() {
-                if clients[k].job.first_active() > now {
-                    break;
-                }
-                pending.pop_front();
-                place_pending(
-                    policy.as_mut(),
-                    &devices,
-                    &mut sessions,
-                    &mut clients[k],
-                    now,
-                );
+            while let Some(job) = pending.next_if(|job| job.first_active() <= now) {
+                clients.push(place(policy.as_mut(), &mut sessions, job, now, rows));
             }
             for s in sessions.iter_mut() {
                 s.settle();
@@ -874,12 +852,12 @@ impl Cluster {
             if do_rebalance && now < end {
                 let moved = rebalance_pass(
                     policy.as_mut(),
-                    &devices,
                     &topology,
                     &mut sessions,
                     &mut clients,
                     now,
                     &sync_observers,
+                    rows,
                 );
                 fleet_emit(
                     &sync_observers,
@@ -906,8 +884,8 @@ impl Cluster {
             if let Some(t) = next_rebalance {
                 barrier = barrier.min(t);
             }
-            if let Some(&k) = pending.front() {
-                barrier = barrier.min(clients[k].job.first_active());
+            if let Some(job) = pending.peek() {
+                barrier = barrier.min(job.first_active());
             }
             // The next departure anywhere in the fleet triggers a migration
             // pass, so it is an interaction point.
@@ -932,29 +910,23 @@ impl Cluster {
         // run never went live; admit them now so the report covers every
         // key (their reports are empty).
         let final_now = sessions[0].now();
-        for k in pending {
-            place_pending(
-                policy.as_mut(),
-                &devices,
-                &mut sessions,
-                &mut clients[k],
-                final_now,
-            );
+        for job in pending {
+            clients.push(place(policy.as_mut(), &mut sessions, job, final_now, rows));
         }
 
         // Collect: per-client reports from wherever each client ended up.
         let migrations = clients.iter().map(|c| u64::from(c.migrations)).sum();
         let migration_bytes = clients
             .iter()
-            .map(|c| u64::from(c.migrations) * c.job.state_bytes)
+            .map(|c| u64::from(c.migrations) * c.state_bytes)
             .sum();
         let migration_stall = clients.iter().map(|c| c.stall).sum();
         let clients: Vec<ClusterClientReport> = clients
             .into_iter()
             .map(|c| {
-                let (d, slot) = c.location.expect("every client placed by run end");
+                let (d, slot) = c.location;
                 ClusterClientReport {
-                    key: c.job.key().to_string(),
+                    key: c.key,
                     initial_device: c.initial_device,
                     device: d,
                     migrations: c.migrations,
@@ -1052,19 +1024,21 @@ fn fleet_emit(observers: &[SharedSyncObserver], at: SimTime, device: usize, ev: 
 }
 
 /// The load snapshot a placement or migration decision reads: one
-/// [`DeviceLoad`] per device, counting the jobs `residents` yields for it
-/// in resident order (so the demand sums repeat exactly). Once the fleet
-/// runs, `live` names the sessions and the instant whose monitor signals
-/// fill the runtime columns; before, they read zero. `transfer` gives the
-/// candidate's projected state-transfer stall to each device.
-fn load_snapshot<'j, R: Iterator<Item = &'j JobSpec>>(
-    devices: &[GpuSpec],
-    residents: impl Fn(usize) -> R,
-    live: Option<(&[Session<'static>], SimTime)>,
+/// [`DeviceLoad`] per session, counting the clients resident by `horizon`
+/// in client order (so the demand sums repeat exactly), with the monitor
+/// signals at the sessions' current instant. `transfer` gives the
+/// candidate's projected state-transfer stall to each device. Every row
+/// built is counted in `rows`.
+fn load_snapshot(
+    sessions: &[Session<'static>],
+    horizon: SimTime,
     transfer: impl Fn(usize) -> Option<SimSpan>,
+    rows: &mut u64,
 ) -> Vec<DeviceLoad> {
-    let mut loads = Vec::with_capacity(devices.len());
-    for (device, spec) in devices.iter().enumerate() {
+    let mut loads = Vec::with_capacity(sessions.len());
+    for (device, session) in sessions.iter().enumerate() {
+        let spec = session.spec();
+        let m = session.monitor().expect("cluster sessions carry a monitor");
         let mut load = DeviceLoad {
             device,
             spec: spec.clone(),
@@ -1072,12 +1046,12 @@ fn load_snapshot<'j, R: Iterator<Item = &'j JobSpec>>(
             high_priority: 0,
             best_effort: 0,
             demand: 0.0,
-            queue_depth: 0,
-            recent_occupancy: 0.0,
-            hp_pressure: 0.0,
+            queue_depth: m.queue_depth(),
+            recent_occupancy: m.recent_occupancy(session.now()),
+            hp_pressure: m.hp_pressure(session.now()),
             transfer: transfer(device),
         };
-        for job in residents(device) {
+        for job in session.resident_specs(horizon) {
             load.clients += 1;
             if job.priority.is_high() {
                 load.high_priority += 1;
@@ -1086,45 +1060,42 @@ fn load_snapshot<'j, R: Iterator<Item = &'j JobSpec>>(
             }
             load.demand += job_demand(job, spec);
         }
-        if let Some((sessions, now)) = live {
-            let m = sessions[device]
-                .monitor()
-                .expect("cluster sessions carry a monitor");
-            load.queue_depth = m.queue_depth();
-            load.recent_occupancy = m.recent_occupancy(now);
-            load.hp_pressure = m.hp_pressure(now);
-        }
+        *rows += 1;
         loads.push(load);
     }
     loads
 }
 
-/// Places a trace client at its injection instant: snapshots the loads of
-/// the clients live right now (plus any admitted this same instant), asks
-/// the policy, and admits the job into the chosen session. The session's
-/// normal lifecycle attaches it when its first window opens.
-fn place_pending(
+/// Places one client: snapshots the loads of the clients resident by
+/// `horizon` (see [`DeviceLoad::clients`]), asks the policy, and moves the
+/// job into the chosen session, whose lifecycle attaches it when its first
+/// window opens. Returns the placement record.
+fn place(
     policy: &mut dyn PlacementPolicy,
-    devices: &[GpuSpec],
     sessions: &mut [Session<'static>],
-    client: &mut FleetClient,
-    now: SimTime,
-) {
-    let loads = load_snapshot(
-        devices,
-        |dev| sessions[dev].loadable_specs(now),
-        Some((sessions, now)),
-        |_| Some(SimSpan::ZERO),
-    );
-    let d = policy.place(&client.job, &loads);
+    job: JobSpec,
+    horizon: SimTime,
+    rows: &mut u64,
+) -> FleetClient {
+    let loads = load_snapshot(sessions, horizon, |_| Some(SimSpan::ZERO), rows);
+    let device = policy.place(&job, &loads);
     assert!(
-        d < sessions.len(),
-        "policy `{}` placed on device {d}/{}",
+        device < sessions.len(),
+        "policy `{}` placed on device {device}/{}",
         policy.name(),
         sessions.len()
     );
-    let slot = sessions[d].admit_job(client.job.clone());
-    client.place(d, slot.0 as usize);
+    let key = job.key().to_string();
+    let state_bytes = job.state_bytes;
+    let slot = sessions[device].admit_job(job);
+    FleetClient {
+        key,
+        state_bytes,
+        initial_device: device,
+        location: (device, slot.0 as usize),
+        migrations: 0,
+        stall: SimSpan::ZERO,
+    }
 }
 
 /// One migration pass: offer the policy every active best-effort client,
@@ -1140,28 +1111,25 @@ fn place_pending(
 /// Returns how many clients moved.
 fn rebalance_pass(
     policy: &mut dyn PlacementPolicy,
-    devices: &[GpuSpec],
     topology: &Topology,
     sessions: &mut [Session<'static>],
     clients: &mut [FleetClient],
     now: SimTime,
     observers: &[SharedSyncObserver],
+    rows: &mut u64,
 ) -> u64 {
     let mut moved = 0;
     for client in clients.iter_mut() {
-        let Some((d, slot)) = client.location else {
-            continue; // trace client not injected yet
-        };
-        let job = &client.job;
+        let (d, slot) = client.location;
+        let bytes = client.state_bytes;
+        let job = sessions[d].spec_of(slot);
         if job.priority.is_high() || !sessions[d].client_active(slot) {
             continue;
         }
-        let loads = load_snapshot(
-            devices,
-            |dev| sessions[dev].active_specs(),
-            Some((sessions, now)),
-            |dev| topology.transfer_time(job.state_bytes, d, dev),
-        );
+        // Settled at `now`, a session has no client due to attach at
+        // `now`, so the residents are exactly the attached clients.
+        let transfer = |dev| topology.transfer_time(bytes, d, dev);
+        let loads = load_snapshot(sessions, now, transfer, rows);
         let Some(target) = policy.migrate(job, d, &loads) else {
             continue;
         };
@@ -1174,21 +1142,21 @@ fn rebalance_pass(
         if target == d {
             continue;
         }
-        let Some(stall) = topology.transfer_time(job.state_bytes, d, target) else {
+        let Some(stall) = topology.transfer_time(bytes, d, target) else {
             continue; // no interconnect path — the move is refused
         };
         let (priority, state) = sessions[d].extract_client(slot);
         let new_id = sessions[target].inject_client(priority, state, stall);
         let ev = Observation::ClientMigrated {
-            key: job.key().to_string(),
+            key: client.key.clone(),
             from: d,
             to: target,
             from_client: tally_gpu::ClientId(slot as u32),
             to_client: new_id,
-            bytes: job.state_bytes,
+            bytes,
             stall,
         };
-        client.location = Some((target, new_id.0 as usize));
+        client.location = (target, new_id.0 as usize);
         client.migrations += 1;
         client.stall += stall;
         moved += 1;
@@ -1198,36 +1166,18 @@ fn rebalance_pass(
     moved
 }
 
-/// One fleet client as the drive loop tracks it: its spec, where the
-/// policy first placed it, where it lives now, and what its migrations
-/// cost it.
+/// One fleet client's placement record; its job lives in the session
+/// that runs it. Keeps the client's key and migration state size, where
+/// the policy first placed it, where it lives now, and what its
+/// migrations cost it.
 struct FleetClient {
-    job: JobSpec,
+    key: String,
+    state_bytes: u64,
     initial_device: usize,
-    /// `(device, session-local slot)`; `None` until a trace client is
-    /// injected at its first arrival.
-    location: Option<(usize, usize)>,
+    /// `(device, session-local slot)`.
+    location: (usize, usize),
     migrations: u32,
     stall: SimSpan,
-}
-
-impl FleetClient {
-    fn new(job: JobSpec) -> Self {
-        FleetClient {
-            job,
-            initial_device: 0,
-            location: None,
-            migrations: 0,
-            stall: SimSpan::ZERO,
-        }
-    }
-
-    /// Records the policy's placement of the client into `slot` on
-    /// `device`.
-    fn place(&mut self, device: usize, slot: usize) {
-        self.initial_device = device;
-        self.location = Some((device, slot));
-    }
 }
 
 /// Outcome of one cluster run.
@@ -1890,7 +1840,7 @@ mod tests {
             vec![WorkloadOp::Kernel(kernel(2000))],
             (0..500).map(|i| SimTime::from_micros(2000 * i)).collect(),
         );
-        Cluster::new()
+        let report = Cluster::new()
             .devices(2, GpuSpec::tiny())
             .client(svc)
             .client(trainer("t", 2000, 0))
@@ -1902,6 +1852,9 @@ mod tests {
             .run();
         let seen = seen.borrow();
         assert!(!seen.is_empty(), "migrate was offered snapshots");
+        // Every row built reached a decision: the rows `migrate` saw, plus
+        // one row per device for each of the two placements.
+        assert_eq!(report.host.load_rows, seen.len() as u64 + 2 * 2);
         // Late snapshots of the busy device show live pressure…
         let d0 = seen.iter().rev().find(|l| l.device == 0).expect("device 0");
         assert!(

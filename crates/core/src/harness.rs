@@ -1142,19 +1142,10 @@ impl<'s> Session<'s> {
         if cfg.jitter > 0.0 {
             engine.set_jitter(cfg.jitter);
         }
-        let priorities = jobs.iter().map(|j| j.priority).collect();
-        let mut clients: Vec<Client> = jobs.into_iter().map(Client::new).collect();
-        for c in &mut clients {
-            c.record_timelines = cfg.record_timelines;
-            // Clients buffer the request-level detail observations need
-            // once anyone consumes the stream.
-            c.observe = sinks.active();
-            c.stub = transport.map(ClientStub::new);
-        }
-        Session {
+        let mut session = Session {
             engine,
-            priorities,
-            clients,
+            priorities: Vec::with_capacity(jobs.len()),
+            clients: Vec::with_capacity(jobs.len()),
             system,
             end: SimTime::ZERO + cfg.duration,
             warmup: SimTime::ZERO + cfg.warmup,
@@ -1168,7 +1159,16 @@ impl<'s> Session<'s> {
             migrations_in: 0,
             migrations_out: 0,
             sinks,
+        };
+        for job in jobs {
+            session.admit_job(job);
         }
+        session
+    }
+
+    /// The device this session simulates.
+    pub(crate) fn spec(&self) -> &GpuSpec {
+        self.engine.spec()
     }
 
     /// The installed load monitor, if any.
@@ -1518,25 +1518,24 @@ impl<'s> Session<'s> {
 
     /// Currently attached. A client sitting in the gap between two
     /// scheduled windows (detached-by-schedule) reports inactive, which
-    /// keeps it out of migration candidate sets and load snapshots.
+    /// keeps it out of migration candidate sets.
     pub(crate) fn client_active(&self, i: usize) -> bool {
         self.clients[i].attached
     }
 
-    /// The specs of the attached clients, in client order. A migration
-    /// tombstone is never attached.
-    pub(crate) fn active_specs(&self) -> impl Iterator<Item = &JobSpec> + '_ {
-        self.clients.iter().filter(|c| c.attached).map(|c| &c.spec)
+    /// The job client `i` runs.
+    pub(crate) fn spec_of(&self, i: usize) -> &JobSpec {
+        &self.clients[i].spec
     }
 
-    /// The specs counting toward a placement-load snapshot taken at `now`,
-    /// in client order: attached clients, plus those admitted with a window
-    /// opening at this instant (they attach in the next settle).
-    pub(crate) fn loadable_specs(&self, now: SimTime) -> impl Iterator<Item = &JobSpec> + '_ {
+    /// The specs of the clients resident by `horizon`, in client order:
+    /// those attached now, or whose next window opens by `horizon`.
+    /// Migration tombstones never count.
+    pub(crate) fn resident_specs(&self, horizon: SimTime) -> impl Iterator<Item = &JobSpec> + '_ {
         self.clients
             .iter()
             .filter(move |c| {
-                !c.migrated_away && (c.attached || c.window().is_some_and(|w| w.from <= now))
+                !c.migrated_away && (c.attached || c.window().is_some_and(|w| w.from <= horizon))
             })
             .map(|c| &c.spec)
     }
@@ -1635,10 +1634,10 @@ impl<'s> Session<'s> {
         id
     }
 
-    /// Admits a brand-new job into a running session (trace-driven client
-    /// injection). The client starts detached; the normal lifecycle
-    /// attaches it when its first window opens, which is never earlier
-    /// than the current instant for a validated trace.
+    /// Admits a brand-new job as the next client. It starts detached;
+    /// the normal lifecycle attaches it when its first window opens. Every
+    /// client enters a session here: the session's own jobs when it is
+    /// built, and each fleet client when the cluster places it.
     pub(crate) fn admit_job(&mut self, job: JobSpec) -> ClientId {
         let id = ClientId(self.clients.len() as u32);
         self.priorities.push(job.priority);

@@ -347,6 +347,10 @@ pub struct HostStats {
     pub events: u64,
     /// Engine→system notifications delivered, fleet-wide (deterministic).
     pub notifications: u64,
+    /// [`DeviceLoad`](crate::cluster::DeviceLoad) rows built for placement
+    /// and migration decisions, one per device per snapshot
+    /// (deterministic).
+    pub load_rows: u64,
     /// Always 0. The cluster reads its departures from the clients'
     /// window schedules, sorted once before the run, and no longer scans
     /// sessions for them. The field stays only because the simulator
